@@ -22,6 +22,7 @@ from .lattice import (
     lattice_from_dict,
     lattice_to_dict,
     load_lattice,
+    parse_flux,
     plaquette_flux,
     plaquette_fluxes,
     save_lattice,
@@ -38,6 +39,7 @@ from .dynamics import (
     caged_sites,
     default_time_grid,
     effective_model,
+    effective_model_amplitudes,
     evolve_amplitudes,
     evolve_lattice,
     evolve_unitary,

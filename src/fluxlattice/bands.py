@@ -16,54 +16,59 @@ from typing import Callable, Mapping
 
 import numpy as np
 
+from .dynamics import SQRT2
 from .errors import ConfigError, NumericalError
-
-PI = math.pi
-SQRT2 = math.sqrt(2.0)
+from .lattice import PI, parse_flux
 
 
-def rhombic_bloch(k: float, J: float = 1.0, flux: float = PI) -> np.ndarray:
+def rhombic_bloch(k: float | np.ndarray, J: float = 1.0, flux: float = PI) -> np.ndarray:
     """3x3 Bloch matrix of the rhombic chain in the (A, up, dn) cell basis.
 
     The spine couples to the up orbital as ``-J (1 + exp(-ik))`` and to the
     down orbital as ``-J (1 + exp(i*flux) exp(-ik))``; the diagonal is zero.
+    An array of k gives the matrices stacked along its leading axes.
     """
-    if flux not in (0.0, PI) and abs(flux) > 1e-12 and abs(flux - PI) > 1e-12:
-        raise ConfigError("flux must be 0 or pi")
-    phase = 1.0 if abs(flux) <= 1e-12 else -1.0
-    h = np.zeros((3, 3), dtype=complex)
-    h[0, 1] = -J * (1 + cmath.exp(-1j * k))
-    h[0, 2] = -J * (1 + phase * cmath.exp(-1j * k))
-    h[1, 0] = h[0, 1].conjugate()
-    h[2, 0] = h[0, 2].conjugate()
+    phase = 1.0 if parse_flux(flux) == 0.0 else -1.0
+    k = np.asarray(k, dtype=float)
+    h = np.zeros(k.shape + (3, 3), dtype=complex)
+    h[..., 0, 1] = -J * (1 + np.exp(-1j * k))
+    h[..., 0, 2] = -J * (1 + phase * np.exp(-1j * k))
+    h[..., 1, 0] = h[..., 0, 1].conj()
+    h[..., 2, 0] = h[..., 0, 2].conj()
     return h
 
 
-def trimer_bloch(k: float, J: float = 1.0, delta: float = 0.0) -> np.ndarray:
+def trimer_bloch(k: float | np.ndarray, J: float = 1.0, delta: float = 0.0) -> np.ndarray:
     """3x3 Bloch matrix of the trimer chain in the (-, A, +) cell basis.
 
     Intra-cell hoppings are ``-sqrt(2) J`` on (-, A) and (A, +); the detuning
     couples the + orbital of one cell to the - orbital of the next, entering
-    as ``delta * exp(-ik)`` on the (+, -) element.
+    as ``delta * exp(-ik)`` on the (+, -) element.  An array of k gives the
+    matrices stacked along its leading axes.
     """
     if J <= 0:
         raise ConfigError("J must be positive")
     if delta < 0:
         raise ConfigError("delta must be nonnegative")
-    h = np.zeros((3, 3), dtype=complex)
-    h[0, 1] = h[1, 0] = -SQRT2 * J
-    h[1, 2] = h[2, 1] = -SQRT2 * J
-    h[2, 0] = delta * cmath.exp(-1j * k)
-    h[0, 2] = h[2, 0].conjugate()
+    k = np.asarray(k, dtype=float)
+    h = np.zeros(k.shape + (3, 3), dtype=complex)
+    h[..., 0, 1] = h[..., 1, 0] = -SQRT2 * J
+    h[..., 1, 2] = h[..., 2, 1] = -SQRT2 * J
+    h[..., 2, 0] = delta * np.exp(-1j * k)
+    h[..., 0, 2] = h[..., 2, 0].conj()
     return h
 
 
 @dataclass(frozen=True, eq=False)
 class BlochModel:
-    """A k -> Hermitian matrix builder with its basis labels and energy scale."""
+    """A k -> Hermitian matrix builder with its basis labels and energy scale.
+
+    The builder takes a scalar k or an array of k; for an array it returns
+    the matrices stacked along the array's axes.
+    """
 
     basis_size: int
-    builder: Callable[[float], np.ndarray]
+    builder: Callable[[float | np.ndarray], np.ndarray]
     labels: tuple[str, ...]
     energy_scale: float
     parameters: Mapping[str, float]
@@ -72,7 +77,7 @@ class BlochModel:
         if len(self.labels) != self.basis_size:
             raise ConfigError("one label per orbital required")
 
-    def __call__(self, k: float) -> np.ndarray:
+    def __call__(self, k: float | np.ndarray) -> np.ndarray:
         return self.builder(k)
 
 
@@ -126,10 +131,7 @@ def band_structure(model: BlochModel, n_k: int) -> BandStructure:
     if n_k < 3:
         raise ConfigError("need at least 3 momentum points")
     k_grid = np.linspace(-PI, PI, n_k)
-    energies = np.empty((n_k, model.basis_size))
-    for i, k in enumerate(k_grid):
-        energies[i] = np.linalg.eigvalsh(model(k))
-    return BandStructure(k_grid, energies)
+    return BandStructure(k_grid, np.linalg.eigvalsh(model(k_grid)))
 
 
 def wilson_loop_phase(vectors: np.ndarray) -> float:
@@ -175,15 +177,10 @@ def zak_phase(model: BlochModel, band_index: int, n_k: int = 512) -> ZakResult:
     if not 0 <= band_index < model.basis_size:
         raise ConfigError(f"band index {band_index} out of range")
     ks = -PI + 2 * PI * np.arange(n_k) / n_k
-    vectors = np.empty((n_k, model.basis_size), dtype=complex)
-    min_gap = math.inf
-    for i, k in enumerate(ks):
-        energies, eigvecs = np.linalg.eigh(model(k))
-        vectors[i] = eigvecs[:, band_index]
-        if band_index > 0:
-            min_gap = min(min_gap, energies[band_index] - energies[band_index - 1])
-        if band_index < model.basis_size - 1:
-            min_gap = min(min_gap, energies[band_index + 1] - energies[band_index])
+    energies, eigvecs = np.linalg.eigh(model(ks))
+    vectors = eigvecs[:, :, band_index]
+    gaps = np.diff(energies, axis=1)[:, max(band_index - 1, 0) : band_index + 1]
+    min_gap = float(gaps.min()) if gaps.size else math.inf
     if min_gap <= 1e-8 * model.energy_scale:
         raise NumericalError(
             f"band {band_index} is not gapped over the grid (min gap {min_gap:.3e}); "

@@ -12,14 +12,13 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
-import os
 import sys
 import time
-from functools import partial
+import warnings
+from dataclasses import replace
 from importlib import resources
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -29,16 +28,20 @@ from .lattice import (
     PI,
     LatticeConfig,
     build_lattice,
+    lattice_from_dict,
     lattice_to_dict,
     load_lattice,
+    parse_flux,
+    plaquette_flux,
+    read_config_file,
     site_labels,
 )
 from .dynamics import (
+    SQRT2,
     PopulationTrace,
     StateVector,
     antisymmetric_detunings,
-    effective_model,
-    evolve_amplitudes,
+    effective_model_amplitudes,
     evolve_lattice,
     pm_transform_matrix,
 )
@@ -54,7 +57,6 @@ from .protocols import (
 )
 from .bands import band_structure, rhombic_bloch_model, trimer_bloch_model, zak_phase
 from .device import (
-    CouplerSpec,
     CrosstalkMatrix,
     coupler_off_frequency,
     crosstalk_correct,
@@ -64,8 +66,6 @@ from .device import (
     simulate_compensation_data,
     three_mode_vacuum_rabi,
 )
-
-SQRT2 = math.sqrt(2.0)
 
 
 def data_path(name: str) -> Path:
@@ -85,15 +85,6 @@ def parse_pi_multiple(text: str) -> float:
         head = token[:-2]
         return (float(head) if head else 1.0) * PI
     return float(token)
-
-
-def parse_flux(text: str) -> float:
-    token = text.strip().lower()
-    if token in ("pi", "3.141592653589793"):
-        return PI
-    if token in ("0", "0.0"):
-        return 0.0
-    raise ConfigError(f"flux must be 0 or pi, got {text!r}")
 
 
 def parse_delta_token(token: str) -> float:
@@ -142,7 +133,6 @@ class RunContext:
         self.outdir = Path(args.outdir)
         self.outdir.mkdir(parents=True, exist_ok=True)
         self.seed = args.seed
-        self.jobs = args.jobs
         self.args = {
             k: v for k, v in vars(args).items() if k not in ("func",) and v is not None
         }
@@ -174,16 +164,6 @@ class RunContext:
             manifest.update(extra)
         write_json(self.outdir / "run_manifest.json", manifest)
         return 0
-
-
-def _map_indexed(fn: Callable, items: Sequence, jobs: int) -> list:
-    """Apply ``fn`` over items, optionally on a process pool; order is by index."""
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
 
 
 def _resolve_lattice(args) -> LatticeConfig:
@@ -232,32 +212,20 @@ def cmd_dynamics(args) -> int:
     return ctx.finish()
 
 
-def _sweep_point(task, l, init, times):
-    flux, delta = task
-    lattice = build_lattice(l, [flux] * l, antisymmetric_detunings(l, delta))
-    return evolve_lattice(lattice, init, times)
-
-
 def cmd_detuning_sweep(args) -> int:
     ctx = RunContext("detuning-sweep", args)
     fluxes = [0.0, PI] if args.flux == "both" else [parse_flux(args.flux)]
     tokens = [t for t in args.delta.split(",") if t]
     deltas = [(t, parse_delta_token(t)) for t in tokens]
     times = np.linspace(0.0, parse_pi_multiple(args.tmax), args.points)
-    tasks = [(flux, value) for flux in fluxes for _, value in deltas]
-    traces = _map_indexed(partial(_sweep_point, l=args.l, init=args.init, times=times), tasks, ctx.jobs)
-    idx = 0
     for flux in fluxes:
         for token, value in deltas:
             tag = "pi" if flux == PI else "0"
             stem = f"sweep_phi{tag}_delta{_slug(token)}"
-            config = LatticeConfig(
-                build_lattice(args.l, [flux] * args.l, antisymmetric_detunings(args.l, value)),
-                args.j_mhz,
-                None,
-            )
-            _write_trace(ctx, stem, traces[idx], _trace_metadata(config, args.init, value))
-            idx += 1
+            lattice = build_lattice(args.l, [flux] * args.l, antisymmetric_detunings(args.l, value))
+            trace = evolve_lattice(lattice, args.init, times)
+            config = LatticeConfig(lattice, args.j_mhz, None)
+            _write_trace(ctx, stem, trace, _trace_metadata(config, args.init, value))
     return ctx.finish()
 
 
@@ -290,9 +258,9 @@ def cmd_adiabatic(args) -> int:
     ctx = RunContext("adiabatic", args)
     conf: dict = {}
     if args.config:
-        conf = json.loads(Path(args.config).read_text())
+        conf = read_config_file(args.config, "adiabatic config")
     l = args.l if args.l is not None else int(conf.get("l", 1))
-    flux = parse_flux(args.flux if args.flux else str(conf.get("flux", "pi")))
+    flux = parse_flux(args.flux or conf.get("flux", "pi"))
     init = args.init or conf.get("init", "A,1")
     duration = args.duration if args.duration is not None else float(conf.get("duration_over_J", 30.0))
     d0 = args.initial_detuning if args.initial_detuning is not None else float(
@@ -310,7 +278,7 @@ def cmd_adiabatic(args) -> int:
 
     lattice = build_lattice(l, [flux] * l)
     if args.schedule:
-        schedule = schedule_from_json(json.loads(Path(args.schedule).read_text()))
+        schedule = schedule_from_json(read_config_file(args.schedule, "schedule file"))
     else:
         schedule = two_stage_ramp(lattice, init, duration, d0)
     closed = adiabatic_prepare(lattice, schedule, init)
@@ -357,8 +325,9 @@ def cmd_adiabatic(args) -> int:
 def cmd_bands(args) -> int:
     ctx = RunContext("bands", args)
     if args.model == "rhombic":
-        model = rhombic_bloch_model(1.0, parse_flux(args.flux))
-        tag = "rhombic_phi" + ("pi" if parse_flux(args.flux) == PI else "0")
+        flux = parse_flux(args.flux)
+        model = rhombic_bloch_model(1.0, flux)
+        tag = "rhombic_phi" + ("pi" if flux == PI else "0")
     else:
         delta = args.delta_over_sqrt2j * SQRT2
         model = trimer_bloch_model(1.0, delta)
@@ -381,21 +350,20 @@ def cmd_bands(args) -> int:
     return ctx.finish()
 
 
-def _zak_point(factor: float, band: int, nk: int) -> dict:
-    result = zak_phase(trimer_bloch_model(1.0, factor * SQRT2), band, nk)
-    return {
-        "delta_over_sqrt2J": factor,
-        "band": band,
-        "zak_raw": result.raw,
-        "zak_snapped": result.snapped,
-        "min_gap_over_J": result.min_gap,
-    }
-
-
 def cmd_zak(args) -> int:
     ctx = RunContext("zak", args)
-    factors = parse_range(args.delta_range)
-    points = _map_indexed(partial(_zak_point, band=args.band, nk=args.nk), list(factors), ctx.jobs)
+    points = []
+    for factor in parse_range(args.delta_range):
+        result = zak_phase(trimer_bloch_model(1.0, factor * SQRT2), args.band, args.nk)
+        points.append(
+            {
+                "delta_over_sqrt2J": factor,
+                "band": args.band,
+                "zak_raw": result.raw,
+                "zak_snapped": result.snapped,
+                "min_gap_over_J": result.min_gap,
+            }
+        )
     write_json(ctx.path("zak.json"), {"schema": 1, "n_k": args.nk, "points": points})
     return ctx.finish()
 
@@ -409,22 +377,10 @@ def cmd_coupler_calibrate(args) -> int:
     else:
         grid = np.linspace(lo, hi, count)
     rows = []
-    import warnings as _warnings
-
     for omega_c in grid:
-        spec = CouplerSpec(
-            device.coupler.omega_a,
-            device.coupler.omega_b,
-            float(omega_c),
-            device.coupler.g_ac,
-            device.coupler.g_bc,
-            device.coupler.g_ab,
-            device.coupler.u_a,
-            device.coupler.u_b,
-            device.coupler.u_c,
-        )
-        with _warnings.catch_warnings():
-            _warnings.simplefilter("ignore")
+        spec = replace(device.coupler, omega_c=float(omega_c))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
             formula = g_eff(spec)
             extraction = three_mode_vacuum_rabi(spec, args.levels)
         rows.append([omega_c, formula * 1e3, extraction.value * 1e3, extraction.sign])
@@ -453,9 +409,9 @@ def cmd_coupler_calibrate(args) -> int:
     return ctx.finish()
 
 
-def _read_response_csv(path: Path) -> dict[tuple[str, str], list[tuple[float, float]]]:
+def _parse_response_csv(text: str) -> dict[tuple[str, str], list[tuple[float, float]]]:
     groups: dict[tuple[str, str], list[tuple[float, float]]] = {}
-    lines = path.read_text().strip().splitlines()
+    lines = text.strip().splitlines()
     for line in lines[1:]:
         source, target, s_zpa, t_zpa = line.split(",")
         groups.setdefault((source, target), []).append((float(s_zpa), float(t_zpa)))
@@ -467,7 +423,7 @@ def cmd_crosstalk_fit(args) -> int:
     rng = np.random.default_rng(ctx.seed)
     truth = None
     if args.responses:
-        groups = _read_response_csv(Path(args.responses))
+        groups = read_config_file(args.responses, "response file", _parse_response_csv)
         labels = sorted({k for pair in groups for k in pair})
     else:
         n = args.lines
@@ -511,8 +467,6 @@ def compare_against_reference(trace: PopulationTrace, metadata: Mapping, oracle:
     init = metadata.get("init")
     if lattice_doc is None or init is None:
         raise ConfigError("trace metadata lacks the lattice definition or init site")
-    from .lattice import lattice_from_dict
-
     config = lattice_from_dict(lattice_doc)
     lattice = config.lattice
     delta = float(metadata.get("delta_antisym_over_J", 0.0))
@@ -525,15 +479,11 @@ def compare_against_reference(trace: PopulationTrace, metadata: Mapping, oracle:
     if oracle == "analytic_l1":
         if lattice.l != 1:
             raise ConfigError("the closed-form oracle applies to the single plaquette only")
-        fluxes = lattice_doc["fluxes"]
-        flux = PI if fluxes[0] == "pi" else 0.0
-        expected = analytic_plaquette_populations(flux, init, trace.times)
+        expected = analytic_plaquette_populations(plaquette_flux(lattice, 1), init, trace.times)
     elif oracle == "effective_model":
-        model = effective_model(lattice, delta)
-        w = pm_transform_matrix(lattice.num_sites)
-        psi0 = StateVector.from_site(lattice, init).amplitudes
-        states_pm = evolve_amplitudes(model.hamiltonian(), w @ psi0, trace.times)
-        expected = np.abs(states_pm @ w) ** 2
+        psi0 = StateVector.from_site(lattice, init)
+        states_pm = effective_model_amplitudes(lattice, delta, psi0, trace.times)
+        expected = np.abs(states_pm @ pm_transform_matrix(lattice.num_sites)) ** 2
     else:
         raise ConfigError(f"unknown oracle {oracle!r}")
     deviation = np.abs(trace.populations - expected)
@@ -549,7 +499,7 @@ def compare_against_reference(trace: PopulationTrace, metadata: Mapping, oracle:
 
 def cmd_verify(args) -> int:
     ctx = RunContext("verify", args)
-    doc = json.loads(Path(args.trace).read_text())
+    doc = read_config_file(args.trace, "trace file")
     trace = PopulationTrace.from_json_dict(doc)
     report = compare_against_reference(
         trace, doc.get("metadata", {}), args.oracle, args.tolerance
@@ -572,12 +522,6 @@ def cmd_verify(args) -> int:
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--outdir", default="out", help="output directory")
     sub.add_argument("--seed", type=int, default=0, help="seed for synthetic-noise fits")
-    sub.add_argument(
-        "--jobs",
-        type=int,
-        default=int(os.environ.get("FLUXLATTICE_JOBS", "1")),
-        help="worker processes for sweeps (env FLUXLATTICE_JOBS)",
-    )
 
 
 def _add_lattice_source(sub: argparse.ArgumentParser, default_l: int | None = None) -> None:

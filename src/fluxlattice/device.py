@@ -15,6 +15,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import ConfigError, NumericalError
+from .lattice import read_config_file
 
 #: Detuning-to-coupling ratio below which the dispersive formula is refused.
 DISPERSIVE_HARD_RATIO = 5.0
@@ -377,26 +378,11 @@ def device_from_dict(doc) -> DeviceConfig:
 
 
 def load_device(path) -> DeviceConfig:
-    import json
-    from pathlib import Path
-
-    try:
-        doc = json.loads(Path(path).read_text())
-    except FileNotFoundError:
-        raise ConfigError(f"device file not found: {path}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"device file is not valid JSON: {exc}") from None
-    return device_from_dict(doc)
+    return device_from_dict(read_config_file(path, "device file"))
 
 
-def load_crosstalk_csv(path) -> CrosstalkMatrix:
-    """Read a crosstalk matrix CSV: header of line labels, one labelled row each."""
-    from pathlib import Path
-
-    try:
-        lines = Path(path).read_text().strip().splitlines()
-    except FileNotFoundError:
-        raise ConfigError(f"crosstalk file not found: {path}") from None
+def _parse_crosstalk_csv(text: str) -> CrosstalkMatrix:
+    lines = text.strip().splitlines()
     if len(lines) < 2:
         raise ConfigError("crosstalk CSV needs a header and at least one row")
     labels = tuple(lines[0].split(",")[1:])
@@ -408,3 +394,8 @@ def load_crosstalk_csv(path) -> CrosstalkMatrix:
     if matrix.shape != (len(labels), len(labels)):
         raise ConfigError("crosstalk CSV is not square against its header")
     return CrosstalkMatrix(matrix, labels)
+
+
+def load_crosstalk_csv(path) -> CrosstalkMatrix:
+    """Read a crosstalk matrix CSV: header of line labels, one labelled row each."""
+    return read_config_file(path, "crosstalk file", _parse_crosstalk_csv)

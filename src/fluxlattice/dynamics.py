@@ -369,6 +369,23 @@ def effective_model(lattice: RhombicLattice, delta_antisym: float) -> EffectiveM
     return EffectiveModel(kind, labels, tuple(couplings))
 
 
+def effective_model_amplitudes(
+    lattice: RhombicLattice,
+    delta_antisym: float,
+    psi0: StateVector | np.ndarray,
+    times: Sequence[float],
+) -> np.ndarray:
+    """Bell-basis amplitudes [time x dim] of a site-basis state under the effective model.
+
+    The state is mapped into the Bell basis and propagated exactly with the
+    effective model of ``lattice``; multiply by ``pm_transform_matrix`` on
+    the right to return to the site basis.
+    """
+    model = effective_model(lattice, delta_antisym)
+    w = pm_transform_matrix(lattice.num_sites)
+    return evolve_amplitudes(model.hamiltonian(), w @ _as_vector(psi0), times)
+
+
 def verify_equivalence(
     lattice: RhombicLattice,
     delta_antisym: float,
@@ -380,13 +397,10 @@ def verify_equivalence(
     Both sides are propagated exactly; the full-lattice state is mapped into
     the Bell basis before comparing, which keeps the check gauge insensitive.
     """
-    model = effective_model(lattice, delta_antisym)
-    h_full = hamiltonian_single_excitation(lattice)
-    psi = _as_vector(psi0)
-    states_full = evolve_amplitudes(h_full, psi, times)
+    pops_eff = np.abs(effective_model_amplitudes(lattice, delta_antisym, psi0, times)) ** 2
+    states_full = evolve_amplitudes(hamiltonian_single_excitation(lattice), psi0, times)
     w = pm_transform_matrix(lattice.num_sites)
     pops_full = np.abs(states_full @ w) ** 2  # w is symmetric
-    pops_eff = np.abs(evolve_amplitudes(model.hamiltonian(), w @ psi, times)) ** 2
     return float(np.abs(pops_full - pops_eff).max())
 
 

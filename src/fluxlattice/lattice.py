@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Any, Callable, Iterable, Mapping
 
 import numpy as np
 
@@ -247,10 +247,23 @@ class RhombicLattice:
         return RhombicLattice(self.l, self.bonds, dict(detunings), self.J)
 
 
-def _normalize_flux(value: float) -> float:
-    if abs(value) <= 1e-12:
+def parse_flux(value: float | str) -> float:
+    """A plaquette flux as exactly ``0.0`` or ``PI``.
+
+    Accepts ``"pi"`` in any case and spacing, and any number or numeric string
+    within 1e-12 of 0 or pi; everything else raises ``ConfigError``.
+    """
+    if isinstance(value, str):
+        value = "".join(value.split()).lower()
+        if value == "pi":
+            return PI
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"plaquette flux must be 0 or pi, got {value!r}") from None
+    if abs(number) <= 1e-12:
         return 0.0
-    if abs(value - PI) <= 1e-12:
+    if abs(number - PI) <= 1e-12:
         return PI
     raise ConfigError(f"plaquette flux must be 0 or pi, got {value!r}")
 
@@ -268,7 +281,7 @@ def build_lattice(
     the one bond the Hamiltonian distinguishes.  Any other sign placement with
     the same fluxes is gauge-equivalent (see ``apply_site_gauge``).
     """
-    fluxes = [_normalize_flux(f) for f in plaquette_fluxes]
+    fluxes = [parse_flux(f) for f in plaquette_fluxes]
     if len(fluxes) != l:
         raise ConfigError(f"expected {l} plaquette fluxes, got {len(fluxes)}")
     bonds: list[Bond] = []
@@ -375,15 +388,20 @@ def hamiltonian_single_excitation(lattice: RhombicLattice) -> HermitianOperator:
 # Lattice definition files (JSON, schema 1)
 # ---------------------------------------------------------------------------
 
-_FLUX_TOKENS = {"0": 0.0, "0.0": 0.0, "pi": PI, "PI": PI}
+def read_config_file(path: str | Path, what: str, parse: Callable[[str], Any] = json.loads) -> Any:
+    """Read an input file and parse its text, JSON unless ``parse`` says otherwise.
 
-
-def _parse_flux_token(value) -> float:
-    if isinstance(value, str):
-        if value in _FLUX_TOKENS:
-            return _FLUX_TOKENS[value]
-        raise ConfigError(f"flux token must be 0 or 'pi', got {value!r}")
-    return _normalize_flux(float(value))
+    A missing or unreadable file, and text that ``parse`` rejects with a
+    ``ValueError`` (``json.JSONDecodeError`` is one), raise ``ConfigError``.
+    """
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc.strerror or exc}") from None
+    try:
+        return parse(text)
+    except ValueError as exc:
+        raise ConfigError(f"{what} {path} is malformed: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -438,7 +456,7 @@ def lattice_from_dict(doc: Mapping) -> LatticeConfig:
         raise ConfigError(f"unsupported lattice schema {doc.get('schema')!r}")
     try:
         l = int(doc["l"])
-        fluxes = [_parse_flux_token(f) for f in doc["fluxes"]]
+        fluxes = [parse_flux(f) for f in doc["fluxes"]]
     except KeyError as missing:
         raise ConfigError(f"lattice file missing field {missing}") from None
     j_mhz = doc.get("J_MHz")
@@ -482,13 +500,7 @@ def lattice_from_dict(doc: Mapping) -> LatticeConfig:
 
 
 def load_lattice(path: str | Path) -> LatticeConfig:
-    try:
-        doc = json.loads(Path(path).read_text())
-    except FileNotFoundError:
-        raise ConfigError(f"lattice file not found: {path}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"lattice file is not valid JSON: {exc}") from None
-    return lattice_from_dict(doc)
+    return lattice_from_dict(read_config_file(path, "lattice file"))
 
 
 def save_lattice(config: LatticeConfig, path: str | Path) -> None:

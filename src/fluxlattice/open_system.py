@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -107,12 +107,16 @@ class DensityMatrix:
         return self.matrix.diagonal().real[1:].copy()
 
 
+def _embed_vacuum(h: np.ndarray) -> np.ndarray:
+    out = np.zeros((h.shape[0] + 1, h.shape[0] + 1), dtype=complex)
+    out[1:, 1:] = h
+    return out
+
+
 def with_vacuum(operator: HermitianOperator | np.ndarray) -> HermitianOperator:
     """Embed a single-excitation Hamiltonian as the lower block of vacuum + 1."""
     h = operator.matrix if isinstance(operator, HermitianOperator) else np.asarray(operator, dtype=complex)
-    out = np.zeros((h.shape[0] + 1, h.shape[0] + 1), dtype=complex)
-    out[1:, 1:] = h
-    return HermitianOperator(out)
+    return HermitianOperator(_embed_vacuum(h))
 
 
 def dephasing_operators(rates: DephasingRates | Sequence[float], dim: int) -> list[np.ndarray]:
@@ -130,6 +134,11 @@ def dephasing_operators(rates: DephasingRates | Sequence[float], dim: int) -> li
         op[j + 1, j + 1] = math.sqrt(rate)
         ops.append(op)
     return ops
+
+
+def _collapse_terms(ops: Sequence[np.ndarray]) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Each collapse operator paired with its ``L^dagger L``."""
+    return [(op, op.conj().T @ op) for op in ops]
 
 
 def _lindblad_rhs(h: np.ndarray, rho: np.ndarray, collapse: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
@@ -156,6 +165,44 @@ def spectral_norm(operator: HermitianOperator | np.ndarray) -> float:
 
 def rk4_max_step(h_norm: float, max_rate: float) -> float:
     return STEP_SAFETY / max(h_norm, max_rate, 1e-12)
+
+
+def _substeps(
+    state: np.ndarray,
+    checkpoints: np.ndarray,
+    step: float,
+    advance: Callable[[np.ndarray, float, float], np.ndarray],
+) -> Iterator[tuple[int, float, np.ndarray]]:
+    """Carry ``state`` from time 0 through sorted checkpoints in short substeps.
+
+    Each gap between checkpoints is cut into ``max(1, ceil(span / step))``
+    equal substeps, and ``advance(state, t_mid, dt)`` takes one of them with
+    the Hamiltonian frozen at its midpoint.  Yields ``(index, time, state)`` at
+    every checkpoint.  A density matrix (2-d state) has its trace checked
+    there first.
+
+    Raises
+    ------
+    NumericalError : if a density-matrix trace drifts by more than
+        ``TRACE_TOL`` or stops being finite, which means the step is too large.
+    """
+    now = 0.0
+    for i, target in enumerate(checkpoints):
+        span = target - now
+        if span > 0:
+            n_sub = max(1, math.ceil(span / step))
+            dt = span / n_sub
+            for s in range(n_sub):
+                state = advance(state, now + (s + 0.5) * dt, dt)
+            now = target
+        if state.ndim == 2:
+            drift = abs(state.trace().real - 1.0)
+            if not drift <= TRACE_TOL:  # also rejects NaN
+                raise NumericalError(
+                    f"density-matrix trace drifted by {drift:.3e} at Jt={target:g} "
+                    f"(step {step:.3e}); reduce the step"
+                )
+        yield i, target, state
 
 
 @dataclass(frozen=True, eq=False)
@@ -198,8 +245,8 @@ def lindblad_evolve(
 
     Raises
     ------
-    NumericalError : if the trace drifts by more than 1e-6, which indicates
-        the step rule was overridden too aggressively.
+    NumericalError : if the trace drifts by more than 1e-6 or stops being
+        finite, which indicates the step rule was overridden too aggressively.
     """
     h = operator.matrix if isinstance(operator, HermitianOperator) else HermitianOperator(np.asarray(operator)).matrix
     if h.shape[0] != rho0.dim:
@@ -209,32 +256,21 @@ def lindblad_evolve(
     for op in collapse_ops:
         if op.shape != h.shape:
             raise ConfigError("collapse operator dimension mismatch")
-    collapse = [(op, op.conj().T @ op) for op in collapse_ops]
+    collapse = _collapse_terms(collapse_ops)
     # The step rule must see every decay scale, including hook operators.
     rate_scale = max((spectral_norm(opd_op) for _, opd_op in collapse), default=0.0)
     step = max_step if max_step is not None else rk4_max_step(spectral_norm(h), rate_scale)
     if step <= 0:
         raise ConfigError("max_step must be positive")
 
-    rho = np.array(rho0.matrix, dtype=complex)
     populations = np.empty((t.size, rho0.dim - 1))
     coherences = np.empty(t.size)
     snapshots: list[DensityMatrix] = []
-    now = 0.0
-    for i, target in enumerate(t):
-        span = target - now
-        if span > 0:
-            n_sub = max(1, math.ceil(span / step))
-            dt = span / n_sub
-            for _ in range(n_sub):
-                rho = _rk4_step(h, rho, dt, collapse)
-            now = target
-        drift = abs(rho.trace().real - 1.0)
-        if drift > TRACE_TOL:
-            raise NumericalError(
-                f"density-matrix trace drifted by {drift:.3e} at Jt={target:g} "
-                f"(step {step:.3e}); reduce max_step"
-            )
+
+    def advance(rho: np.ndarray, _t: float, dt: float) -> np.ndarray:
+        return _rk4_step(h, rho, dt, collapse)
+
+    for i, _, rho in _substeps(np.array(rho0.matrix, dtype=complex), t, step, advance):
         populations[i] = rho.diagonal().real[1:]
         off = rho - np.diag(rho.diagonal())
         coherences[i] = float(np.linalg.norm(off))

@@ -22,6 +22,7 @@ from .lattice import (
     as_site,
     build_lattice,
     hamiltonian_single_excitation,
+    parse_flux,
     site_labels,
 )
 from .dynamics import (
@@ -35,8 +36,12 @@ from .dynamics import (
 from .open_system import (
     DensityMatrix,
     DephasingRates,
+    _collapse_terms,
+    _embed_vacuum,
     _rk4_step,
+    _substeps,
     dephasing_operators,
+    fidelity,
     rk4_max_step,
     spectral_norm,
     with_vacuum,
@@ -61,18 +66,16 @@ def analytic_plaquette_populations(
     if col is None:
         raise ConfigError(f"site {site.label} is not on the single plaquette")
     u = np.zeros((t.size, 4, 4), dtype=complex)
-    if abs(flux) <= 1e-12:
+    if parse_flux(flux) == 0.0:
         c, s = np.cos(t), np.sin(t)
         sc = -1j * s * c
         u[:, 0], u[:, 1] = np.stack([c**2, sc, -(s**2), sc], 1), np.stack([sc, c**2, sc, -(s**2)], 1)
         u[:, 2], u[:, 3] = np.stack([-(s**2), sc, c**2, sc], 1), np.stack([sc, -(s**2), sc, c**2], 1)
-    elif abs(flux - PI) <= 1e-12:
+    else:
         cc, ss = np.cos(SQRT2 * t), -1j * np.sin(SQRT2 * t) / SQRT2
         zero = np.zeros_like(cc)
         u[:, 0], u[:, 1] = np.stack([cc, ss, zero, ss], 1), np.stack([ss, cc, ss, zero], 1)
         u[:, 2], u[:, 3] = np.stack([zero, ss, cc, -ss], 1), np.stack([ss, zero, -ss, cc], 1)
-    else:
-        raise ConfigError("flux must be 0 or pi")
     pops_ring = np.abs(u[:, :, col]) ** 2
     return pops_ring[:, _RING_TO_FLAT]
 
@@ -93,6 +96,7 @@ def caging_benchmark(
     propagator and the maximum deviation is reported; at pi flux the set of
     sites the excitation can ever reach is attached for interference checks.
     """
+    flux = parse_flux(flux)
     lattice = build_lattice(l, [flux] * l, J=J)
     trace = evolve_unitary(
         hamiltonian_single_excitation(lattice),
@@ -104,7 +108,7 @@ def caging_benchmark(
     if l == 1:
         exact = analytic_plaquette_populations(flux, init_site, times, J)
         deviation = float(np.abs(trace.populations - exact).max())
-    allowed = caged_sites(l, init_site) if abs(flux - PI) <= 1e-12 else None
+    allowed = caged_sites(l, init_site) if flux == PI else None
     return CagingResult(trace, deviation, allowed)
 
 
@@ -424,6 +428,13 @@ def _ground_projector(h: np.ndarray) -> tuple[np.ndarray, float]:
     return projector, gap
 
 
+def _ground_weight(projector: np.ndarray, state: np.ndarray) -> float:
+    """Weight of a state vector, or a vacuum + 1 density matrix, in ``projector``'s space."""
+    if state.ndim == 1:
+        return float(np.real(state.conj() @ projector @ state))
+    return float(np.real(np.trace(projector @ state[1:, 1:])))
+
+
 def _validate_schedule(
     lattice_final: RhombicLattice, schedule: RampSchedule, init_site: SiteId
 ) -> None:
@@ -491,35 +502,26 @@ def adiabatic_prepare(
     gamma_max = float(rates.values.max(initial=0.0)) if rates is not None else 0.0
     step = rk4_max_step(norm_bound, gamma_max)
 
-    psi = np.zeros(n, dtype=complex)
-    psi[lattice_final.site_index(site)] = 1.0
-    rho = None
-    collapse = None
-    if rates is not None:
-        rho = DensityMatrix.single_excitation(lattice_final, site).matrix.copy()
-        ops = dephasing_operators(rates, n + 1)
-        collapse = [(op, op.conj().T @ op) for op in ops]
+    if rates is None:
+        state0 = np.zeros(n, dtype=complex)
+        state0[lattice_final.site_index(site)] = 1.0
+
+        def advance(psi: np.ndarray, t: float, dt: float) -> np.ndarray:
+            energies, vectors = np.linalg.eigh(h_at(t))
+            return vectors @ (np.exp(-1j * energies * dt) * (vectors.conj().T @ psi))
+
+    else:
+        state0 = DensityMatrix.single_excitation(lattice_final, site).matrix.copy()
+        collapse = _collapse_terms(dephasing_operators(rates, n + 1))
+
+        def advance(rho: np.ndarray, t: float, dt: float) -> np.ndarray:
+            return _rk4_step(_embed_vacuum(h_at(t)), rho, dt, collapse)
 
     fidelities = np.empty(checkpoints.size)
     gaps = np.empty(checkpoints.size)
     j_ref = max(lattice_final.J, 1e-12)
     warned = False
-    now = 0.0
-    for idx, target in enumerate(checkpoints):
-        span = target - now
-        if span > 0:
-            n_sub = max(1, math.ceil(span / step))
-            dt = span / n_sub
-            for s in range(n_sub):
-                h_mid = h_at(now + (s + 0.5) * dt)
-                if rho is None:
-                    energies, vectors = np.linalg.eigh(h_mid)
-                    psi = vectors @ (np.exp(-1j * energies * dt) * (vectors.conj().T @ psi))
-                else:
-                    h_embedded = np.zeros((n + 1, n + 1), dtype=complex)
-                    h_embedded[1:, 1:] = h_mid
-                    rho = _rk4_step(h_embedded, rho, dt, collapse)
-            now = target
+    for idx, target, state in _substeps(state0, checkpoints, step, advance):
         projector, gap = _ground_projector(h_at(target))
         gaps[idx] = gap
         if gap < 1e-6 * j_ref and not warned:
@@ -529,39 +531,29 @@ def adiabatic_prepare(
                 stacklevel=2,
             )
             warned = True
-        if rho is None:
-            fidelities[idx] = float(np.real(psi.conj() @ projector @ psi))
-        else:
-            fidelities[idx] = float(np.real(np.trace(projector @ rho[1:, 1:])))
+        fidelities[idx] = _ground_weight(projector, state)
 
     # Final metrics are always taken against the target Hamiltonian (for a
     # zero-duration schedule the instantaneous one never reaches it).
     projector_final, _ = _ground_projector(h_final)
-    if rho is None:
-        final_overlap = float(np.real(psi.conj() @ projector_final @ psi))
-        final_pops = np.abs(psi) ** 2
-        projected = projector_final @ psi
-    else:
-        final_overlap = float(np.real(np.trace(projector_final @ rho[1:, 1:])))
-        final_pops = rho.diagonal().real[1:].copy()
-        # Ideal target from the closed-system reference run.
-        reference = adiabatic_prepare(lattice_final, schedule, site, None, n_checkpoints=n_checkpoints)
-        projected = None
-        ground_pops = reference.ground_populations
-    if projected is not None:
+    final_overlap = _ground_weight(projector_final, state)
+    if rates is None:
+        final_pops = np.abs(state) ** 2
+        projected = projector_final @ state
         weight = np.linalg.norm(projected)
         if weight < 1e-12:
             # Orthogonal to the ground space: fall back to the lowest eigenvector.
             ground_pops = np.abs(np.linalg.eigh(h_final)[1][:, 0]) ** 2
         else:
             ground_pops = np.abs(projected / weight) ** 2
+    else:
+        final_pops = state.diagonal().real[1:].copy()
+        # Ideal target from the closed-system reference run.
+        reference = adiabatic_prepare(lattice_final, schedule, site, None, n_checkpoints=n_checkpoints)
+        ground_pops = reference.ground_populations
 
     np.clip(final_pops, 0.0, None, out=final_pops)
     raw = float(np.sqrt(final_pops * ground_pops).sum())
-    total_weight = final_pops.sum()
-    normalized = (
-        float(np.sqrt(final_pops / total_weight * ground_pops).sum()) if total_weight > 0 else 0.0
-    )
     return AdiabaticResult(
         times=checkpoints,
         gs_fidelity=fidelities,
@@ -569,7 +561,7 @@ def adiabatic_prepare(
         final_populations=final_pops,
         ground_populations=ground_pops,
         final_gs_overlap=final_overlap,
-        population_fidelity=min(normalized, 1.0),
+        population_fidelity=fidelity(final_pops, ground_pops),
         population_fidelity_raw=min(raw, 1.0),
         dephasing=rates is not None,
     )

@@ -84,6 +84,14 @@ class TestDynamicsCommand:
         code = main(["dynamics", "--l", "1", "--flux", "pi/2", "--outdir", str(tmp_path / "x")])
         assert code == 2
 
+    def test_numeric_pi_flux_matches_token(self, tmp_path):
+        blobs = []
+        for flux in ("pi", "3.14159265358979"):
+            out = tmp_path / flux
+            assert main(["dynamics", "--l", "1", "--flux", flux, "--outdir", str(out)]) == 0
+            blobs.append((out / "dynamics.csv").read_bytes())
+        assert blobs[0] == blobs[1]
+
 
 class TestDetuningSweep:
     def test_writes_panel_files(self, tmp_path):
@@ -107,15 +115,6 @@ class TestDetuningSweep:
             "sweep_phipi_delta10.csv",
             "sweep_phipi_deltasqrt2.csv",
         ]
-
-    def test_parallel_matches_serial(self, tmp_path):
-        argvs = ["detuning-sweep", "--l", "1", "--delta", "0,sqrt2", "--points", "51"]
-        blobs = []
-        for jobs, sub in (("1", "serial"), ("2", "parallel")):
-            out = tmp_path / sub
-            assert main(argvs + ["--jobs", jobs, "--outdir", str(out)]) == 0
-            blobs.append(b"".join((p.read_bytes()) for p in sorted(out.glob("*.csv"))))
-        assert blobs[0] == blobs[1]
 
 
 class TestSpectroscopyCommand:
@@ -301,6 +300,23 @@ class TestVerifyCommand:
         metadata = {"lattice": {"schema": 1, "l": 2, "fluxes": ["pi", "pi"]}, "init": "A,1"}
         with pytest.raises(Exception, match="sites"):
             compare_against_reference(trace, metadata, "effective_model")
+
+
+@pytest.mark.parametrize(
+    "argv, content",
+    [
+        (["verify", "--oracle", "analytic_l1", "--trace"], None),
+        (["adiabatic", "--config"], "{not json"),
+        (["adiabatic", "--schedule"], "[{"),
+        (["crosstalk-fit", "--responses"], "source,target,source_zpa\nZ1,Z2,0.5\n"),
+    ],
+    ids=["missing-trace", "bad-config-json", "bad-schedule-json", "three-column-responses"],
+)
+def test_bad_input_file_exits_2(tmp_path, argv, content):
+    path = tmp_path / "input"
+    if content is not None:
+        path.write_text(content)
+    assert main([*argv, str(path), "--outdir", str(tmp_path / "out")]) == 2
 
 
 def test_parser_lists_all_subcommands():

@@ -20,6 +20,7 @@ from fluxlattice import (
     hamiltonian_single_excitation,
     lattice_from_dict,
     lattice_to_dict,
+    parse_flux,
     plaquette_flux,
     plaquette_fluxes,
     site_index,
@@ -82,6 +83,28 @@ class TestBuildLattice:
     def test_invalid_flux_value(self):
         with pytest.raises(ConfigError):
             build_lattice(1, [PI / 2])
+
+    @pytest.mark.parametrize(
+        "value, expected",
+        [
+            (0, 0.0),
+            ("0", 0.0),
+            ("0.0", 0.0),
+            (-1e-13, 0.0),
+            ("pi", PI),
+            (" P i ", PI),
+            ("3.14159265358979", PI),
+            (PI + 1e-13, PI),
+        ],
+    )
+    def test_flux_inputs(self, value, expected):
+        assert parse_flux(value) == expected
+        assert plaquette_flux(build_lattice(1, [value]), 1) == expected
+
+    @pytest.mark.parametrize("value", [None, "nan", "2pi", "pi/2", 1e-11, PI + 1e-11])
+    def test_flux_rejects(self, value):
+        with pytest.raises(ConfigError):
+            parse_flux(value)
 
     def test_bond_structure_validated(self):
         bonds = build_lattice(1, [0]).bonds[:3]

@@ -120,6 +120,16 @@ class TestLindbladEvolution:
         rho0 = DensityMatrix.single_excitation(lat, "A,1")
         with pytest.raises(NumericalError, match="trace drifted"):
             lindblad_evolve(h, DephasingRates.uniform(4, 0.1), rho0, [50.0], max_step=1.1)
+        # A step this large overflows to NaN, which must not pass the drift check.
+        lat_pi = build_lattice(1, [PI])
+        with pytest.raises(NumericalError, match="trace drifted"):
+            lindblad_evolve(
+                with_vacuum(hamiltonian_single_excitation(lat_pi)),
+                DephasingRates.uniform(4, 0.1),
+                DensityMatrix.single_excitation(lat_pi, "A,1"),
+                np.linspace(0, 2000, 5),
+                max_step=2.0,
+            )
 
     def test_dimension_checks(self):
         lat = build_lattice(1, [0])

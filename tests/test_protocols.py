@@ -7,6 +7,7 @@ from fluxlattice import (
     PI,
     ConfigError,
     DephasingRates,
+    NumericalError,
     RampSchedule,
     RampSegment,
     SpectroscopyConfig,
@@ -18,6 +19,7 @@ from fluxlattice import (
     spectroscopy,
     two_stage_ramp,
 )
+from fluxlattice import open_system
 
 SQRT2 = math.sqrt(2.0)
 TIMES = np.linspace(0.0, 4 * PI, 201)
@@ -242,3 +244,13 @@ class TestAdiabaticPreparation:
             fids[tphi] = run.population_fidelity
         assert fids[1.0] < fids[10.0]
         assert fids[10.0] <= 1.0
+
+    def test_unstable_dephased_ramp_raises(self, monkeypatch):
+        # With 11 checkpoints the step rule, not the checkpoint spacing, sets the
+        # substep; a 1000x looser rule makes the dephased RK4 ramp diverge.
+        monkeypatch.setattr(open_system, "STEP_SAFETY", 10.0)
+        lat = build_lattice(1, [PI])
+        sched = two_stage_ramp(lat, "A,1", 30.0, -4.0)
+        rates = DephasingRates.uniform(4, 1.0 / (2 * PI * 4.2))
+        with pytest.raises(NumericalError, match="trace drifted"):
+            adiabatic_prepare(lat, sched, "A,1", rates, n_checkpoints=11)
