@@ -28,6 +28,7 @@ from .lattice import (
     PI,
     LatticeConfig,
     build_lattice,
+    config_field,
     lattice_from_dict,
     lattice_to_dict,
     load_lattice,
@@ -259,20 +260,31 @@ def cmd_adiabatic(args) -> int:
     conf: dict = {}
     if args.config:
         conf = read_config_file(args.config, "adiabatic config")
-    l = args.l if args.l is not None else int(conf.get("l", 1))
-    flux = parse_flux(args.flux or conf.get("flux", "pi"))
-    init = args.init or conf.get("init", "A,1")
-    duration = args.duration if args.duration is not None else float(conf.get("duration_over_J", 30.0))
-    d0 = args.initial_detuning if args.initial_detuning is not None else float(
-        conf.get("initial_detuning_over_J", -4.0)
+        if not isinstance(conf, dict):
+            raise ConfigError(f"adiabatic config {args.config} must hold a JSON object")
+
+    def field(key, convert, default):
+        return config_field(conf, key, convert, default, "adiabatic config")
+
+    l = args.l if args.l is not None else field("l", int, 1)
+    flux = parse_flux(args.flux) if args.flux else field("flux", parse_flux, PI)
+    init = args.init or field("init", str, "A,1")
+    duration = args.duration if args.duration is not None else field("duration_over_J", float, 30.0)
+    d0 = args.initial_detuning if args.initial_detuning is not None else field(
+        "initial_detuning_over_J", float, -4.0
     )
-    j_mhz = args.j_mhz if args.j_mhz is not None else conf.get("J_MHz")
-    tphis: list[float] = []
+    j_mhz = args.j_mhz if args.j_mhz is not None else field("J_MHz", float, None)
     if args.dephasing_us:
-        tphis = [float(t) for t in args.dephasing_us.split(",") if t]
-    elif "dephasing_us" in conf:
-        entry = conf["dephasing_us"]
-        tphis = [float(entry)] if not isinstance(entry, list) else [float(t) for t in entry]
+        try:
+            tphis = [float(t) for t in args.dephasing_us.split(",") if t]
+        except ValueError:
+            raise ConfigError(f"--dephasing-us takes comma-separated numbers, got {args.dephasing_us!r}") from None
+    else:
+        tphis = field(
+            "dephasing_us", lambda v: [float(t) for t in v] if isinstance(v, list) else [float(v)], []
+        )
+    if any(not t > 0 for t in tphis):
+        raise ConfigError(f"dephasing times must be positive, got {tphis}")
     if tphis and not j_mhz:
         raise ConfigError("dephasing in microseconds needs --j-mhz to fix the time unit")
 

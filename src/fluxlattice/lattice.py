@@ -404,6 +404,25 @@ def read_config_file(path: str | Path, what: str, parse: Callable[[str], Any] = 
         raise ConfigError(f"{what} {path} is malformed: {exc}") from None
 
 
+def config_field(doc: Mapping, key: str, convert: Callable[[Any], Any], default: Any, what: str) -> Any:
+    """``convert(doc[key])``, or ``default`` when ``doc`` has no ``key``.
+
+    A value that ``convert`` rejects with ``TypeError`` or ``ValueError``
+    raises ``ConfigError`` naming the field of ``what``.
+    """
+    if key not in doc:
+        return default
+    try:
+        return convert(doc[key])
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{what} field {key!r} has invalid value {doc[key]!r}: {exc}") from None
+
+
+def _flux_names(fluxes: Iterable[float]) -> list:
+    """Plaquette fluxes as lattice files write them: "pi" or 0."""
+    return ["pi" if f == PI else 0 for f in fluxes]
+
+
 @dataclass(frozen=True)
 class LatticeConfig:
     """A lattice plus the device-unit metadata carried by its definition file."""
@@ -425,7 +444,7 @@ def lattice_to_dict(config: LatticeConfig) -> dict:
     doc: dict = {
         "schema": 1,
         "l": lattice.l,
-        "fluxes": ["pi" if f == PI else 0 for f in plaquette_fluxes(lattice)],
+        "fluxes": _flux_names(plaquette_fluxes(lattice)),
         "detunings": {
             s.label: lattice.detunings[s] for s in lattice.sites if lattice.detunings[s] != 0.0
         },
@@ -452,13 +471,15 @@ def lattice_to_dict(config: LatticeConfig) -> dict:
 
 
 def lattice_from_dict(doc: Mapping) -> LatticeConfig:
+    if not isinstance(doc, Mapping):
+        raise ConfigError("a lattice definition must be a JSON object")
     if doc.get("schema", 1) != 1:
         raise ConfigError(f"unsupported lattice schema {doc.get('schema')!r}")
-    try:
-        l = int(doc["l"])
-        fluxes = [parse_flux(f) for f in doc["fluxes"]]
-    except KeyError as missing:
-        raise ConfigError(f"lattice file missing field {missing}") from None
+    for required in ("l", "fluxes"):
+        if required not in doc:
+            raise ConfigError(f"lattice file missing field {required!r}")
+    l = config_field(doc, "l", int, None, "lattice")
+    fluxes = config_field(doc, "fluxes", lambda v: [parse_flux(f) for f in v], None, "lattice")
     j_mhz = doc.get("J_MHz")
     detunings_raw = {SiteId.parse(k): float(v) for k, v in doc.get("detunings", {}).items()}
     if j_mhz is not None:
@@ -468,18 +489,25 @@ def lattice_from_dict(doc: Mapping) -> LatticeConfig:
     else:
         detunings = detunings_raw
     lattice = build_lattice(l, fluxes, detunings, J=1.0)
-    for a_label, arm_label, sign_name in doc.get("gauge", []):
+    bonds = {(b.a_site, b.arm_site): b for b in lattice.bonds}
+    for entry in doc.get("gauge", []):
+        if not (isinstance(entry, list) and len(entry) == 3 and all(isinstance(x, str) for x in entry)):
+            raise ConfigError(f"gauge entry must be [A site, arm site, sign] labels, got {entry!r}")
+        a_label, arm_label, sign_name = entry
         sign = {"plus": BondSign.PLUS, "minus": BondSign.MINUS}.get(sign_name)
         if sign is None:
             raise ConfigError(f"gauge sign must be 'plus' or 'minus', got {sign_name!r}")
-        a, arm = SiteId.parse(a_label), SiteId.parse(arm_label)
-        bonds = tuple(
-            Bond(b.a_site, b.arm_site, sign, b.magnitude_scale)
-            if (b.a_site, b.arm_site) == (a, arm)
-            else b
-            for b in lattice.bonds
+        key = (SiteId.parse(a_label), SiteId.parse(arm_label))
+        if key not in bonds:
+            raise ConfigError(f"gauge entry names {a_label} -- {arm_label}, which is not a bond of the lattice")
+        bonds[key] = Bond(*key, sign, bonds[key].magnitude_scale)
+    lattice = RhombicLattice(l, tuple(bonds.values()), dict(lattice.detunings), lattice.J)
+    gauged = plaquette_fluxes(lattice)
+    if gauged != tuple(fluxes):
+        raise ConfigError(
+            f"gauge signs give plaquette fluxes {_flux_names(gauged)}, "
+            f"but the file declares {_flux_names(fluxes)}"
         )
-        lattice = RhombicLattice(l, bonds, dict(lattice.detunings), lattice.J)
     dephasing = None
     if "dephasing_over_J" in doc:
         dephasing = {SiteId.parse(k): float(v) for k, v in doc["dephasing_over_J"].items()}

@@ -108,8 +108,10 @@ class DensityMatrix:
 
 
 def _embed_vacuum(h: np.ndarray) -> np.ndarray:
-    out = np.zeros((h.shape[0] + 1, h.shape[0] + 1), dtype=complex)
-    out[1:, 1:] = h
+    """Pad a matrix, or a stack of them, with a leading all-zero vacuum row and column."""
+    n = h.shape[-1] + 1
+    out = np.zeros(h.shape[:-2] + (n, n), dtype=complex)
+    out[..., 1:, 1:] = h
     return out
 
 
@@ -136,19 +138,41 @@ def dephasing_operators(rates: DephasingRates | Sequence[float], dim: int) -> li
     return ops
 
 
-def _collapse_terms(ops: Sequence[np.ndarray]) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Each collapse operator paired with its ``L^dagger L``."""
-    return [(op, op.conj().T @ op) for op in ops]
+_Collapse = tuple[np.ndarray | None, list[tuple[np.ndarray, np.ndarray]]]
 
 
-def _lindblad_rhs(h: np.ndarray, rho: np.ndarray, collapse: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
+def _collapse_terms(ops: Sequence[np.ndarray]) -> _Collapse:
+    """Fold the diagonal collapse operators into one decay matrix; pair the rest with ``L^dagger L``.
+
+    A diagonal ``L = diag(l)`` acts elementwise: its dissipator term is
+    ``-D * rho`` with ``D_ab = (|l_a|^2 + |l_b|^2) / 2 - l_a conj(l_b)``, and the
+    ``D`` of several such operators add.  The decay matrix is None when no
+    operator is diagonal.
+    """
+    decay = None
+    general = []
+    for op in ops:
+        diag = op.diagonal()
+        if np.array_equal(op, np.diag(diag)):
+            weight = (diag.conj() * diag).real
+            term = 0.5 * (weight[:, None] + weight[None, :]) - diag[:, None] * diag.conj()[None, :]
+            decay = term if decay is None else decay + term
+        else:
+            general.append((op, op.conj().T @ op))
+    return decay, general
+
+
+def _lindblad_rhs(h: np.ndarray, rho: np.ndarray, collapse: _Collapse) -> np.ndarray:
+    decay, general = collapse
     drho = -1j * (h @ rho - rho @ h)
-    for op, opd_op in collapse:
+    if decay is not None:
+        drho -= decay * rho
+    for op, opd_op in general:
         drho += op @ rho @ op.conj().T - 0.5 * (opd_op @ rho + rho @ opd_op)
     return drho
 
 
-def _rk4_step(h: np.ndarray, rho: np.ndarray, dt: float, collapse) -> np.ndarray:
+def _rk4_step(h: np.ndarray, rho: np.ndarray, dt: float, collapse: _Collapse) -> np.ndarray:
     k1 = _lindblad_rhs(h, rho, collapse)
     k2 = _lindblad_rhs(h, rho + 0.5 * dt * k1, collapse)
     k3 = _lindblad_rhs(h, rho + 0.5 * dt * k2, collapse)
@@ -171,15 +195,19 @@ def _substeps(
     state: np.ndarray,
     checkpoints: np.ndarray,
     step: float,
-    advance: Callable[[np.ndarray, float, float], np.ndarray],
+    advance: Callable[[np.ndarray, np.ndarray, float], np.ndarray],
 ) -> Iterator[tuple[int, float, np.ndarray]]:
     """Carry ``state`` from time 0 through sorted checkpoints in short substeps.
 
     Each gap between checkpoints is cut into ``max(1, ceil(span / step))``
-    equal substeps, and ``advance(state, t_mid, dt)`` takes one of them with
-    the Hamiltonian frozen at its midpoint.  Yields ``(index, time, state)`` at
-    every checkpoint.  A density matrix (2-d state) has its trace checked
-    there first.
+    equal substeps of length ``dt``.  ``advance(state, midpoints, dt)`` is
+    called once per gap with the array of that gap's substep midpoints, in
+    time order, and returns the state after taking every substep in turn, each
+    with the Hamiltonian frozen at its midpoint.  Working a gap at a time lets
+    ``advance`` batch per-substep work (building or diagonalizing the
+    Hamiltonians) while its memory stays bounded by one gap.  Yields
+    ``(index, time, state)`` at every checkpoint.  A density matrix (2-d
+    state) has its trace checked there first.
 
     Raises
     ------
@@ -192,8 +220,7 @@ def _substeps(
         if span > 0:
             n_sub = max(1, math.ceil(span / step))
             dt = span / n_sub
-            for s in range(n_sub):
-                state = advance(state, now + (s + 0.5) * dt, dt)
+            state = advance(state, now + (np.arange(n_sub) + 0.5) * dt, dt)
             now = target
         if state.ndim == 2:
             drift = abs(state.trace().real - 1.0)
@@ -257,8 +284,8 @@ def lindblad_evolve(
         if op.shape != h.shape:
             raise ConfigError("collapse operator dimension mismatch")
     collapse = _collapse_terms(collapse_ops)
-    # The step rule must see every decay scale, including hook operators.
-    rate_scale = max((spectral_norm(opd_op) for _, opd_op in collapse), default=0.0)
+    # The step rule sees every decay scale, folded diagonal and general alike.
+    rate_scale = max((spectral_norm(op.conj().T @ op) for op in collapse_ops), default=0.0)
     step = max_step if max_step is not None else rk4_max_step(spectral_norm(h), rate_scale)
     if step <= 0:
         raise ConfigError("max_step must be positive")
@@ -267,8 +294,10 @@ def lindblad_evolve(
     coherences = np.empty(t.size)
     snapshots: list[DensityMatrix] = []
 
-    def advance(rho: np.ndarray, _t: float, dt: float) -> np.ndarray:
-        return _rk4_step(h, rho, dt, collapse)
+    def advance(rho: np.ndarray, midpoints: np.ndarray, dt: float) -> np.ndarray:
+        for _ in midpoints:
+            rho = _rk4_step(h, rho, dt, collapse)
+        return rho
 
     for i, _, rho in _substeps(np.array(rho0.matrix, dtype=complex), t, step, advance):
         populations[i] = rho.diagonal().real[1:]

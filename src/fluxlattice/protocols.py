@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -285,13 +285,6 @@ class RampSegment:
         object.__setattr__(self, "detuning_end", {as_site(s): float(v) for s, v in self.detuning_end.items()})
 
 
-def _detuning_vector(mapping: Mapping[SiteId, float], lattice: RhombicLattice) -> np.ndarray:
-    vec = np.zeros(lattice.num_sites)
-    for site, value in mapping.items():
-        vec[lattice.site_index(site)] = value
-    return vec
-
-
 @dataclass(frozen=True, eq=False)
 class RampSchedule:
     """A continuous, piecewise-linear schedule for J(t) and the detunings."""
@@ -317,25 +310,70 @@ class RampSchedule:
     def total_duration(self) -> float:
         return sum(s.duration for s in self.segments)
 
+    @property
+    def sites(self) -> tuple[SiteId, ...]:
+        """Every site the schedule detunes, in order of first appearance."""
+        seen: dict[SiteId, None] = {}
+        for seg in self.segments:
+            seen.update(dict.fromkeys(seg.detuning_start))
+            seen.update(dict.fromkeys(seg.detuning_end))
+        return tuple(seen)
+
+    def _locate(self, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Segment index and fraction through it at each time (clamped to the schedule).
+
+        Times at or before 0 sit at the start of the first segment, times past
+        the end at the end of the last; a zero-duration segment is entered at
+        its end.  Durations are subtracted one segment at a time, so every
+        fraction equals that of a scalar walk through the segments bit for bit.
+        """
+        remaining = np.array(times, dtype=float)
+        index = np.zeros(remaining.shape, dtype=int)
+        frac = np.zeros(remaining.shape)
+        open_ = remaining > 0
+        last = len(self.segments) - 1
+        for k, seg in enumerate(self.segments):
+            hit = open_ & ((remaining <= seg.duration) | (k == last))
+            index[hit] = k
+            frac[hit] = 1.0 if seg.duration == 0 else np.minimum(remaining[hit] / seg.duration, 1.0)
+            open_ &= ~hit
+            remaining -= seg.duration
+        return index, frac
+
+    def evaluator(
+        self, sites: Sequence[SiteId]
+    ) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
+        """Vectorized schedule over ``sites``: times -> (J per time, detuning per time and site).
+
+        The per-segment coupling and detuning vectors are built here, once;
+        the returned function interpolates ``start + frac * (end - start)``
+        inside the segment ``_locate`` picks.
+        """
+        column = {site: i for i, site in enumerate(sites)}
+        shape = (len(self.segments), len(column))
+        d_start, d_end = np.zeros(shape), np.zeros(shape)
+        for k, seg in enumerate(self.segments):
+            for table, mapping in ((d_start, seg.detuning_start), (d_end, seg.detuning_end)):
+                for site, value in mapping.items():
+                    if site not in column:
+                        raise ConfigError(f"schedule detunes {site.label}, which is not a lattice site")
+                    table[k, column[site]] = value
+        j_start = np.array([seg.j_start for seg in self.segments])
+        j_end = np.array([seg.j_end for seg in self.segments])
+
+        def evaluate(times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            k, frac = self._locate(times)
+            j = j_start[k] + frac * (j_end[k] - j_start[k])
+            det = d_start[k] + frac[..., None] * (d_end[k] - d_start[k])
+            return j, det
+
+        return evaluate
+
     def at(self, t: float) -> tuple[float, dict[SiteId, float]]:
         """Coupling and detuning map at time ``t`` (clamped to the schedule)."""
-        if t <= 0:
-            first = self.segments[0]
-            return first.j_start, dict(first.detuning_start)
-        remaining = t
-        for seg in self.segments:
-            if remaining <= seg.duration or seg is self.segments[-1]:
-                frac = 1.0 if seg.duration == 0 else min(remaining / seg.duration, 1.0)
-                j = seg.j_start + frac * (seg.j_end - seg.j_start)
-                sites = set(seg.detuning_start) | set(seg.detuning_end)
-                det = {
-                    s: seg.detuning_start.get(s, 0.0)
-                    + frac * (seg.detuning_end.get(s, 0.0) - seg.detuning_start.get(s, 0.0))
-                    for s in sites
-                }
-                return j, det
-            remaining -= seg.duration
-        raise AssertionError("unreachable")
+        sites = self.sites
+        j, det = self.evaluator(sites)(np.array([t], dtype=float))
+        return float(j[0]), dict(zip(sites, det[0].tolist()))
 
 
 def schedule_to_json(schedule: RampSchedule) -> list[dict]:
@@ -489,40 +527,53 @@ def adiabatic_prepare(
     h_unit = hamiltonian_single_excitation(
         RhombicLattice(lattice_final.l, lattice_final.bonds, {}, 1.0)
     ).matrix
+    coefficients = schedule.evaluator(lattice_final.sites)
+    diagonal = np.arange(n)
 
-    def h_at(t: float) -> np.ndarray:
-        j, det = schedule.at(t)
-        return j * h_unit + np.diag(_detuning_vector(det, lattice_final))
+    def hamiltonians(times: np.ndarray) -> np.ndarray:
+        """Stack of single-excitation Hamiltonians, one per time."""
+        j, det = coefficients(times)
+        # Exactly the entries ``np.diag`` gives per time; ``det * eye`` would
+        # put -0.0 off the diagonal for negative detunings.
+        detuning = np.zeros((j.size, n, n))
+        detuning[:, diagonal, diagonal] = det
+        return j[:, None, None] * h_unit + detuning
 
     h_final = hamiltonian_single_excitation(lattice_final).matrix
     checkpoints = np.linspace(0.0, total, n_checkpoints) if total > 0 else np.array([0.0])
     norm_bound = max(
-        spectral_norm(h_at(t)) for t in np.linspace(0.0, total, 4 * len(schedule.segments) + 1)
+        spectral_norm(h) for h in hamiltonians(np.linspace(0.0, total, 4 * len(schedule.segments) + 1))
     )
     gamma_max = float(rates.values.max(initial=0.0)) if rates is not None else 0.0
     step = rk4_max_step(norm_bound, gamma_max)
 
+    # Each gap's Hamiltonians are built together (and, closed, diagonalized in
+    # one stacked eigh) but applied one substep at a time, in order.
     if rates is None:
         state0 = np.zeros(n, dtype=complex)
         state0[lattice_final.site_index(site)] = 1.0
 
-        def advance(psi: np.ndarray, t: float, dt: float) -> np.ndarray:
-            energies, vectors = np.linalg.eigh(h_at(t))
-            return vectors @ (np.exp(-1j * energies * dt) * (vectors.conj().T @ psi))
+        def advance(psi: np.ndarray, midpoints: np.ndarray, dt: float) -> np.ndarray:
+            energies, vectors = np.linalg.eigh(hamiltonians(midpoints))
+            for phase, v in zip(np.exp(-1j * energies * dt), vectors):
+                psi = v @ (phase * (v.conj().T @ psi))
+            return psi
 
     else:
         state0 = DensityMatrix.single_excitation(lattice_final, site).matrix.copy()
         collapse = _collapse_terms(dephasing_operators(rates, n + 1))
 
-        def advance(rho: np.ndarray, t: float, dt: float) -> np.ndarray:
-            return _rk4_step(_embed_vacuum(h_at(t)), rho, dt, collapse)
+        def advance(rho: np.ndarray, midpoints: np.ndarray, dt: float) -> np.ndarray:
+            for h in _embed_vacuum(hamiltonians(midpoints)):
+                rho = _rk4_step(h, rho, dt, collapse)
+            return rho
 
     fidelities = np.empty(checkpoints.size)
     gaps = np.empty(checkpoints.size)
     j_ref = max(lattice_final.J, 1e-12)
     warned = False
     for idx, target, state in _substeps(state0, checkpoints, step, advance):
-        projector, gap = _ground_projector(h_at(target))
+        projector, gap = _ground_projector(hamiltonians(np.array([target]))[0])
         gaps[idx] = gap
         if gap < 1e-6 * j_ref and not warned:
             warnings.warn(

@@ -208,6 +208,11 @@ class TestAdiabaticCommand:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("times", ["abc", "1,0"])
+    def test_bad_dephasing_times_exit_2(self, tmp_path, times):
+        argv = ["adiabatic", "--duration", "1", "--j-mhz", "4.2", "--dephasing-us", times]
+        assert main([*argv, "--outdir", str(tmp_path / "x")]) == 2
+
 
 class TestCouplerCommand:
     def test_sweep_and_off_point(self, tmp_path):
@@ -309,8 +314,17 @@ class TestVerifyCommand:
         (["adiabatic", "--config"], "{not json"),
         (["adiabatic", "--schedule"], "[{"),
         (["crosstalk-fit", "--responses"], "source,target,source_zpa\nZ1,Z2,0.5\n"),
+        (["adiabatic", "--config"], '{"l": "x"}'),
+        (["adiabatic", "--config"], '{"duration_over_J": "abc"}'),
     ],
-    ids=["missing-trace", "bad-config-json", "bad-schedule-json", "three-column-responses"],
+    ids=[
+        "missing-trace",
+        "bad-config-json",
+        "bad-schedule-json",
+        "three-column-responses",
+        "config-l-not-int",
+        "config-duration-not-number",
+    ],
 )
 def test_bad_input_file_exits_2(tmp_path, argv, content):
     path = tmp_path / "input"

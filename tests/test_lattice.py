@@ -1,4 +1,6 @@
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,9 +22,11 @@ from fluxlattice import (
     hamiltonian_single_excitation,
     lattice_from_dict,
     lattice_to_dict,
+    load_lattice,
     parse_flux,
     plaquette_flux,
     plaquette_fluxes,
+    save_lattice,
     site_index,
     site_labels,
 )
@@ -229,6 +233,42 @@ class TestLatticeFiles:
         assert plaquette_flux(lat, 1) == 0.0
         plus = sorted(b.arm_site.label for b in lat.bonds if b.sign is BondSign.PLUS)
         assert plus == ["dn,1", "up,1"]
+
+    @pytest.mark.parametrize(
+        "gauge, match",
+        [
+            ([["A,2", "up,3", "minus"]], "not a bond"),
+            ([["A,1", "up,1", "plus"]], "declares"),
+            ([["A,1", "up,1"]], "gauge entry"),
+        ],
+        ids=["nonexistent-bond", "flux-mismatch", "short-entry"],
+    )
+    def test_gauge_override_rejected(self, gauge, match):
+        doc = {"schema": 1, "l": 1, "fluxes": ["pi"], "gauge": gauge}
+        with pytest.raises(ConfigError, match=match):
+            lattice_from_dict(doc)
+
+    @given(
+        st.lists(st.sampled_from([0.0, PI]), min_size=1, max_size=3),
+        st.data(),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_save_load_roundtrip_under_site_gauge(self, fluxes, data):
+        base = build_lattice(len(fluxes), fluxes)
+        signs = {s: data.draw(st.sampled_from([-1, 1]), label=s.label) for s in base.sites}
+        gauged = apply_site_gauge(base, signs)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "lattice.json"
+            save_lattice(LatticeConfig(gauged, J_MHz=4.2), path)
+            restored = load_lattice(path)
+        assert plaquette_fluxes(restored.lattice) == plaquette_fluxes(gauged)
+        assert {(b.a_site, b.arm_site, b.sign) for b in restored.lattice.bonds} == {
+            (b.a_site, b.arm_site, b.sign) for b in gauged.bonds
+        }
+        assert np.array_equal(
+            hamiltonian_single_excitation(restored.lattice).matrix,
+            hamiltonian_single_excitation(gauged).matrix,
+        )
 
     def test_dephasing_us_needs_j(self):
         with pytest.raises(ConfigError):

@@ -19,6 +19,7 @@ from fluxlattice import (
     lindblad_evolve,
     with_vacuum,
 )
+from fluxlattice import open_system
 
 TIMES = np.linspace(0.0, 4 * PI, 65)
 
@@ -160,6 +161,35 @@ class TestLindbladEvolution:
         rho0 = DensityMatrix.from_pure([0.0, 1.0])
         run = lindblad_evolve(np.zeros((2, 2)), [0.0], rho0, [0.0, 4.0], extra_collapse=[decay])
         assert run.trace.populations[-1, 0] == pytest.approx(math.exp(-0.5 * 4.0), abs=1e-6)
+
+
+class TestDissipator:
+    @given(
+        st.integers(2, 6),
+        st.integers(0, 3),
+        st.booleans(),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_folded_rhs_matches_explicit_sum(self, dim, n_diagonal, with_general, seed):
+        rng = np.random.default_rng(seed)
+
+        def complex_matrix():
+            return rng.uniform(-1, 1, (dim, dim)) + 1j * rng.uniform(-1, 1, (dim, dim))
+
+        ops = [np.diag(rng.uniform(-1, 1, dim) + 1j * rng.uniform(-1, 1, dim)) for _ in range(n_diagonal)]
+        if with_general:
+            ops.insert(rng.integers(len(ops) + 1), complex_matrix())
+        h = complex_matrix()
+        h = h + h.conj().T
+        rho = complex_matrix()
+        rho = rho + rho.conj().T
+        expected = -1j * (h @ rho - rho @ h)
+        for op in ops:
+            opd_op = op.conj().T @ op
+            expected += op @ rho @ op.conj().T - 0.5 * (opd_op @ rho + rho @ opd_op)
+        got = open_system._lindblad_rhs(h, rho, open_system._collapse_terms(ops))
+        assert np.abs(got - expected).max() < 1e-13
 
 
 class TestFidelity:

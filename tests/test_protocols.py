@@ -156,6 +156,49 @@ class TestRampSchedule:
             assert j_a == pytest.approx(j_b)
             assert det_a == det_b
 
+    def test_vector_evaluation_matches_at_and_scalar_reference(self):
+        """The per-segment vectors, ``at`` and the scalar segment walk agree exactly."""
+
+        def reference(schedule, t):
+            # The segment walk and interpolation of a single time, one float at a time.
+            if t <= 0:
+                first = schedule.segments[0]
+                return first.j_start, dict(first.detuning_start)
+            remaining = t
+            for seg in schedule.segments:
+                if remaining <= seg.duration or seg is schedule.segments[-1]:
+                    frac = 1.0 if seg.duration == 0 else min(remaining / seg.duration, 1.0)
+                    det = {
+                        s: seg.detuning_start.get(s, 0.0)
+                        + frac * (seg.detuning_end.get(s, 0.0) - seg.detuning_start.get(s, 0.0))
+                        for s in set(seg.detuning_start) | set(seg.detuning_end)
+                    }
+                    return seg.j_start + frac * (seg.j_end - seg.j_start), det
+                remaining -= seg.duration
+
+        lat = build_lattice(2, [PI, 0.0])
+        sched = RampSchedule(
+            (
+                RampSegment(3.7, 0.0, 0.6, {"A,1": -4.0, "up,2": 0.3}, {"A,1": -4.0, "up,2": 0.1}),
+                # Zero duration: the detuning of dn,1 jumps here.
+                RampSegment(0.0, 0.6, 0.6, {"A,1": -4.0, "up,2": 0.1}, {"A,1": -4.0, "up,2": 0.1, "dn,1": 0.7}),
+                RampSegment(5.3, 0.6, 1.0, {"A,1": -4.0, "up,2": 0.1, "dn,1": 0.7}, {"A,3": 0.2}),
+            )
+        )
+        times = [-1.0, 0.0, 1e-9, 1.3, 3.7, 3.7 + 1e-12, 6.1, 9.0, 9.0 + 1e-12, 12.5]
+        j, det = sched.evaluator(lat.sites)(np.array(times))
+        for i, t in enumerate(times):
+            j_ref, det_ref = reference(sched, t)
+            j_at, det_at = sched.at(t)
+            assert j[i] == j_at == j_ref
+            for site in lat.sites:
+                column = lat.site_index(site)
+                assert det[i, column] == det_at.get(site, 0.0) == det_ref.get(site, 0.0)
+
+        only_jump = RampSchedule((RampSegment(0.0, 0.0, 1.0, {"A,1": -4.0}, {"A,1": -1.0}),))
+        for t in (0.0, 2.0):
+            assert only_jump.at(t) == reference(only_jump, t)
+
     def test_json_missing_field(self):
         from fluxlattice import schedule_from_json
 
@@ -244,6 +287,16 @@ class TestAdiabaticPreparation:
             fids[tphi] = run.population_fidelity
         assert fids[1.0] < fids[10.0]
         assert fids[10.0] <= 1.0
+
+    @pytest.mark.parametrize("flux", [0.0, PI])
+    def test_zero_rate_dephased_ramp_matches_closed(self, flux):
+        lat = build_lattice(1, [flux])
+        sched = two_stage_ramp(lat, "A,1", 30.0)
+        closed = adiabatic_prepare(lat, sched, "A,1", n_checkpoints=31)
+        open_run = adiabatic_prepare(lat, sched, "A,1", DephasingRates.uniform(4, 0.0), n_checkpoints=31)
+        assert np.abs(open_run.gs_fidelity - closed.gs_fidelity).max() < 1e-7
+        assert np.abs(open_run.final_populations - closed.final_populations).max() < 1e-7
+        assert abs(open_run.final_gs_overlap - closed.final_gs_overlap) < 1e-7
 
     def test_unstable_dephased_ramp_raises(self, monkeypatch):
         # With 11 checkpoints the step rule, not the checkpoint spacing, sets the
