@@ -16,6 +16,7 @@ import sys
 import time
 import warnings
 from dataclasses import replace
+from functools import partial
 from importlib import resources
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -79,29 +80,36 @@ def data_path(name: str) -> Path:
 # ---------------------------------------------------------------------------
 
 
+def _scaled_number(text: str, unit: str, value: float) -> float:
+    """A plain float, or a multiple of ``value`` written with a ``unit`` suffix."""
+    token = text.strip().lower().replace(" ", "")
+    try:
+        if not token.endswith(unit):
+            return float(token)
+        head = token[: -len(unit)]
+        return (float(head) if head else 1.0) * value
+    except ValueError:
+        raise ConfigError(f"expected a number or a multiple of {unit}, got {text!r}") from None
+
+
 def parse_pi_multiple(text: str) -> float:
     """Parse values such as ``4pi``, ``pi`` or plain floats."""
-    token = text.strip().lower().replace(" ", "")
-    if token.endswith("pi"):
-        head = token[:-2]
-        return (float(head) if head else 1.0) * PI
-    return float(token)
+    return _scaled_number(text, "pi", PI)
 
 
 def parse_delta_token(token: str) -> float:
     """Detunings in units of J; ``sqrt2`` and multiples like ``2sqrt2`` allowed."""
-    t = token.strip().lower()
-    if t.endswith("sqrt2"):
-        head = t[: -len("sqrt2")]
-        return (float(head) if head else 1.0) * SQRT2
-    return float(t)
+    return _scaled_number(token, "sqrt2", SQRT2)
 
 
 def parse_range(text: str) -> np.ndarray:
     parts = text.split(":")
     if len(parts) != 3:
         raise ConfigError(f"expected start:stop:count, got {text!r}")
-    start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
+    try:
+        start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
+    except ValueError:
+        raise ConfigError(f"expected numbers in start:stop:count, got {text!r}") from None
     if count < 1:
         raise ConfigError("range count must be at least 1")
     return np.linspace(start, stop, count)
@@ -180,10 +188,11 @@ def _resolve_lattice(args) -> LatticeConfig:
 
 
 def _trace_metadata(config: LatticeConfig, init: str, delta: float) -> dict:
+    lattice = lattice_to_dict(config)
     return {
-        "lattice": lattice_to_dict(config),
+        "lattice": lattice,
         "config_hash": config.config_hash(),
-        "fluxes": lattice_to_dict(config)["fluxes"],
+        "fluxes": lattice["fluxes"],
         "delta_antisym_over_J": delta,
         "init": init,
         "J_MHz": config.J_MHz,
@@ -233,12 +242,8 @@ def cmd_detuning_sweep(args) -> int:
 def cmd_spectroscopy(args) -> int:
     ctx = RunContext("spectroscopy", args)
     config = _resolve_lattice(args)
-    spec_config = SpectroscopyConfig(
-        drive_site=args.drive,
-        drive_amplitude=args.omega,
-        drive_detunings=parse_range(args.delta_range),
-        duration=parse_pi_multiple(args.duration),
-    )
+    duration = parse_pi_multiple(args.duration)
+    spec_config = SpectroscopyConfig(args.drive, args.omega, parse_range(args.delta_range), duration)
     result = spectroscopy(config.lattice, spec_config)
     result.write_csv(ctx.path("spectroscopy.csv"))
     write_json(
@@ -247,7 +252,7 @@ def cmd_spectroscopy(args) -> int:
             "schema": 1,
             "drive_site": args.drive,
             "drive_amplitude_over_J": args.omega,
-            "duration_J": parse_pi_multiple(args.duration),
+            "duration_J": duration,
             "peaks_over_J": list(result.detected_peaks),
             "lattice": lattice_to_dict(config),
         },
@@ -262,10 +267,7 @@ def cmd_adiabatic(args) -> int:
         conf = read_config_file(args.config, "adiabatic config")
         if not isinstance(conf, dict):
             raise ConfigError(f"adiabatic config {args.config} must hold a JSON object")
-
-    def field(key, convert, default):
-        return config_field(conf, key, convert, default, "adiabatic config")
-
+    field = partial(config_field, "adiabatic config", conf)
     l = args.l if args.l is not None else field("l", int, 1)
     flux = parse_flux(args.flux) if args.flux else field("flux", parse_flux, PI)
     init = args.init or field("init", str, "A,1")
@@ -383,11 +385,7 @@ def cmd_zak(args) -> int:
 def cmd_coupler_calibrate(args) -> int:
     ctx = RunContext("coupler-calibrate", args)
     device = load_device(args.device or data_path("sample_device.json"))
-    lo, hi, count = device.sweep_window
-    if args.sweep:
-        grid = parse_range(args.sweep)
-    else:
-        grid = np.linspace(lo, hi, count)
+    grid = parse_range(args.sweep) if args.sweep else np.linspace(*device.sweep_window)
     rows = []
     for omega_c in grid:
         spec = replace(device.coupler, omega_c=float(omega_c))
@@ -396,13 +394,9 @@ def cmd_coupler_calibrate(args) -> int:
             formula = g_eff(spec)
             extraction = three_mode_vacuum_rabi(spec, args.levels)
         rows.append([omega_c, formula * 1e3, extraction.value * 1e3, extraction.sign])
-    write_csv(
-        ctx.path("coupler_sweep.csv"),
-        ["omega_c_GHz", "g_eff_formula_MHz", "g_extracted_MHz", "sign"],
-        np.array(rows),
-    )
-    off = coupler_off_frequency(device.coupler, (grid[0], grid[-1]))
     data = np.array(rows)
+    write_csv(ctx.path("coupler_sweep.csv"), ["omega_c_GHz", "g_eff_formula_MHz", "g_extracted_MHz", "sign"], data)
+    off = coupler_off_frequency(device.coupler, (grid[0], grid[-1]))
     # Relative agreement is meaningless near the zero crossing; compare where
     # the coupling is an appreciable fraction of its maximum.
     strong = np.abs(data[:, 1]) > 0.25 * np.abs(data[:, 1]).max()

@@ -10,12 +10,13 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .errors import ConfigError, NumericalError
-from .lattice import read_config_file
+from .lattice import _real, config_field, read_config_file
 
 #: Detuning-to-coupling ratio below which the dispersive formula is refused.
 DISPERSIVE_HARD_RATIO = 5.0
@@ -328,47 +329,36 @@ class DeviceConfig:
 
 
 def _coupler_from_entry(c: Mapping) -> CouplerSpec:
+    field = partial(config_field, "device coupler", c)
     return CouplerSpec(
-        omega_a=c["omega_a_GHz"],
-        omega_b=c["omega_b_GHz"],
-        omega_c=c.get("omega_c_GHz", 0.0),
-        g_ac=c["g_ac_GHz"],
-        g_bc=c["g_bc_GHz"],
-        g_ab=c["g_ab_GHz"],
-        u_a=c.get("u_a_GHz", 0.0),
-        u_b=c.get("u_b_GHz", 0.0),
-        u_c=c.get("u_c_GHz", 0.0),
+        *(field(f"{key}_GHz", _real) for key in ("omega_a", "omega_b")),
+        field("omega_c_GHz", _real, 0.0),
+        *(field(f"{key}_GHz", _real) for key in ("g_ac", "g_bc", "g_ab")),
+        *(field(f"{key}_GHz", _real, 0.0) for key in ("u_a", "u_b", "u_c")),
     )
 
 
 def device_from_dict(doc) -> DeviceConfig:
+    if not isinstance(doc, Mapping):
+        raise ConfigError("a device definition must be a JSON object")
     if doc.get("schema", 1) != 1:
         raise ConfigError(f"unsupported device schema {doc.get('schema')!r}")
     qubits = {}
     for label, entry in doc.get("qubits", {}).items():
-        try:
-            tune = TransmonTuneCurve(entry["omega_max_GHz"], entry["omega_min_GHz"])
-            qubits[label] = QubitRecord(
-                tune,
-                entry["omega_idle_GHz"],
-                entry.get("omega_r_GHz"),
-                entry.get("T1_idle_us"),
-                entry.get("T2_phi_us"),
-            )
-        except KeyError as missing:
-            raise ConfigError(f"qubit {label} missing field {missing}") from None
+        field = partial(config_field, f"qubit {label}", entry)
+        tune = TransmonTuneCurve(field("omega_max_GHz", _real), field("omega_min_GHz", _real))
+        optional = (
+            field(key, lambda v: v if v is None else _real(v), None) for key in ("omega_r_GHz", "T1_idle_us", "T2_phi_us")
+        )
+        qubits[label] = QubitRecord(tune, field("omega_idle_GHz", _real), *optional)
     c = doc.get("coupler", {})
-    try:
-        coupler = _coupler_from_entry(c)
-        bond_couplers = {}
-        for entry in doc.get("couplers", []):
-            bond = entry.get("bond")
-            if not bond or len(bond) != 2:
-                raise ConfigError("each per-bond coupler needs a two-site 'bond' entry")
-            merged = {**c, **entry}
-            bond_couplers[(bond[0], bond[1])] = _coupler_from_entry(merged)
-    except KeyError as missing:
-        raise ConfigError(f"device coupler missing field {missing}") from None
+    coupler = _coupler_from_entry(c)
+    bond_couplers = {}
+    for entry in doc.get("couplers", []):
+        bond = entry.get("bond")
+        if not bond or len(bond) != 2:
+            raise ConfigError("each per-bond coupler needs a two-site 'bond' entry")
+        bond_couplers[(bond[0], bond[1])] = _coupler_from_entry({**c, **entry})
     sweep = doc.get("sweep_GHz", [c.get("omega_c_GHz", 0.0), c.get("omega_c_GHz", 0.0) + 1, 11])
     if len(sweep) != 3 or sweep[0] >= sweep[1] or int(sweep[2]) < 2:
         raise ConfigError("sweep_GHz must be [start, stop, count] with start < stop")

@@ -10,6 +10,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -23,6 +24,7 @@ from .lattice import (
     RhombicLattice,
     SiteId,
     as_site,
+    config_field,
     hamiltonian_single_excitation,
     site_labels,
     uniform_flux,
@@ -127,12 +129,13 @@ class PopulationTrace:
 
     @classmethod
     def from_json_dict(cls, doc: Mapping) -> "PopulationTrace":
-        if doc.get("kind") != "population_trace":
+        if not isinstance(doc, Mapping) or doc.get("kind") != "population_trace":
             raise ConfigError("JSON document is not a population trace")
+        field = partial(config_field, "population trace", doc)
         return cls(
-            np.array(doc["times"], dtype=float),
-            np.array(doc["populations"], dtype=float),
-            tuple(doc["site_labels"]),
+            field("times", lambda v: np.array(v, dtype=float)),
+            field("populations", lambda v: np.array(v, dtype=float)),
+            field("site_labels", tuple),
         )
 
 

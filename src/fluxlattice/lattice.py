@@ -12,7 +12,9 @@ from __future__ import annotations
 import enum
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from types import MappingProxyType
 from typing import Any, Callable, Iterable, Mapping
@@ -404,18 +406,40 @@ def read_config_file(path: str | Path, what: str, parse: Callable[[str], Any] = 
         raise ConfigError(f"{what} {path} is malformed: {exc}") from None
 
 
-def config_field(doc: Mapping, key: str, convert: Callable[[Any], Any], default: Any, what: str) -> Any:
+#: ``config_field`` default of a field that must be present.
+_REQUIRED = object()
+
+
+def config_field(what: str, doc: Mapping, key: str, convert: Callable[[Any], Any], default: Any = _REQUIRED) -> Any:
     """``convert(doc[key])``, or ``default`` when ``doc`` has no ``key``.
 
-    A value that ``convert`` rejects with ``TypeError`` or ``ValueError``
-    raises ``ConfigError`` naming the field of ``what``.
+    A missing field without a default, and a value that ``convert`` rejects
+    with ``TypeError`` or ``ValueError``, raise ``ConfigError`` naming the
+    field of ``what``.  Bind ``what`` and ``doc`` with ``functools.partial``
+    to read several fields of one document.
     """
     if key not in doc:
+        if default is _REQUIRED:
+            raise ConfigError(f"{what} missing field {key!r}")
         return default
     try:
         return convert(doc[key])
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{what} field {key!r} has invalid value {doc[key]!r}: {exc}") from None
+
+
+def _real(value: Any) -> Any:
+    """``value`` unchanged if it is a real number (a bool is not one), else ``TypeError``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError("expected a number")
+    return value
+
+
+def _site_map(value: Any) -> dict[SiteId, float]:
+    """A JSON object of site label -> number as ``{SiteId: float}``."""
+    if not isinstance(value, Mapping):
+        raise TypeError("expected an object of site label -> number")
+    return {as_site(k): float(v) for k, v in value.items()}
 
 
 def _flux_names(fluxes: Iterable[float]) -> list:
@@ -441,21 +465,16 @@ class LatticeConfig:
 
 def lattice_to_dict(config: LatticeConfig) -> dict:
     lattice = config.lattice
+    # Detunings are written in MHz when the file carries J_MHz, else in units of J.
+    unit = 1.0 if config.J_MHz is None else config.J_MHz
     doc: dict = {
         "schema": 1,
         "l": lattice.l,
         "fluxes": _flux_names(plaquette_fluxes(lattice)),
-        "detunings": {
-            s.label: lattice.detunings[s] for s in lattice.sites if lattice.detunings[s] != 0.0
-        },
+        "detunings": {s.label: v * unit for s, v in lattice.detunings.items() if v != 0.0},
     }
     if config.J_MHz is not None:
         doc["J_MHz"] = config.J_MHz
-        doc["detunings"] = {
-            s.label: lattice.detunings[s] * config.J_MHz
-            for s in lattice.sites
-            if lattice.detunings[s] != 0.0
-        }
     default = build_lattice(lattice.l, plaquette_fluxes(lattice))
     overrides = [
         [b.a_site.label, b.arm_site.label, "plus" if b.sign is BondSign.PLUS else "minus"]
@@ -475,22 +494,19 @@ def lattice_from_dict(doc: Mapping) -> LatticeConfig:
         raise ConfigError("a lattice definition must be a JSON object")
     if doc.get("schema", 1) != 1:
         raise ConfigError(f"unsupported lattice schema {doc.get('schema')!r}")
-    for required in ("l", "fluxes"):
-        if required not in doc:
-            raise ConfigError(f"lattice file missing field {required!r}")
-    l = config_field(doc, "l", int, None, "lattice")
-    fluxes = config_field(doc, "fluxes", lambda v: [parse_flux(f) for f in v], None, "lattice")
-    j_mhz = doc.get("J_MHz")
-    detunings_raw = {SiteId.parse(k): float(v) for k, v in doc.get("detunings", {}).items()}
+    field = partial(config_field, "lattice file", doc)
+    l = field("l", int)
+    fluxes = field("fluxes", lambda v: [parse_flux(f) for f in v])
+    # J_MHz is checked but kept as written, so an integer keeps its config hash.
+    j_mhz = field("J_MHz", lambda v: v if v is None else _real(v), None)
+    detunings = field("detunings", _site_map, {})
     if j_mhz is not None:
-        if j_mhz <= 0:
-            raise ConfigError("J_MHz must be positive")
-        detunings = {s: v / j_mhz for s, v in detunings_raw.items()}
-    else:
-        detunings = detunings_raw
+        if not 0 < j_mhz < math.inf:
+            raise ConfigError("J_MHz must be positive and finite")
+        detunings = {s: v / j_mhz for s, v in detunings.items()}
     lattice = build_lattice(l, fluxes, detunings, J=1.0)
     bonds = {(b.a_site, b.arm_site): b for b in lattice.bonds}
-    for entry in doc.get("gauge", []):
+    for entry in field("gauge", list, []):
         if not (isinstance(entry, list) and len(entry) == 3 and all(isinstance(x, str) for x in entry)):
             raise ConfigError(f"gauge entry must be [A site, arm site, sign] labels, got {entry!r}")
         a_label, arm_label, sign_name = entry
@@ -508,18 +524,13 @@ def lattice_from_dict(doc: Mapping) -> LatticeConfig:
             f"gauge signs give plaquette fluxes {_flux_names(gauged)}, "
             f"but the file declares {_flux_names(fluxes)}"
         )
-    dephasing = None
-    if "dephasing_over_J" in doc:
-        dephasing = {SiteId.parse(k): float(v) for k, v in doc["dephasing_over_J"].items()}
-    elif "dephasing_us" in doc:
+    dephasing = field("dephasing_over_J", _site_map, None)
+    if "dephasing_over_J" not in doc and "dephasing_us" in doc:
         if j_mhz is None:
             raise ConfigError("dephasing_us requires J_MHz to fix the time unit")
-        entry = doc["dephasing_us"]
-        times = (
-            {SiteId.parse(k): float(v) for k, v in entry.items()}
-            if isinstance(entry, Mapping)
-            else {s: float(entry) for s in lattice.sites}
-        )
+        uniform = not isinstance(doc["dephasing_us"], Mapping)
+        convert = (lambda v: dict.fromkeys(lattice.sites, float(v))) if uniform else _site_map
+        times = field("dephasing_us", convert)
         # Gamma/J = 1 / (T_phi[us] * 2*pi * J_MHz): J_MHz is a cyclic frequency.
         dephasing = {s: 1.0 / (t * 2 * PI * j_mhz) for s, t in times.items() if t > 0}
     if dephasing is not None and any(g < 0 for g in dephasing.values()):

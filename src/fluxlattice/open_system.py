@@ -333,5 +333,9 @@ def fidelity(n: Sequence[float], n_th: Sequence[float]) -> float:
                 f"population vector sums to {total:.6f}; renormalizing", stacklevel=2
             )
         out.append(vec / total)
-    value = float(np.sqrt(out[0] * out[1]).sum())
-    return min(value, 1.0)
+    return _bhattacharyya(*out)
+
+
+def _bhattacharyya(a: np.ndarray, b: np.ndarray) -> float:
+    """``sum(sqrt(a * b))`` of two population vectors as given, capped at 1."""
+    return min(float(np.sqrt(a * b).sum()), 1.0)

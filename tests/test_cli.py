@@ -316,6 +316,19 @@ class TestVerifyCommand:
         (["crosstalk-fit", "--responses"], "source,target,source_zpa\nZ1,Z2,0.5\n"),
         (["adiabatic", "--config"], '{"l": "x"}'),
         (["adiabatic", "--config"], '{"duration_over_J": "abc"}'),
+        (["dynamics", "--lattice"], '{"l": 1, "fluxes": ["pi"], "J_MHz": "abc"}'),
+        (["dynamics", "--lattice"], '{"l": 1, "fluxes": ["pi"], "detunings": {"A,1": "x"}}'),
+        (["dynamics", "--lattice"], '{"l": 1, "fluxes": ["pi"], "detunings": ["A,1"]}'),
+        (["dynamics", "--lattice"], '{"l": 1, "fluxes": ["pi"], "dephasing_over_J": {"A,1": "x"}}'),
+        (["adiabatic", "--schedule"], '[{"duration": "x", "j_start": 0, "j_end": 1}]'),
+        (["adiabatic", "--schedule"], '{"duration": 30, "j_start": 0, "j_end": 1}'),
+        (["verify", "--oracle", "analytic_l1", "--trace"], '{"kind": "population_trace"}'),
+        (["coupler-calibrate", "--device"], "[]"),
+        (
+            ["coupler-calibrate", "--device"],
+            '{"coupler": {"omega_a_GHz": "4.1", "omega_b_GHz": 4.2, "omega_c_GHz": 5.5,'
+            ' "g_ac_GHz": 0.1, "g_bc_GHz": 0.1, "g_ab_GHz": 0.005}}',
+        ),
     ],
     ids=[
         "missing-trace",
@@ -324,6 +337,15 @@ class TestVerifyCommand:
         "three-column-responses",
         "config-l-not-int",
         "config-duration-not-number",
+        "lattice-j-mhz-string",
+        "lattice-detuning-string",
+        "lattice-detunings-list",
+        "lattice-dephasing-string",
+        "schedule-duration-string",
+        "schedule-not-a-list",
+        "trace-without-times",
+        "device-list",
+        "device-omega-string",
     ],
 )
 def test_bad_input_file_exits_2(tmp_path, argv, content):
@@ -331,6 +353,21 @@ def test_bad_input_file_exits_2(tmp_path, argv, content):
     if content is not None:
         path.write_text(content)
     assert main([*argv, str(path), "--outdir", str(tmp_path / "out")]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["dynamics", "--l", "1", "--tmax", "abc"],
+        ["detuning-sweep", "--delta", "abc"],
+        ["spectroscopy", "--delta-range", "1:2:x"],
+        ["spectroscopy", "--omega", "nan"],
+        ["spectroscopy", "--duration", "inf"],
+    ],
+    ids=["tmax", "delta", "delta-range-count", "omega-nan", "duration-inf"],
+)
+def test_bad_argument_exits_2(tmp_path, argv):
+    assert main([*argv, "--outdir", str(tmp_path / "out")]) == 2
 
 
 def test_parser_lists_all_subcommands():

@@ -283,3 +283,27 @@ class TestLatticeFiles:
     def test_unknown_flux_token(self):
         with pytest.raises(ConfigError):
             lattice_from_dict({"schema": 1, "l": 1, "fluxes": ["tau"]})
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("J_MHz", "abc"),
+            ("J_MHz", True),
+            ("detunings", {"A,1": "x"}),
+            ("detunings", ["A,1"]),
+            ("dephasing_over_J", {"A,1": "x"}),
+            ("gauge", 5),
+        ],
+        ids=["j-string", "j-bool", "detuning-string", "detunings-list", "dephasing-string", "gauge-number"],
+    )
+    def test_field_types_rejected(self, field, value):
+        doc = {"schema": 1, "l": 1, "fluxes": ["pi"], field: value}
+        with pytest.raises(ConfigError, match=field):
+            lattice_from_dict(doc)
+
+    def test_integer_j_mhz_keeps_config_hash(self):
+        # J_MHz is checked, not converted: 4 stays 4 and hashes as it always did.
+        doc = {"schema": 1, "l": 1, "fluxes": ["pi"], "J_MHz": 4, "detunings": {"A,1": 2}}
+        config = lattice_from_dict(doc)
+        assert type(config.J_MHz) is int
+        assert config.config_hash() == "53ef3c129f1eb99f66c89f302224fb6262cc79317d5f5c3f2c1d6648be21d6ba"

@@ -13,13 +13,16 @@ from fluxlattice import (
     SpectroscopyConfig,
     adiabatic_prepare,
     analytic_plaquette_populations,
+    HermitianOperator,
     build_lattice,
     caging_benchmark,
+    evolve_amplitudes,
     hamiltonian_single_excitation,
     spectroscopy,
     two_stage_ramp,
+    with_vacuum,
 )
-from fluxlattice import open_system
+from fluxlattice import open_system, protocols
 
 SQRT2 = math.sqrt(2.0)
 TIMES = np.linspace(0.0, 4 * PI, 201)
@@ -112,6 +115,37 @@ class TestSpectroscopy:
         result.write_csv(tmp_path / "s.csv")
         header = (tmp_path / "s.csv").read_text().splitlines()[0]
         assert header == "delta_over_J,excited_population"
+
+    @pytest.mark.parametrize("omega", [0.0, 0.05])
+    @pytest.mark.parametrize("drive", ["A,1", "up,1"])
+    @pytest.mark.parametrize("flux", [0.0, PI])
+    @pytest.mark.parametrize("l", [1, 2, 3])
+    def test_matches_per_detuning_propagation(self, l, flux, drive, omega):
+        # Reference: one validated operator and one exact propagation per detuning.
+        lat = build_lattice(l, [flux] * l)
+        config = SpectroscopyConfig(drive, omega, GRID, 20.0)
+        base = with_vacuum(hamiltonian_single_excitation(lat)).matrix.copy()
+        index = 1 + lat.site_index(drive)
+        base[0, index] = base[index, 0] = omega
+        number = np.ones(lat.num_sites + 1)
+        number[0] = 0.0
+        vac = np.zeros(lat.num_sites + 1, dtype=complex)
+        vac[0] = 1.0
+        t = np.linspace(0.75 * config.duration, config.duration, config.n_average)
+        reference = [
+            np.mean(1.0 - np.abs(evolve_amplitudes(HermitianOperator(base - np.diag(d * number)), vac, t)[:, 0]) ** 2)
+            for d in GRID
+        ]
+        assert np.array_equal(spectroscopy(lat, config).excited_population, reference)
+
+    @pytest.mark.parametrize(
+        "amplitude, grid, duration",
+        [(math.nan, GRID, 20.0), (math.inf, GRID, 20.0), (0.05, GRID, math.inf), (0.05, [0.0, math.inf], 20.0)],
+        ids=["nan-amplitude", "inf-amplitude", "inf-duration", "inf-detuning"],
+    )
+    def test_non_finite_config_rejected(self, amplitude, grid, duration):
+        with pytest.raises(ConfigError):
+            SpectroscopyConfig("A,1", amplitude, grid, duration)
 
 
 class TestRampSchedule:
@@ -297,6 +331,34 @@ class TestAdiabaticPreparation:
         assert np.abs(open_run.gs_fidelity - closed.gs_fidelity).max() < 1e-7
         assert np.abs(open_run.final_populations - closed.final_populations).max() < 1e-7
         assert abs(open_run.final_gs_overlap - closed.final_gs_overlap) < 1e-7
+
+    @pytest.mark.parametrize("gamma", [0.0379, 9.0])
+    @pytest.mark.parametrize("flux", [0.0, PI])
+    @pytest.mark.parametrize("l", [1, 2])
+    def test_dephased_ground_populations_are_the_closed_ones(self, l, flux, gamma):
+        # gamma = 9 exceeds the Hamiltonian norm bound, so the dephased step is
+        # shorter than the closed one; the reference must not depend on it.
+        lat = build_lattice(l, [flux] * l)
+        sched = two_stage_ramp(lat, "A,1", 12.0)
+        closed = adiabatic_prepare(lat, sched, "A,1", n_checkpoints=11)
+        rates = DephasingRates.uniform(lat.num_sites, gamma)
+        open_run = adiabatic_prepare(lat, sched, "A,1", rates, n_checkpoints=11)
+        assert np.array_equal(open_run.ground_populations, closed.ground_populations)
+        assert np.array_equal(open_run.gaps, closed.gaps)
+
+    def test_dephased_ramp_runs_once(self, monkeypatch):
+        calls = []
+        original = protocols.adiabatic_prepare
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(protocols, "adiabatic_prepare", counting)
+        lat = build_lattice(1, [PI])
+        rates = DephasingRates.uniform(4, 0.0379)
+        protocols.adiabatic_prepare(lat, two_stage_ramp(lat, "A,1", 12.0), "A,1", rates, n_checkpoints=11)
+        assert len(calls) == 1
 
     def test_unstable_dephased_ramp_raises(self, monkeypatch):
         # With 11 checkpoints the step rule, not the checkpoint spacing, sets the

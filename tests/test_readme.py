@@ -1,0 +1,26 @@
+"""The README's CLI quick start runs as written."""
+
+import re
+import shlex
+from pathlib import Path
+
+from fluxlattice.cli import build_parser, main
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def quick_start_commands():
+    """Argument lists of the ``fluxlattice`` lines in the README's ``sh`` blocks."""
+    blocks = re.findall(r"^```sh\n(.*?)^```", README.read_text(), flags=re.M | re.S)
+    lines = [line for block in blocks for line in block.splitlines()]
+    return [shlex.split(line, comments=True)[1:] for line in lines if line.startswith("fluxlattice ")]
+
+
+def test_quick_start_runs(tmp_path):
+    commands = quick_start_commands()
+    subcommands = next(a.choices for a in build_parser()._actions if a.dest == "command")
+    assert {argv[0] for argv in commands} == set(subcommands)
+    for argv in commands:
+        # "--outdir out" and "out/dynamics.json" are relative to the working directory.
+        argv = [str(tmp_path / a) if a == "out" or a.startswith("out/") else a for a in argv]
+        assert main(argv) == 0, argv
