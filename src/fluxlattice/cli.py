@@ -28,8 +28,10 @@ from .errors import ConfigError, NumericalError
 from .lattice import (
     PI,
     LatticeConfig,
+    _real,
     build_lattice,
     config_field,
+    hamiltonian_single_excitation,
     lattice_from_dict,
     lattice_to_dict,
     load_lattice,
@@ -47,7 +49,7 @@ from .dynamics import (
     evolve_lattice,
     pm_transform_matrix,
 )
-from .open_system import DephasingRates
+from .open_system import DensityMatrix, DephasingRates, lindblad_evolve, with_vacuum
 from .protocols import (
     SpectroscopyConfig,
     adiabatic_prepare,
@@ -217,7 +219,16 @@ def cmd_dynamics(args) -> int:
     if delta:
         lattice = lattice.with_detunings(antisymmetric_detunings(lattice.l, delta))
     times = np.linspace(0.0, parse_pi_multiple(args.tmax), args.points)
-    trace = evolve_lattice(lattice, args.init, times)
+    if config.dephasing_over_J:
+        trace = lindblad_evolve(
+            with_vacuum(hamiltonian_single_excitation(lattice)),
+            DephasingRates.from_map(lattice, config.dephasing_over_J),
+            DensityMatrix.single_excitation(lattice, args.init),
+            times,
+            site_labels=site_labels(lattice.l),
+        ).trace
+    else:
+        trace = evolve_lattice(lattice, args.init, times)
     _write_trace(ctx, "dynamics", trace, _trace_metadata(config, args.init, delta))
     return ctx.finish()
 
@@ -469,13 +480,17 @@ def cmd_crosstalk_fit(args) -> int:
 
 def compare_against_reference(trace: PopulationTrace, metadata: Mapping, oracle: str, tolerance: float = 1e-8) -> dict:
     """Deviation report of a stored trace against an independent prediction."""
+    if not isinstance(metadata, Mapping):
+        raise ConfigError("trace metadata must be a JSON object")
     lattice_doc = metadata.get("lattice")
     init = metadata.get("init")
     if lattice_doc is None or init is None:
         raise ConfigError("trace metadata lacks the lattice definition or init site")
+    if not isinstance(init, str):
+        raise ConfigError(f"trace metadata init must be a site label, got {init!r}")
     config = lattice_from_dict(lattice_doc)
     lattice = config.lattice
-    delta = float(metadata.get("delta_antisym_over_J", 0.0))
+    delta = config_field("trace metadata", metadata, "delta_antisym_over_J", lambda v: float(_real(v)), 0.0)
     if delta:
         lattice = lattice.with_detunings(antisymmetric_detunings(lattice.l, delta))
     if trace.num_sites != lattice.num_sites:
@@ -546,7 +561,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     subs = parser.add_subparsers(dest="command", required=True)
 
-    p = subs.add_parser("dynamics", help="closed-system population dynamics")
+    p = subs.add_parser("dynamics", help="population dynamics, with dephasing if the lattice file declares it")
     _add_lattice_source(p)
     p.add_argument("--init", default="A,2", help="initially excited site, e.g. A,2")
     p.add_argument("--tmax", default="4pi", help="final Jt (accepts e.g. 4pi)")

@@ -11,7 +11,7 @@ import math
 import warnings
 from dataclasses import dataclass, replace
 from functools import partial
-from typing import Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
 import numpy as np
 
@@ -338,29 +338,49 @@ def _coupler_from_entry(c: Mapping) -> CouplerSpec:
     )
 
 
+def _object(value: Any) -> Mapping:
+    """``value`` unchanged if it is a JSON object, else ``TypeError``."""
+    if not isinstance(value, Mapping):
+        raise TypeError("expected a JSON object")
+    return value
+
+
+def _sweep(value: Any) -> list:
+    """``[start, stop, count]`` with finite numbers, else ``TypeError``/``ValueError``."""
+    sweep = [_real(v) for v in value]
+    if len(sweep) != 3 or not all(map(math.isfinite, sweep)):
+        raise ValueError("expected three finite numbers")
+    return sweep
+
+
 def device_from_dict(doc) -> DeviceConfig:
     if not isinstance(doc, Mapping):
         raise ConfigError("a device definition must be a JSON object")
     if doc.get("schema", 1) != 1:
         raise ConfigError(f"unsupported device schema {doc.get('schema')!r}")
+    field = partial(config_field, "device file", doc)
     qubits = {}
-    for label, entry in doc.get("qubits", {}).items():
-        field = partial(config_field, f"qubit {label}", entry)
-        tune = TransmonTuneCurve(field("omega_max_GHz", _real), field("omega_min_GHz", _real))
+    for label, entry in field("qubits", _object, {}).items():
+        if not isinstance(entry, Mapping):
+            raise ConfigError(f"qubit {label} must be a JSON object, got {entry!r}")
+        qubit = partial(config_field, f"qubit {label}", entry)
+        tune = TransmonTuneCurve(qubit("omega_max_GHz", _real), qubit("omega_min_GHz", _real))
         optional = (
-            field(key, lambda v: v if v is None else _real(v), None) for key in ("omega_r_GHz", "T1_idle_us", "T2_phi_us")
+            qubit(key, lambda v: v if v is None else _real(v), None) for key in ("omega_r_GHz", "T1_idle_us", "T2_phi_us")
         )
-        qubits[label] = QubitRecord(tune, field("omega_idle_GHz", _real), *optional)
-    c = doc.get("coupler", {})
+        qubits[label] = QubitRecord(tune, qubit("omega_idle_GHz", _real), *optional)
+    c = field("coupler", _object, {})
     coupler = _coupler_from_entry(c)
     bond_couplers = {}
-    for entry in doc.get("couplers", []):
+    for entry in field("couplers", list, []):
+        if not isinstance(entry, Mapping):
+            raise ConfigError(f"each per-bond coupler must be a JSON object, got {entry!r}")
         bond = entry.get("bond")
-        if not bond or len(bond) != 2:
+        if not isinstance(bond, list) or len(bond) != 2:
             raise ConfigError("each per-bond coupler needs a two-site 'bond' entry")
         bond_couplers[(bond[0], bond[1])] = _coupler_from_entry({**c, **entry})
-    sweep = doc.get("sweep_GHz", [c.get("omega_c_GHz", 0.0), c.get("omega_c_GHz", 0.0) + 1, 11])
-    if len(sweep) != 3 or sweep[0] >= sweep[1] or int(sweep[2]) < 2:
+    sweep = field("sweep_GHz", _sweep, [coupler.omega_c, coupler.omega_c + 1, 11])
+    if sweep[0] >= sweep[1] or int(sweep[2]) < 2:
         raise ConfigError("sweep_GHz must be [start, stop, count] with start < stop")
     return DeviceConfig(
         qubits, coupler, (float(sweep[0]), float(sweep[1]), int(sweep[2])), bond_couplers

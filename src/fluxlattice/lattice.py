@@ -363,10 +363,6 @@ class HermitianOperator:
     def __array__(self, dtype=None, copy=None):
         return np.asarray(self.matrix, dtype=dtype)
 
-    def eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
-        """Eigenvalues (ascending) and the matrix of eigenvectors as columns."""
-        return np.linalg.eigh(self.matrix)
-
 
 def hamiltonian_single_excitation(lattice: RhombicLattice) -> HermitianOperator:
     """The L x L Hamiltonian on the single-excitation states, vacuum omitted.

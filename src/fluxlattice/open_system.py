@@ -29,6 +29,13 @@ STEP_SAFETY = 0.01
 #: Allowed drift of the density-matrix trace over a full integration.
 TRACE_TOL = 1e-6
 
+#: Largest RK4 step map ``lindblad_evolve`` builds: 16 MiB, dimension 32 (l = 10).
+STEP_MAP_MAX_BYTES = 16 * 2**20
+
+#: Time of one small numpy call in complex multiply-adds, fitted to timed
+#: runs of both paths (CHANGES.md) for the least time lost to wrong picks.
+CALL_COST = 1600
+
 
 @dataclass(frozen=True, eq=False)
 class DephasingRates:
@@ -180,6 +187,64 @@ def _rk4_step(h: np.ndarray, rho: np.ndarray, dt: float, collapse: _Collapse) ->
     return rho + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
+def _liouvillian(h: np.ndarray, collapse: _Collapse) -> np.ndarray:
+    """``_lindblad_rhs`` as one matrix acting on ``rho.reshape(-1)``.
+
+    Row-major flattening turns ``A @ rho @ B`` into ``kron(A, B.T)`` applied to
+    the flattened ``rho`` (the ``spre``/``spost`` construction), and the
+    elementwise decay ``-D * rho`` into a diagonal.  The one-sided terms of
+    every general operator are summed before the Kronecker products, and the
+    jump terms ``op @ rho @ op^dagger`` are summed by one tensor contraction.
+    """
+    dim = h.shape[0]
+    decay, general = collapse
+    anti = sum((opd_op for _, opd_op in general), np.zeros_like(h))
+    eye = np.eye(dim)
+    gen = np.kron(-1j * h - 0.5 * anti, eye) + np.kron(eye, (1j * h - 0.5 * anti).T)
+    if decay is not None:
+        gen[np.diag_indices_from(gen)] -= decay.reshape(-1)
+    if general:
+        ops = np.array([op for op, _ in general])
+        jumps = np.tensordot(ops, ops.conj(), axes=(0, 0))  # [a, b, c, d] = sum op_ab conj(op_cd)
+        gen += jumps.transpose(0, 2, 1, 3).reshape(dim * dim, dim * dim)
+    return gen
+
+
+def _rk4_map(generator: np.ndarray, dt: float) -> np.ndarray:
+    """``_rk4_step`` of the linear equation ``d vec/dt = generator @ vec`` as one matrix.
+
+    For a linear right-hand side the four stages collapse to the polynomial
+    ``I + A + A^2/2 + A^3/6 + A^4/24`` with ``A = dt * generator``, built in
+    Horner form with three matrix products.
+    """
+    a = dt * generator
+    diag = np.diag_indices_from(a)
+    step = a / 24
+    step[diag] += 1 / 6
+    for c in (0.5, 1.0, 1.0):
+        step = a @ step
+        step[diag] += c
+    return step
+
+
+def _step_map_pays(dim: int, n_general: int, n_steps: int, n_maps: int) -> bool:
+    """Whether ``n_maps`` RK4 step maps plus ``n_steps`` products with them beat ``n_steps`` RK4 steps.
+
+    Costs count complex multiply-adds, plus ``CALL_COST`` for each numpy call.
+    One ``_rk4_step`` makes ``37 + 36 * n_general`` calls and
+    ``4 * (2 + 4 * n_general)`` products of ``dim x dim`` matrices; a map
+    costs three products of ``dim^2 x dim^2`` matrices, then one
+    matrix-vector product per substep.  A map above ``STEP_MAP_MAX_BYTES`` is
+    refused whatever the costs say.
+    """
+    n = dim * dim
+    if 16 * n * n > STEP_MAP_MAX_BYTES:
+        return False
+    stepping = n_steps * ((37 + 36 * n_general) * CALL_COST + 4 * (2 + 4 * n_general) * dim**3)
+    mapping = n_maps * 3 * n**3 + n_steps * (n * n + CALL_COST)
+    return mapping < stepping
+
+
 def spectral_norm(operator: HermitianOperator | np.ndarray) -> float:
     h = operator.matrix if isinstance(operator, HermitianOperator) else np.asarray(operator)
     if h.size == 0:
@@ -270,6 +335,18 @@ def lindblad_evolve(
         ``h * max(norm(H), max rate) <= 0.05``.
     keep_states : also return the density matrix at every sample time.
 
+    With H fixed, one RK4 step is a fixed linear map on the flattened
+    density matrix, so each substep can be one matrix-vector product with a
+    precomputed ``_rk4_map`` (one per distinct substep length) instead of four
+    right-hand-side evaluations.  Both paths take the same RK4 steps on the
+    same grid and agree to round-off.  Building a map costs about ``dim^6``
+    multiply-adds, while a step costs mostly Python and numpy call overhead,
+    so the map only pays for small ``dim``, many substeps or many
+    non-diagonal collapse operators.  ``_step_map_pays`` weighs the two from
+    ``dim``, the number of non-diagonal operators, the substep count and the
+    number of distinct substep lengths, and refuses any map larger than
+    ``STEP_MAP_MAX_BYTES`` so memory stays bounded at every lattice size.
+
     Raises
     ------
     NumericalError : if the trace drifts by more than 1e-6 or stops being
@@ -294,10 +371,30 @@ def lindblad_evolve(
     coherences = np.empty(t.size)
     snapshots: list[DensityMatrix] = []
 
-    def advance(rho: np.ndarray, midpoints: np.ndarray, dt: float) -> np.ndarray:
-        for _ in midpoints:
-            rho = _rk4_step(h, rho, dt, collapse)
-        return rho
+    # The substep grid of ``_substeps``: the number and lengths of the substeps.
+    spans = np.diff(t, prepend=0.0)
+    spans = spans[spans > 0]
+    n_sub = np.maximum(1.0, np.ceil(spans / step))
+    n_maps = len(set((spans / n_sub).tolist()))
+    if _step_map_pays(rho0.dim, len(collapse[1]), int(n_sub.sum()), n_maps):
+        generator = _liouvillian(h, collapse)
+        maps: dict[float, np.ndarray] = {}
+
+        def advance(rho: np.ndarray, midpoints: np.ndarray, dt: float) -> np.ndarray:
+            step_map = maps.get(dt)
+            if step_map is None:
+                step_map = maps[dt] = _rk4_map(generator, dt)
+            vec = rho.reshape(-1)
+            for _ in midpoints:
+                vec = step_map @ vec
+            return vec.reshape(rho.shape)
+
+    else:
+
+        def advance(rho: np.ndarray, midpoints: np.ndarray, dt: float) -> np.ndarray:
+            for _ in midpoints:
+                rho = _rk4_step(h, rho, dt, collapse)
+            return rho
 
     for i, _, rho in _substeps(np.array(rho0.matrix, dtype=complex), t, step, advance):
         populations[i] = rho.diagonal().real[1:]

@@ -15,7 +15,17 @@ from fluxlattice.cli import (
     parse_pi_multiple,
     parse_range,
 )
-from fluxlattice import PopulationTrace
+from fluxlattice import (
+    PI,
+    DensityMatrix,
+    DephasingRates,
+    PopulationTrace,
+    build_lattice,
+    hamiltonian_single_excitation,
+    lindblad_evolve,
+    site_labels,
+    with_vacuum,
+)
 
 
 def read_csv_columns(path):
@@ -92,6 +102,54 @@ class TestDynamicsCommand:
             blobs.append((out / "dynamics.csv").read_bytes())
         assert blobs[0] == blobs[1]
 
+
+class TestDephasedDynamics:
+    """A lattice file that declares dephasing runs the master equation."""
+
+    @staticmethod
+    def _run(tmp_path, name, extra):
+        doc = json.loads(data_path("lattice_l2_pi.json").read_text())
+        doc.update(extra)
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / name
+        assert main(["dynamics", "--lattice", str(path), "--init", "A,2", "--outdir", str(out)]) == 0
+        return out
+
+    def test_file_without_dephasing_matches_closed_run(self, tmp_path):
+        out = self._run(tmp_path, "closed", {})
+        assert main(["dynamics", "--l", "2", "--flux", "pi", "--init", "A,2", "--outdir", str(tmp_path / "l2")]) == 0
+        assert (out / "dynamics.csv").read_bytes() == (tmp_path / "l2" / "dynamics.csv").read_bytes()
+
+    def test_declared_dephasing_is_applied(self, tmp_path):
+        closed = self._run(tmp_path, "closed", {})
+        out = self._run(tmp_path, "dephased", {"dephasing_us": {"A,1": 1, "A,2": 1}})
+        assert (out / "dynamics.csv").read_bytes() != (closed / "dynamics.csv").read_bytes()
+        lattice = build_lattice(2, [PI, PI])
+        gamma = 1.0 / (2 * PI * 4.2)
+        expected = lindblad_evolve(
+            with_vacuum(hamiltonian_single_excitation(lattice)),
+            DephasingRates.from_map(lattice, {"A,1": gamma, "A,2": gamma}),
+            DensityMatrix.single_excitation(lattice, "A,2"),
+            np.linspace(0.0, 4 * PI, 401),
+        )
+        header, data = read_csv_columns(out / "dynamics.csv")
+        assert header == ["Jt", *(f"n_{s.replace(',', '')}" for s in site_labels(2))]
+        assert np.abs(data[:, 1:] - expected.trace.populations).max() < 1e-11
+        doc = json.loads((out / "dynamics.json").read_text())
+        assert doc["metadata"]["lattice"]["dephasing_over_J"] == {"A,1": gamma, "A,2": gamma}
+
+    def test_verify_rejects_dephased_trace(self, tmp_path):
+        out = self._run(tmp_path, "dephased", {"dephasing_us": {"A,1": 1, "A,2": 1}})
+        code = main(
+            [
+                "verify",
+                "--trace", str(out / "dynamics.json"),
+                "--oracle", "effective_model",
+                "--outdir", str(tmp_path / "v"),
+            ]
+        )
+        assert code == 3
 
 class TestDetuningSweep:
     def test_writes_panel_files(self, tmp_path):
@@ -307,6 +365,11 @@ class TestVerifyCommand:
             compare_against_reference(trace, metadata, "effective_model")
 
 
+
+def _sample_device_with(**fields):
+    """The shipped sample device file with ``fields`` replaced."""
+    return json.dumps({**json.loads(data_path("sample_device.json").read_text()), **fields})
+
 @pytest.mark.parametrize(
     "argv, content",
     [
@@ -329,6 +392,25 @@ class TestVerifyCommand:
             '{"coupler": {"omega_a_GHz": "4.1", "omega_b_GHz": 4.2, "omega_c_GHz": 5.5,'
             ' "g_ac_GHz": 0.1, "g_bc_GHz": 0.1, "g_ab_GHz": 0.005}}',
         ),
+        (["coupler-calibrate", "--device"], _sample_device_with(couplers=[5])),
+        (["coupler-calibrate", "--device"], _sample_device_with(qubits=[1])),
+        (["coupler-calibrate", "--device"], _sample_device_with(sweep_GHz=["a", "b", "c"])),
+        (
+            ["verify", "--oracle", "effective_model", "--trace"],
+            json.dumps(
+                {
+                    "kind": "population_trace",
+                    "times": [0.0],
+                    "populations": [[1.0, 0.0, 0.0, 0.0]],
+                    "site_labels": ["A,1", "up,1", "dn,1", "A,2"],
+                    "metadata": {
+                        "lattice": {"l": 1, "fluxes": ["pi"]},
+                        "init": "A,1",
+                        "delta_antisym_over_J": "x",
+                    },
+                }
+            ),
+        ),
     ],
     ids=[
         "missing-trace",
@@ -346,6 +428,10 @@ class TestVerifyCommand:
         "trace-without-times",
         "device-list",
         "device-omega-string",
+        "device-coupler-number",
+        "device-qubits-list",
+        "device-sweep-strings",
+        "trace-delta-string",
     ],
 )
 def test_bad_input_file_exits_2(tmp_path, argv, content):

@@ -192,6 +192,139 @@ class TestDissipator:
         assert np.abs(got - expected).max() < 1e-13
 
 
+def _random_matrix(rng, dim):
+    return rng.uniform(-1, 1, (dim, dim)) + 1j * rng.uniform(-1, 1, (dim, dim))
+
+
+def _relaxation_operators(dim, rate):
+    """``sqrt(rate) |vac><1_j|`` for every excitation site: non-diagonal collapse operators."""
+    ops = []
+    for j in range(1, dim):
+        op = np.zeros((dim, dim), dtype=complex)
+        op[0, j] = math.sqrt(rate)
+        ops.append(op)
+    return ops
+
+
+def _rk4_reference(h, ops, rho0, times, step):
+    """Density matrices at ``times`` from an ``_rk4_step`` loop on the ``_substeps`` grid."""
+    collapse = open_system._collapse_terms(ops)
+    rho, now, states = np.array(rho0, dtype=complex), 0.0, []
+    for target in times:
+        span = target - now
+        if span > 0:
+            n_sub = max(1, math.ceil(span / step))
+            for _ in range(n_sub):
+                rho = open_system._rk4_step(h, rho, span / n_sub, collapse)
+            now = target
+        states.append(0.5 * (rho + rho.conj().T))
+    return np.array(states)
+
+
+class TestStepMap:
+    @given(
+        st.integers(2, 6),
+        st.integers(0, 3),
+        st.integers(0, 3),
+        st.floats(1e-3, 0.05),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_map_is_the_rk4_step(self, dim, n_diagonal, n_general, dt, seed):
+        rng = np.random.default_rng(seed)
+        ops = [np.diag(rng.uniform(-1, 1, dim) + 1j * rng.uniform(-1, 1, dim)) for _ in range(n_diagonal)]
+        ops += [_random_matrix(rng, dim) for _ in range(n_general)]
+        h = _random_matrix(rng, dim)
+        h = h + h.conj().T
+        rho = _random_matrix(rng, dim)
+        rho = rho + rho.conj().T
+        collapse = open_system._collapse_terms(ops)
+        step_map = open_system._rk4_map(open_system._liouvillian(h, collapse), dt)
+        expected = open_system._rk4_step(h, rho, dt, collapse)
+        assert np.abs((step_map @ rho.reshape(-1)).reshape(dim, dim) - expected).max() < 1e-13
+
+    @pytest.mark.parametrize(
+        "l, relaxation, t_max, uses_map",
+        [(2, 0.004, 2.0, True), (1, 0.0, 2.0, True), (4, 0.0, 0.25 * PI, False), (6, 0.0, 2.0, False)],
+    )
+    def test_evolution_matches_rk4_loop(self, monkeypatch, l, relaxation, t_max, uses_map):
+        picks = []
+        rule = open_system._step_map_pays
+
+        def spy(*args):
+            picks.append(rule(*args))
+            return picks[-1]
+
+        monkeypatch.setattr(open_system, "_step_map_pays", spy)
+        lat = build_lattice(l, [PI] * l)
+        h = with_vacuum(hamiltonian_single_excitation(lat))
+        rates = DephasingRates.uniform(lat.num_sites, 0.01)
+        ops = _relaxation_operators(lat.num_sites + 1, relaxation) if relaxation else []
+        rho0 = DensityMatrix.single_excitation(lat, "A,1")
+        times = np.linspace(0.0, t_max, 21)
+        step = 0.004
+        run = lindblad_evolve(h, rates, rho0, times, extra_collapse=ops, max_step=step, keep_states=True)
+        assert picks == [uses_map]
+        reference = _rk4_reference(
+            h.matrix, open_system.dephasing_operators(rates, lat.num_sites + 1) + ops, rho0.matrix, times, step
+        )
+        states = np.array([dm.matrix for dm in run.states])
+        assert np.abs(states - reference).max() < 1e-12
+
+    def test_rule(self):
+        pays = open_system._step_map_pays
+        # The benchmark's device run: l=2 with T1 on every site.
+        assert pays(8, 7, 2520, 1)
+        # Dephasing only at l=6: the map build outweighs the cheap steps.
+        assert not pays(20, 0, 2520, 1)
+        # Past the size cap no step count makes a map: l=11 and l=30.
+        for dim in (35, 92):
+            assert 16 * dim**4 > open_system.STEP_MAP_MAX_BYTES
+            assert not pays(dim, dim - 1, 10**12, 1)
+
+    def test_one_map_per_distinct_substep(self, monkeypatch):
+        builds = {"_liouvillian": [], "_rk4_map": []}
+
+        def counting(name):
+            original = getattr(open_system, name)
+
+            def wrapper(*args):
+                builds[name].append(args[1:])
+                return original(*args)
+
+            return wrapper
+
+        for name in builds:
+            monkeypatch.setattr(open_system, name, counting(name))
+        lat = build_lattice(1, [PI])
+        dim = lat.num_sites + 1
+        # Gaps of 1, 1, 1 and 0.2 at step 0.3: substeps of 0.25 in three gaps, one of 3.2 - 3.
+        times = [0.0, 1.0, 2.0, 3.0, 3.2]
+        lindblad_evolve(
+            with_vacuum(hamiltonian_single_excitation(lat)),
+            DephasingRates.uniform(lat.num_sites, 0.05),
+            DensityMatrix.single_excitation(lat, "A,1"),
+            times,
+            extra_collapse=_relaxation_operators(dim, 0.01),
+            max_step=0.3,
+        )
+        assert len(builds["_liouvillian"]) == 1
+        assert [dt for (dt,) in builds["_rk4_map"]] == [0.25, 3.2 - 3.0]
+
+    @pytest.mark.parametrize("uses_map", [True, False])
+    def test_divergence_raises_on_both_paths(self, monkeypatch, uses_map):
+        monkeypatch.setattr(open_system, "_step_map_pays", lambda *a: uses_map)
+        lat = build_lattice(1, [PI])
+        with pytest.raises(NumericalError, match="trace drifted"):
+            lindblad_evolve(
+                with_vacuum(hamiltonian_single_excitation(lat)),
+                DephasingRates.uniform(4, 0.1),
+                DensityMatrix.single_excitation(lat, "A,1"),
+                np.linspace(0, 2000, 5),
+                max_step=2.0,
+            )
+
+
 class TestFidelity:
     def test_equal_distributions(self):
         n = np.array([0.25, 0.25, 0.5])
