@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 import time
 import warnings
@@ -52,7 +53,7 @@ from .dynamics import (
 from .open_system import DensityMatrix, DephasingRates, lindblad_evolve, with_vacuum
 from .protocols import (
     SpectroscopyConfig,
-    adiabatic_prepare,
+    adiabatic_ramps,
     analytic_plaquette_populations,
     schedule_from_json,
     schedule_to_json,
@@ -114,6 +115,8 @@ def parse_range(text: str) -> np.ndarray:
         raise ConfigError(f"expected numbers in start:stop:count, got {text!r}") from None
     if count < 1:
         raise ConfigError("range count must be at least 1")
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise ConfigError(f"range start and stop must be finite, got {text!r}")
     return np.linspace(start, stop, count)
 
 
@@ -189,6 +192,12 @@ def _resolve_lattice(args) -> LatticeConfig:
     )
 
 
+def _time_grid(args) -> np.ndarray:
+    if args.points < 1:
+        raise ConfigError(f"--points must be at least 1, got {args.points}")
+    return np.linspace(0.0, parse_pi_multiple(args.tmax), args.points)
+
+
 def _trace_metadata(config: LatticeConfig, init: str, delta: float) -> dict:
     lattice = lattice_to_dict(config)
     return {
@@ -218,7 +227,7 @@ def cmd_dynamics(args) -> int:
     delta = parse_delta_token(args.delta_antisym) if args.delta_antisym else 0.0
     if delta:
         lattice = lattice.with_detunings(antisymmetric_detunings(lattice.l, delta))
-    times = np.linspace(0.0, parse_pi_multiple(args.tmax), args.points)
+    times = _time_grid(args)
     if config.dephasing_over_J:
         trace = lindblad_evolve(
             with_vacuum(hamiltonian_single_excitation(lattice)),
@@ -238,7 +247,7 @@ def cmd_detuning_sweep(args) -> int:
     fluxes = [0.0, PI] if args.flux == "both" else [parse_flux(args.flux)]
     tokens = [t for t in args.delta.split(",") if t]
     deltas = [(t, parse_delta_token(t)) for t in tokens]
-    times = np.linspace(0.0, parse_pi_multiple(args.tmax), args.points)
+    times = _time_grid(args)
     for flux in fluxes:
         for token, value in deltas:
             tag = "pi" if flux == PI else "0"
@@ -306,8 +315,19 @@ def cmd_adiabatic(args) -> int:
         schedule = schedule_from_json(read_config_file(args.schedule, "schedule file"))
     else:
         schedule = two_stage_ramp(lattice, init, duration, d0)
-    closed = adiabatic_prepare(lattice, schedule, init)
+    gammas = [1.0 / (tphi * 2 * PI * j_mhz) for tphi in tphis]
+    rate_sets = [DephasingRates.uniform(lattice.num_sites, gamma) for gamma in gammas]
+    closed, dephased = adiabatic_ramps(lattice, schedule, init, rate_sets)
     labels = site_labels(l)
+
+    def summary(run, **extra) -> dict:
+        return {
+            "final_gs_overlap": run.final_gs_overlap,
+            "population_fidelity": run.population_fidelity,
+            "final_populations": dict(zip(labels, run.final_populations.tolist())),
+            **extra,
+        }
+
     report = {
         "schema": 1,
         "l": l,
@@ -316,31 +336,14 @@ def cmd_adiabatic(args) -> int:
         "duration_over_J": schedule.total_duration,
         "schedule": schedule_to_json(schedule),
         "J_MHz": j_mhz,
-        "closed": {
-            "final_gs_overlap": closed.final_gs_overlap,
-            "population_fidelity": closed.population_fidelity,
-            "final_populations": dict(zip(labels, closed.final_populations.tolist())),
-            "ground_populations": dict(zip(labels, closed.ground_populations.tolist())),
-        },
-        "dephasing": [],
+        "closed": summary(closed, ground_populations=dict(zip(labels, closed.ground_populations.tolist()))),
+        "dephasing": [
+            summary(run, T_phi_us=tphi, gamma_over_J=gamma, population_fidelity_raw=run.population_fidelity_raw)
+            for tphi, gamma, run in zip(tphis, gammas, dephased)
+        ],
     }
     fid_columns = {"closed": closed.gs_fidelity}
-    for tphi in tphis:
-        gamma_over_j = 1.0 / (tphi * 2 * PI * j_mhz)
-        open_run = adiabatic_prepare(
-            lattice, schedule, init, DephasingRates.uniform(lattice.num_sites, gamma_over_j)
-        )
-        report["dephasing"].append(
-            {
-                "T_phi_us": tphi,
-                "gamma_over_J": gamma_over_j,
-                "final_gs_overlap": open_run.final_gs_overlap,
-                "population_fidelity": open_run.population_fidelity,
-                "population_fidelity_raw": open_run.population_fidelity_raw,
-                "final_populations": dict(zip(labels, open_run.final_populations.tolist())),
-            }
-        )
-        fid_columns[f"tphi_{tphi:g}us"] = open_run.gs_fidelity
+    fid_columns.update((f"tphi_{tphi:g}us", run.gs_fidelity) for tphi, run in zip(tphis, dephased))
     write_json(ctx.path("adiabatic.json"), report)
     rows = np.column_stack([closed.times, *fid_columns.values()])
     write_csv(ctx.path("ramp_fidelity.csv"), ["Jt", *fid_columns.keys()], rows)
@@ -443,6 +446,10 @@ def cmd_crosstalk_fit(args) -> int:
         groups = read_config_file(args.responses, "response file", _parse_response_csv)
         labels = sorted({k for pair in groups for k in pair})
     else:
+        if args.lines < 2 or args.points < 2:
+            raise ConfigError("synthetic crosstalk needs at least 2 --lines and 2 --points")
+        if not 0 <= args.noise < math.inf:
+            raise ConfigError(f"--noise must be finite and nonnegative, got {args.noise}")
         n = args.lines
         labels = [f"Z{i + 1}" for i in range(n)]
         truth = rng.normal(6e-4, 1e-4, size=(n, n))

@@ -527,10 +527,13 @@ def lattice_from_dict(doc: Mapping) -> LatticeConfig:
         uniform = not isinstance(doc["dephasing_us"], Mapping)
         convert = (lambda v: dict.fromkeys(lattice.sites, float(v))) if uniform else _site_map
         times = field("dephasing_us", convert)
+        if not all(t > 0 for t in times.values()):  # also rejects NaN
+            raise ConfigError("dephasing_us times must be positive")
         # Gamma/J = 1 / (T_phi[us] * 2*pi * J_MHz): J_MHz is a cyclic frequency.
-        dephasing = {s: 1.0 / (t * 2 * PI * j_mhz) for s, t in times.items() if t > 0}
-    if dephasing is not None and any(g < 0 for g in dephasing.values()):
-        raise ConfigError("dephasing rates must be nonnegative")
+        # An infinite time gives rate 0: that site does not dephase.
+        dephasing = {s: 1.0 / (t * 2 * PI * j_mhz) for s, t in times.items()}
+    if dephasing is not None and not all(0 <= g < math.inf for g in dephasing.values()):
+        raise ConfigError("dephasing rates must be finite and nonnegative")
     return LatticeConfig(lattice, j_mhz, dephasing)
 
 

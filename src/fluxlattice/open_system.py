@@ -47,8 +47,8 @@ class DephasingRates:
         vals = np.array(self.values, dtype=float)
         if vals.ndim != 1:
             raise ConfigError("rates must form a 1-d vector")
-        if np.any(vals < 0):
-            raise ConfigError("dephasing rates must be nonnegative")
+        if not np.all((vals >= 0) & (vals < math.inf)):  # also rejects NaN
+            raise ConfigError("dephasing rates must be finite and nonnegative")
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
@@ -130,7 +130,7 @@ def with_vacuum(operator: HermitianOperator | np.ndarray) -> HermitianOperator:
 
 def dephasing_operators(rates: DephasingRates | Sequence[float], dim: int) -> list[np.ndarray]:
     """Collapse operators sqrt(rate) |1_j><1_j| on the vacuum + 1 space."""
-    vals = rates.values if isinstance(rates, DephasingRates) else np.asarray(rates, dtype=float)
+    vals = (rates if isinstance(rates, DephasingRates) else DephasingRates(rates)).values
     if vals.shape[0] != dim - 1:
         raise ConfigError(
             f"{vals.shape[0]} rates given for a space with {dim - 1} excitation sites"
@@ -271,8 +271,8 @@ def _substeps(
     with the Hamiltonian frozen at its midpoint.  Working a gap at a time lets
     ``advance`` batch per-substep work (building or diagonalizing the
     Hamiltonians) while its memory stays bounded by one gap.  Yields
-    ``(index, time, state)`` at every checkpoint.  A density matrix (2-d
-    state) has its trace checked there first.
+    ``(index, time, state)`` at every checkpoint.  A density matrix, or a
+    stack of them along the first axis, has every trace checked there first.
 
     Raises
     ------
@@ -287,8 +287,8 @@ def _substeps(
             dt = span / n_sub
             state = advance(state, now + (np.arange(n_sub) + 0.5) * dt, dt)
             now = target
-        if state.ndim == 2:
-            drift = abs(state.trace().real - 1.0)
+        if state.ndim >= 2:
+            drift = abs(state.trace(axis1=-2, axis2=-1).real - 1.0).max()
             if not drift <= TRACE_TOL:  # also rejects NaN
                 raise NumericalError(
                     f"density-matrix trace drifted by {drift:.3e} at Jt={target:g} "
@@ -360,6 +360,8 @@ def lindblad_evolve(
     for op in collapse_ops:
         if op.shape != h.shape:
             raise ConfigError("collapse operator dimension mismatch")
+        if not np.all(np.isfinite(op)):
+            raise ConfigError("collapse operators must be finite")
     collapse = _collapse_terms(collapse_ops)
     # The step rule sees every decay scale, folded diagonal and general alike.
     rate_scale = max((spectral_norm(op.conj().T @ op) for op in collapse_ops), default=0.0)

@@ -281,12 +281,15 @@ class RampSegment:
     detuning_end: Mapping[SiteId, float] = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.duration < 0:
-            raise ConfigError("segment duration must be nonnegative")
-        if min(self.j_start, self.j_end) < 0:
-            raise ConfigError("couplings must stay nonnegative")
-        object.__setattr__(self, "detuning_start", {as_site(s): float(v) for s, v in self.detuning_start.items()})
-        object.__setattr__(self, "detuning_end", {as_site(s): float(v) for s, v in self.detuning_end.items()})
+        if not 0 <= self.duration < math.inf:
+            raise ConfigError("segment duration must be finite and nonnegative")
+        if not all(0 <= j < math.inf for j in (self.j_start, self.j_end)):
+            raise ConfigError("couplings must stay finite and nonnegative")
+        for name in ("detuning_start", "detuning_end"):
+            values = {as_site(s): float(v) for s, v in getattr(self, name).items()}
+            if not all(math.isfinite(v) for v in values.values()):
+                raise ConfigError("segment detunings must be finite")
+            object.__setattr__(self, name, values)
 
 
 @dataclass(frozen=True, eq=False)
@@ -447,7 +450,6 @@ class AdiabaticResult:
     final_gs_overlap: float
     population_fidelity: float
     population_fidelity_raw: float
-    dephasing: bool
 
 
 def _ground_projector(h: np.ndarray) -> tuple[np.ndarray, float]:
@@ -498,26 +500,24 @@ def _validate_schedule(
             raise ConfigError(f"schedule must end at the target detuning of {site.label}")
 
 
-def adiabatic_prepare(
-    lattice_final: RhombicLattice,
-    schedule: RampSchedule,
-    init_site: SiteId | str,
-    rates: DephasingRates | None = None,
-    *,
-    n_checkpoints: int = 101,
-) -> AdiabaticResult:
+def adiabatic_ramps(
+    lattice_final: RhombicLattice, schedule: RampSchedule, init_site: SiteId | str,
+    rate_sets: Sequence[DephasingRates] = (), *, n_checkpoints: int = 101,
+) -> tuple[AdiabaticResult, tuple[AdiabaticResult, ...]]:
     """Ramp from a detuned, uncoupled excitation into the target ground state.
 
     The state starts as a bare excitation on ``init_site`` (the ground state
     of the decoupled, detuned configuration within the single-excitation
     sector) and is propagated with the Hamiltonian frozen over short substeps.
     Along the ramp the overlap with the instantaneous ground eigenspace is
-    recorded; a gap below 1e-6 J triggers a level-crossing warning.  With
-    dephasing rates a density matrix follows the Lindblad integrator in
-    lockstep with the closed state, each at its own step and sharing each
-    checkpoint's ground projector; its population fidelity compares the
-    decohered final distribution against the closed state's ground populations.
+    recorded; a gap below 1e-6 J triggers a level-crossing warning.  One
+    density matrix per rate set follows the Lindblad integrator in lockstep,
+    all in one stack at the largest rate's step (each set's own while every
+    rate is below the norm of H).  Returns the closed result and one result
+    per rate set, whose fidelities are against the closed ground populations.
     """
+    if n_checkpoints < 1:
+        raise ConfigError("a ramp needs at least one checkpoint")
     site = as_site(init_site)
     total = schedule.total_duration
     if total > 0:
@@ -557,26 +557,26 @@ def adiabatic_prepare(
     psi0 = np.zeros(n, dtype=complex)
     psi0[lattice_final.site_index(site)] = 1.0
     closed = _substeps(psi0, checkpoints, rk4_max_step(norm_bound, 0.0), unitary)
-    if rates is None:
-        walk = ((idx, target, psi, psi) for idx, target, psi in closed)
-    else:
-        collapse = _collapse_terms(dephasing_operators(rates, n + 1))
+    dephased = (() for _ in checkpoints)
+    if rate_sets:
+        # One (R, L+1, L+1) decay stack; a set without nonzero rates decays nowhere.
+        decays = [_collapse_terms(dephasing_operators(rates, n + 1))[0] for rates in rate_sets]
+        collapse = (np.array([np.zeros((n + 1, n + 1)) if d is None else d for d in decays]), [])
 
         def lindblad(rho: np.ndarray, midpoints: np.ndarray, dt: float) -> np.ndarray:
             for h in _embed_vacuum(hamiltonians(midpoints)):
                 rho = _rk4_step(h, rho, dt, collapse)
             return rho
 
-        rho0 = DensityMatrix.single_excitation(lattice_final, site).matrix.copy()
-        step = rk4_max_step(norm_bound, float(rates.values.max(initial=0.0)))
-        dephased = _substeps(rho0, checkpoints, step, lindblad)
-        walk = ((idx, target, psi, rho) for (idx, target, psi), (_, _, rho) in zip(closed, dephased))
+        stack = np.repeat(DensityMatrix.single_excitation(lattice_final, site).matrix[None], len(rate_sets), 0)
+        step = rk4_max_step(norm_bound, max(float(rates.values.max(initial=0.0)) for rates in rate_sets))
+        dephased = (rhos for _, _, rhos in _substeps(stack, checkpoints, step, lindblad))
 
-    fidelities = np.empty(checkpoints.size)
+    fidelities = np.empty((1 + len(rate_sets), checkpoints.size))
     gaps = np.empty(checkpoints.size)
     j_ref = max(lattice_final.J, 1e-12)
     warned = False
-    for idx, target, psi, state in walk:
+    for (idx, target, psi), rhos in zip(closed, dephased):
         projector, gap = _ground_projector(hamiltonians(np.array([target]))[0])
         gaps[idx] = gap
         if gap < 1e-6 * j_ref and not warned:
@@ -586,13 +586,12 @@ def adiabatic_prepare(
                 stacklevel=2,
             )
             warned = True
-        fidelities[idx] = _ground_weight(projector, state)
+        fidelities[:, idx] = [_ground_weight(projector, state) for state in (psi, *rhos)]
 
     # Final metrics are always taken against the target Hamiltonian (for a
     # zero-duration schedule the instantaneous one never reaches it).  The
-    # ideal ground populations come from the closed state in both branches.
+    # ideal ground populations come from the closed state for every result.
     projector_final, _ = _ground_projector(h_final)
-    final_overlap = _ground_weight(projector_final, state)
     projected = projector_final @ psi
     weight = np.linalg.norm(projected)
     if weight < 1e-12:
@@ -600,16 +599,28 @@ def adiabatic_prepare(
         ground_pops = np.abs(np.linalg.eigh(h_final)[1][:, 0]) ** 2
     else:
         ground_pops = np.abs(projected / weight) ** 2
-    final_pops = np.abs(psi) ** 2 if rates is None else state.diagonal().real[1:].copy()
-    np.clip(final_pops, 0.0, None, out=final_pops)
-    return AdiabaticResult(
-        times=checkpoints,
-        gs_fidelity=fidelities,
-        gaps=gaps,
-        final_populations=final_pops,
-        ground_populations=ground_pops,
-        final_gs_overlap=final_overlap,
-        population_fidelity=fidelity(final_pops, ground_pops),
-        population_fidelity_raw=_bhattacharyya(final_pops, ground_pops),
-        dephasing=rates is not None,
-    )
+    results = []
+    for gs_fidelity, state in zip(fidelities, (psi, *rhos)):
+        final_pops = np.abs(state) ** 2 if state.ndim == 1 else state.diagonal().real[1:].copy()
+        np.clip(final_pops, 0.0, None, out=final_pops)
+        results.append(AdiabaticResult(
+            times=checkpoints,
+            gs_fidelity=gs_fidelity,
+            gaps=gaps,
+            final_populations=final_pops,
+            ground_populations=ground_pops,
+            final_gs_overlap=_ground_weight(projector_final, state),
+            population_fidelity=fidelity(final_pops, ground_pops),
+            population_fidelity_raw=_bhattacharyya(final_pops, ground_pops),
+        ))
+    return results[0], tuple(results[1:])
+
+
+def adiabatic_prepare(
+    lattice_final: RhombicLattice, schedule: RampSchedule, init_site: SiteId | str,
+    rates: DephasingRates | None = None, *, n_checkpoints: int = 101,
+) -> AdiabaticResult:
+    """The closed ramp of ``adiabatic_ramps``, or its one ramp dephased at ``rates``."""
+    rate_sets = () if rates is None else (rates,)
+    closed, dephased = adiabatic_ramps(lattice_final, schedule, init_site, rate_sets, n_checkpoints=n_checkpoints)
+    return dephased[0] if dephased else closed

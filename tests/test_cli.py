@@ -383,6 +383,14 @@ def _sample_device_with(**fields):
         (["dynamics", "--lattice"], '{"l": 1, "fluxes": ["pi"], "detunings": {"A,1": "x"}}'),
         (["dynamics", "--lattice"], '{"l": 1, "fluxes": ["pi"], "detunings": ["A,1"]}'),
         (["dynamics", "--lattice"], '{"l": 1, "fluxes": ["pi"], "dephasing_over_J": {"A,1": "x"}}'),
+        (["dynamics", "--lattice"], '{"l": 1, "fluxes": ["pi"], "dephasing_over_J": {"A,1": NaN}}'),
+        (["dynamics", "--lattice"], '{"l": 1, "fluxes": ["pi"], "dephasing_over_J": {"A,1": Infinity}}'),
+        (
+            ["dynamics", "--lattice"],
+            '{"l": 2, "fluxes": ["pi", "pi"], "J_MHz": 4.2, "dephasing_us": {"A,1": -1, "A,2": 1}}',
+        ),
+        (["dynamics", "--lattice"], '{"l": 2, "fluxes": ["pi", "pi"], "J_MHz": 4.2, "dephasing_us": -5}'),
+        (["dynamics", "--lattice"], '{"l": 2, "fluxes": ["pi", "pi"], "J_MHz": 4.2, "dephasing_us": NaN}'),
         (["adiabatic", "--schedule"], '[{"duration": "x", "j_start": 0, "j_end": 1}]'),
         (["adiabatic", "--schedule"], '{"duration": 30, "j_start": 0, "j_end": 1}'),
         (["verify", "--oracle", "analytic_l1", "--trace"], '{"kind": "population_trace"}'),
@@ -423,6 +431,11 @@ def _sample_device_with(**fields):
         "lattice-detuning-string",
         "lattice-detunings-list",
         "lattice-dephasing-string",
+        "lattice-dephasing-nan",
+        "lattice-dephasing-inf",
+        "lattice-dephasing-us-negative-site",
+        "lattice-dephasing-us-negative",
+        "lattice-dephasing-us-nan",
         "schedule-duration-string",
         "schedule-not-a-list",
         "trace-without-times",
@@ -449,8 +462,44 @@ def test_bad_input_file_exits_2(tmp_path, argv, content):
         ["spectroscopy", "--delta-range", "1:2:x"],
         ["spectroscopy", "--omega", "nan"],
         ["spectroscopy", "--duration", "inf"],
+        ["adiabatic", "--j-mhz", "nan", "--dephasing-us", "1"],
+        ["adiabatic", "--duration", "nan"],
+        ["adiabatic", "--duration", "inf"],
+        ["adiabatic", "--initial-detuning", "nan"],
+        ["zak", "--delta-range", "nan:1:3"],
+        ["coupler-calibrate", "--sweep", "0:inf:3"],
+        ["dynamics", "--l", "1", "--points", "-1"],
+        ["detuning-sweep", "--points", "-1"],
+        ["crosstalk-fit", "--lines", "-1"],
+        ["crosstalk-fit", "--lines", "0"],
+        ["crosstalk-fit", "--lines", "1"],
+        ["crosstalk-fit", "--points", "-1"],
+        ["crosstalk-fit", "--noise", "-1"],
+        ["crosstalk-fit", "--noise", "inf"],
+        ["crosstalk-fit", "--noise", "nan"],
     ],
-    ids=["tmax", "delta", "delta-range-count", "omega-nan", "duration-inf"],
+    ids=[
+        "tmax",
+        "delta",
+        "delta-range-count",
+        "omega-nan",
+        "duration-inf",
+        "adiabatic-j-mhz-nan",
+        "adiabatic-duration-nan",
+        "adiabatic-duration-inf",
+        "adiabatic-initial-detuning-nan",
+        "zak-range-nan",
+        "coupler-sweep-inf",
+        "dynamics-points-negative",
+        "sweep-points-negative",
+        "crosstalk-lines-negative",
+        "crosstalk-lines-0",
+        "crosstalk-lines-1",
+        "crosstalk-points-negative",
+        "crosstalk-noise-negative",
+        "crosstalk-noise-inf",
+        "crosstalk-noise-nan",
+    ],
 )
 def test_bad_argument_exits_2(tmp_path, argv):
     assert main([*argv, "--outdir", str(tmp_path / "out")]) == 2

@@ -46,6 +46,11 @@ class TestDephasingRates:
         with pytest.raises(ConfigError):
             DephasingRates(np.array([0.1, -0.2]))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_finite(self, bad):
+        with pytest.raises(ConfigError):
+            DephasingRates(np.array([0.1, bad]))
+
     def test_from_map(self):
         lat = build_lattice(1, [0])
         rates = DephasingRates.from_map(lat, {"up,1": 0.3}, default=0.1)
@@ -161,6 +166,22 @@ class TestLindbladEvolution:
         rho0 = DensityMatrix.from_pure([0.0, 1.0])
         run = lindblad_evolve(np.zeros((2, 2)), [0.0], rho0, [0.0, 4.0], extra_collapse=[decay])
         assert run.trace.populations[-1, 0] == pytest.approx(math.exp(-0.5 * 4.0), abs=1e-6)
+
+    @pytest.mark.parametrize(
+        "rates, extra",
+        [([0.0] * 4, [np.full((5, 5), np.nan)]), ([0.1, np.nan, 0.1, 0.1], []), ([0.1, -0.1, 0.1, 0.1], [])],
+        ids=["extra-collapse-nan", "rate-nan", "rate-negative"],
+    )
+    def test_invalid_collapse_rejected(self, rates, extra):
+        lat = build_lattice(1, [PI])
+        with pytest.raises(ConfigError):
+            lindblad_evolve(
+                with_vacuum(hamiltonian_single_excitation(lat)),
+                rates,
+                DensityMatrix.single_excitation(lat, "A,1"),
+                [0.0, 1.0],
+                extra_collapse=extra,
+            )
 
 
 class TestDissipator:

@@ -23,6 +23,7 @@ from fluxlattice import (
     with_vacuum,
 )
 from fluxlattice import open_system, protocols
+from fluxlattice.protocols import adiabatic_ramps
 
 SQRT2 = math.sqrt(2.0)
 TIMES = np.linspace(0.0, 4 * PI, 201)
@@ -172,6 +173,22 @@ class TestRampSchedule:
         with pytest.raises(ConfigError):
             RampSchedule((seg1, seg2))
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            (math.nan, 0.0, 1.0),
+            (math.inf, 0.0, 1.0),
+            (1.0, 0.0, math.nan),
+            (1.0, math.inf, 1.0),
+            (1.0, 0.0, 1.0, {"A,1": math.nan}),
+            (1.0, 0.0, 1.0, {}, {"A,1": -math.inf}),
+        ],
+        ids=["duration-nan", "duration-inf", "j-nan", "j-inf", "detuning-nan", "detuning-inf"],
+    )
+    def test_non_finite_segment_rejected(self, args):
+        with pytest.raises(ConfigError, match="finite"):
+            RampSegment(*args)
+
     def test_positive_initial_detuning_rejected(self):
         lat = build_lattice(1, [PI])
         with pytest.raises(ConfigError):
@@ -291,6 +308,11 @@ class TestAdiabaticPreparation:
         with pytest.raises(ConfigError, match="3 J below"):
             adiabatic_prepare(lat, bad, "A,1")
 
+    def test_needs_a_checkpoint(self):
+        lat = build_lattice(1, [PI])
+        with pytest.raises(ConfigError, match="checkpoint"):
+            adiabatic_prepare(lat, two_stage_ramp(lat, "A,1", 12.0), "A,1", n_checkpoints=0)
+
     def test_schedule_must_end_on_target(self):
         lat = build_lattice(1, [PI])
         bad = RampSchedule((RampSegment(10.0, 0.0, 0.7, {"A,1": -4.0}, {"A,1": 0.0}),))
@@ -360,12 +382,53 @@ class TestAdiabaticPreparation:
         protocols.adiabatic_prepare(lat, two_stage_ramp(lat, "A,1", 12.0), "A,1", rates, n_checkpoints=11)
         assert len(calls) == 1
 
-    def test_unstable_dephased_ramp_raises(self, monkeypatch):
+    @pytest.mark.parametrize("gammas", [(0.0379,), (0.0379, 0.0038)], ids=["one-set", "two-sets"])
+    def test_unstable_dephased_ramp_raises(self, monkeypatch, gammas):
         # With 11 checkpoints the step rule, not the checkpoint spacing, sets the
         # substep; a 1000x looser rule makes the dephased RK4 ramp diverge.
         monkeypatch.setattr(open_system, "STEP_SAFETY", 10.0)
         lat = build_lattice(1, [PI])
         sched = two_stage_ramp(lat, "A,1", 30.0, -4.0)
-        rates = DephasingRates.uniform(4, 1.0 / (2 * PI * 4.2))
+        rate_sets = [DephasingRates.uniform(4, gamma) for gamma in gammas]
         with pytest.raises(NumericalError, match="trace drifted"):
-            adiabatic_prepare(lat, sched, "A,1", rates, n_checkpoints=11)
+            adiabatic_ramps(lat, sched, "A,1", rate_sets, n_checkpoints=11)
+
+    @staticmethod
+    def _assert_same_result(a, b):
+        for name in ("times", "gs_fidelity", "gaps", "final_populations", "ground_populations"):
+            assert np.array_equal(getattr(a, name), getattr(b, name)), name
+        for name in ("final_gs_overlap", "population_fidelity", "population_fidelity_raw"):
+            assert getattr(a, name) == getattr(b, name), name
+
+    @pytest.mark.parametrize("flux", [0.0, PI])
+    @pytest.mark.parametrize("l", [1, 2])
+    def test_stacked_ramps_match_separate_runs(self, l, flux):
+        # Every rate is below the Hamiltonian norm bound, so each set's own
+        # step is the shared one and the stack changes no bit.
+        lat = build_lattice(l, [flux] * l)
+        sched = two_stage_ramp(lat, "A,1", 6.0)
+        rate_sets = [
+            DephasingRates.uniform(lat.num_sites, 0.0379),
+            DephasingRates.uniform(lat.num_sites, 0.0038),
+            DephasingRates(np.linspace(0.0, 0.1, lat.num_sites)),
+        ]
+        closed, dephased = adiabatic_ramps(lat, sched, "A,1", rate_sets, n_checkpoints=11)
+        self._assert_same_result(closed, adiabatic_prepare(lat, sched, "A,1", n_checkpoints=11))
+        assert adiabatic_ramps(lat, sched, "A,1", n_checkpoints=11)[1] == ()
+        assert len(dephased) == len(rate_sets)
+        for rates, run in zip(rate_sets, dephased):
+            self._assert_same_result(run, adiabatic_prepare(lat, sched, "A,1", rates, n_checkpoints=11))
+
+    def test_large_rate_sets_the_shared_step(self):
+        # gamma = 9 exceeds the norm bound: its own step is the shared one, and
+        # the other set, stepped finer than alone, moves by far less than 1e-7.
+        lat = build_lattice(1, [PI])
+        sched = two_stage_ramp(lat, "A,1", 12.0)
+        slow, fast = (DephasingRates.uniform(4, gamma) for gamma in (0.0379, 9.0))
+        _, (slow_run, fast_run) = adiabatic_ramps(lat, sched, "A,1", [slow, fast], n_checkpoints=11)
+        self._assert_same_result(fast_run, adiabatic_prepare(lat, sched, "A,1", fast, n_checkpoints=11))
+        alone = adiabatic_prepare(lat, sched, "A,1", slow, n_checkpoints=11)
+        assert not np.array_equal(slow_run.gs_fidelity, alone.gs_fidelity)
+        assert np.abs(slow_run.gs_fidelity - alone.gs_fidelity).max() < 1e-7
+        assert np.abs(slow_run.final_populations - alone.final_populations).max() < 1e-7
+        assert abs(slow_run.population_fidelity - alone.population_fidelity) < 1e-7

@@ -4,6 +4,7 @@ import re
 import shlex
 from pathlib import Path
 
+from fluxlattice import protocols
 from fluxlattice.cli import build_parser, main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -24,3 +25,21 @@ def test_quick_start_runs(tmp_path):
         # "--outdir out" and "out/dynamics.json" are relative to the working directory.
         argv = [str(tmp_path / a) if a == "out" or a.startswith("out/") else a for a in argv]
         assert main(argv) == 0, argv
+
+
+def test_adiabatic_command_walks_each_ramp_once(tmp_path, monkeypatch):
+    # One closed walk, and one walk of the stack of every T_phi's density matrix.
+    walks = []
+    original = protocols._substeps
+
+    def counting(state, *args):
+        walks.append(state.shape)
+        return original(state, *args)
+
+    monkeypatch.setattr(protocols, "_substeps", counting)
+    (argv,) = [argv for argv in quick_start_commands() if argv[0] == "adiabatic"]
+    argv = [str(tmp_path / a) if a == "out" else a for a in argv]
+    tphis = argv[argv.index("--dephasing-us") + 1].split(",")
+    assert len(tphis) == 2
+    assert main(argv) == 0
+    assert walks == [(4,), (len(tphis), 5, 5)]
