@@ -31,6 +31,7 @@ from .lattice import (
     LatticeConfig,
     _real,
     build_lattice,
+    check_j_mhz,
     config_field,
     hamiltonian_single_excitation,
     lattice_from_dict,
@@ -295,7 +296,7 @@ def cmd_adiabatic(args) -> int:
     d0 = args.initial_detuning if args.initial_detuning is not None else field(
         "initial_detuning_over_J", float, -4.0
     )
-    j_mhz = args.j_mhz if args.j_mhz is not None else field("J_MHz", float, None)
+    j_mhz = args.j_mhz if args.j_mhz is not None else field("J_MHz", lambda v: check_j_mhz(float(v)), None)
     if args.dephasing_us:
         try:
             tphis = [float(t) for t in args.dephasing_us.split(",") if t]
@@ -307,6 +308,9 @@ def cmd_adiabatic(args) -> int:
         )
     if any(not t > 0 for t in tphis):
         raise ConfigError(f"dephasing times must be positive, got {tphis}")
+    columns = [f"tphi_{tphi:g}us" for tphi in tphis]
+    if len(set(columns)) < len(columns):
+        raise ConfigError(f"dephasing times must be distinct in their CSV column names, got {columns}")
     if tphis and not j_mhz:
         raise ConfigError("dephasing in microseconds needs --j-mhz to fix the time unit")
 
@@ -343,7 +347,7 @@ def cmd_adiabatic(args) -> int:
         ],
     }
     fid_columns = {"closed": closed.gs_fidelity}
-    fid_columns.update((f"tphi_{tphi:g}us", run.gs_fidelity) for tphi, run in zip(tphis, dephased))
+    fid_columns.update((column, run.gs_fidelity) for column, run in zip(columns, dephased))
     write_json(ctx.path("adiabatic.json"), report)
     rows = np.column_stack([closed.times, *fid_columns.values()])
     write_csv(ctx.path("ramp_fidelity.csv"), ["Jt", *fid_columns.keys()], rows)
@@ -654,6 +658,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        check_j_mhz(getattr(args, "j_mhz", None))
         return args.func(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -431,6 +431,13 @@ def _real(value: Any) -> Any:
     return value
 
 
+def check_j_mhz(value: float | None) -> float | None:
+    """``value`` unchanged if it is None or a usable J/2pi in MHz, else ``ConfigError``."""
+    if value is not None and not 0 < value < math.inf:  # also rejects NaN
+        raise ConfigError(f"J_MHz must be positive and finite, got {value!r}")
+    return value
+
+
 def _site_map(value: Any) -> dict[SiteId, float]:
     """A JSON object of site label -> number as ``{SiteId: float}``."""
     if not isinstance(value, Mapping):
@@ -496,9 +503,8 @@ def lattice_from_dict(doc: Mapping) -> LatticeConfig:
     # J_MHz is checked but kept as written, so an integer keeps its config hash.
     j_mhz = field("J_MHz", lambda v: v if v is None else _real(v), None)
     detunings = field("detunings", _site_map, {})
+    check_j_mhz(j_mhz)
     if j_mhz is not None:
-        if not 0 < j_mhz < math.inf:
-            raise ConfigError("J_MHz must be positive and finite")
         detunings = {s: v / j_mhz for s, v in detunings.items()}
     lattice = build_lattice(l, fluxes, detunings, J=1.0)
     bonds = {(b.a_site, b.arm_site): b for b in lattice.bonds}

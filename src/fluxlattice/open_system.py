@@ -23,8 +23,14 @@ from .lattice import HermitianOperator, RhombicLattice, SiteId, as_site
 
 #: h * max(norm(H), max rate) is kept at or below this.  The contract allows
 #: up to 0.05; the default runs 5x tighter so the zero-rate limit agrees with
-#: the exact unitary propagation to well under 1e-7.
+#: the exact unitary propagation to well under 1e-7.  ``lindblad_evolve`` and
+#: the closed ramp, whose H is fixed over each substep, step at this rule.
 STEP_SAFETY = 0.01
+
+#: The dephased ramp evaluates H at RK4's stage times, which makes it fourth
+#: order in time, and steps this many times longer than ``rk4_max_step``
+#: (safety 0.04): it still beats the midpoint-frozen walk at 0.01 in accuracy.
+STAGE_TIME_STEP_FACTOR = 4
 
 #: Allowed drift of the density-matrix trace over a full integration.
 TRACE_TOL = 1e-6
@@ -179,11 +185,22 @@ def _lindblad_rhs(h: np.ndarray, rho: np.ndarray, collapse: _Collapse) -> np.nda
     return drho
 
 
-def _rk4_step(h: np.ndarray, rho: np.ndarray, dt: float, collapse: _Collapse) -> np.ndarray:
+def _rk4_step(
+    h: np.ndarray, rho: np.ndarray, dt: float, collapse: _Collapse,
+    h_mid: np.ndarray | None = None, h_end: np.ndarray | None = None,
+) -> np.ndarray:
+    """One classical RK4 step of the master equation.
+
+    ``h`` is H at the start of the step.  A time-dependent caller also passes
+    H at its middle and end, the stage times of non-autonomous RK4, which
+    keeps the step fourth order in time; with ``h`` alone H is held fixed.
+    """
+    h_mid = h if h_mid is None else h_mid
+    h_end = h if h_end is None else h_end
     k1 = _lindblad_rhs(h, rho, collapse)
-    k2 = _lindblad_rhs(h, rho + 0.5 * dt * k1, collapse)
-    k3 = _lindblad_rhs(h, rho + 0.5 * dt * k2, collapse)
-    k4 = _lindblad_rhs(h, rho + dt * k3, collapse)
+    k2 = _lindblad_rhs(h_mid, rho + 0.5 * dt * k1, collapse)
+    k3 = _lindblad_rhs(h_mid, rho + 0.5 * dt * k2, collapse)
+    k4 = _lindblad_rhs(h_end, rho + dt * k3, collapse)
     return rho + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
@@ -267,12 +284,14 @@ def _substeps(
     Each gap between checkpoints is cut into ``max(1, ceil(span / step))``
     equal substeps of length ``dt``.  ``advance(state, midpoints, dt)`` is
     called once per gap with the array of that gap's substep midpoints, in
-    time order, and returns the state after taking every substep in turn, each
-    with the Hamiltonian frozen at its midpoint.  Working a gap at a time lets
-    ``advance`` batch per-substep work (building or diagonalizing the
-    Hamiltonians) while its memory stays bounded by one gap.  Yields
-    ``(index, time, state)`` at every checkpoint.  A density matrix, or a
-    stack of them along the first axis, has every trace checked there first.
+    time order, and returns the state after taking every substep in turn:
+    with the Hamiltonian frozen at each midpoint (the closed ramp), fixed
+    (``lindblad_evolve``), or evaluated at RK4's stage times around each
+    midpoint (the dephased ramp).  Working a gap at a time lets ``advance``
+    batch per-substep work (building or diagonalizing the Hamiltonians) while
+    its memory stays bounded by one gap.  Yields ``(index, time, state)`` at
+    every checkpoint.  A density matrix, or a stack of them along the first
+    axis, has every trace checked there first.
 
     Raises
     ------

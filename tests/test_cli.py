@@ -2,9 +2,12 @@ import csv
 import hashlib
 import json
 import math
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fluxlattice.cli import (
     build_parser,
@@ -208,6 +211,12 @@ class TestBandsCommand:
         assert max(doc["bandwidths_over_J"]) < 1e-10
 
 
+def _number_text(valid):
+    """Argument text: three times in four a number from ``valid``, else an invalid or edge value."""
+    text = valid.map(repr)
+    return st.one_of(text, text, text, st.sampled_from(["nan", "inf", "-inf", "-1", "0", "-0.0"]))
+
+
 class TestAdiabaticCommand:
     def test_closed_run_report(self, tmp_path):
         out = tmp_path / "adiabatic"
@@ -270,6 +279,26 @@ class TestAdiabaticCommand:
     def test_bad_dephasing_times_exit_2(self, tmp_path, times):
         argv = ["adiabatic", "--duration", "1", "--j-mhz", "4.2", "--dephasing-us", times]
         assert main([*argv, "--outdir", str(tmp_path / "x")]) == 2
+
+    @given(
+        duration=_number_text(st.floats(0.0, 0.5)),
+        j_mhz=_number_text(st.floats(0.5, 50.0)),
+        initial_detuning=_number_text(st.floats(-50.0, -3.5)),
+        tphis=st.lists(_number_text(st.floats(0.5, 50.0)), max_size=3),
+        repeat=st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_number_arguments_exit_cleanly(self, duration, j_mhz, initial_detuning, tphis, repeat):
+        # Short ramps and rates below 1 J keep each example to a few thousand
+        # substeps; "--flag=value" stops argparse reading "-inf" as an option.
+        argv = [
+            "adiabatic", "--l=1", f"--duration={duration}", f"--j-mhz={j_mhz}",
+            f"--initial-detuning={initial_detuning}",
+        ]
+        if tphis:
+            argv.append(f"--dephasing-us={','.join(tphis + tphis[:1] if repeat else tphis)}")
+        with tempfile.TemporaryDirectory() as out:
+            assert main([*argv, f"--outdir={out}"]) in {0, 2, 3}
 
 
 class TestCouplerCommand:
@@ -379,6 +408,8 @@ def _sample_device_with(**fields):
         (["crosstalk-fit", "--responses"], "source,target,source_zpa\nZ1,Z2,0.5\n"),
         (["adiabatic", "--config"], '{"l": "x"}'),
         (["adiabatic", "--config"], '{"duration_over_J": "abc"}'),
+        (["adiabatic", "--config"], '{"duration_over_J": 3, "J_MHz": -4.2}'),
+        (["adiabatic", "--duration", "1", "--j-mhz", "4.2", "--config"], '{"dephasing_us": [1, 1.0]}'),
         (["dynamics", "--lattice"], '{"l": 1, "fluxes": ["pi"], "J_MHz": "abc"}'),
         (["dynamics", "--lattice"], '{"l": 1, "fluxes": ["pi"], "detunings": {"A,1": "x"}}'),
         (["dynamics", "--lattice"], '{"l": 1, "fluxes": ["pi"], "detunings": ["A,1"]}'),
@@ -427,6 +458,8 @@ def _sample_device_with(**fields):
         "three-column-responses",
         "config-l-not-int",
         "config-duration-not-number",
+        "config-j-mhz-negative",
+        "config-dephasing-repeated",
         "lattice-j-mhz-string",
         "lattice-detuning-string",
         "lattice-detunings-list",
@@ -477,6 +510,13 @@ def test_bad_input_file_exits_2(tmp_path, argv, content):
         ["crosstalk-fit", "--noise", "-1"],
         ["crosstalk-fit", "--noise", "inf"],
         ["crosstalk-fit", "--noise", "nan"],
+        ["adiabatic", "--l", "1", "--duration", "3", "--j-mhz", "-4.2"],
+        ["adiabatic", "--l", "1", "--duration", "3", "--j-mhz", "inf"],
+        ["dynamics", "--l", "1", "--j-mhz", "-4.2"],
+        ["detuning-sweep", "--j-mhz", "0"],
+        ["spectroscopy", "--j-mhz", "nan"],
+        ["adiabatic", "--l", "1", "--duration", "3", "--j-mhz", "4.2", "--dephasing-us", "1,1.0"],
+        ["adiabatic", "--l", "1", "--duration", "3", "--j-mhz", "4.2", "--dephasing-us", "10,3,1e1"],
     ],
     ids=[
         "tmax",
@@ -499,6 +539,13 @@ def test_bad_input_file_exits_2(tmp_path, argv, content):
         "crosstalk-noise-negative",
         "crosstalk-noise-inf",
         "crosstalk-noise-nan",
+        "adiabatic-j-mhz-negative",
+        "adiabatic-j-mhz-inf",
+        "dynamics-j-mhz-negative",
+        "sweep-j-mhz-zero",
+        "spectroscopy-j-mhz-nan",
+        "adiabatic-dephasing-repeated",
+        "adiabatic-dephasing-repeated-exponent",
     ],
 )
 def test_bad_argument_exits_2(tmp_path, argv):

@@ -432,3 +432,58 @@ class TestAdiabaticPreparation:
         assert np.abs(slow_run.gs_fidelity - alone.gs_fidelity).max() < 1e-7
         assert np.abs(slow_run.final_populations - alone.final_populations).max() < 1e-7
         assert abs(slow_run.population_fidelity - alone.population_fidelity) < 1e-7
+
+
+class TestStageTimeRamp:
+    """The dephased ramp is stage-time RK4: fourth order, with schedule kinks on substep edges."""
+
+    @staticmethod
+    def _kinked():
+        # Both segment boundaries (Jt = 10.3 and 19.7) fall inside gaps of the 8 checkpoints.
+        lat = build_lattice(1, [PI])
+        site = lat.sites[0]
+        sched = RampSchedule((
+            RampSegment(10.3, 0.0, 1.0, {site: -4.0}, {site: -4.0}),
+            RampSegment(9.4, 1.0, 1.0, {site: -4.0}, {site: -1.5}),
+            RampSegment(10.3, 1.0, 1.0, {site: -1.5}, {site: 0.0}),
+        ))
+        return lat, sched
+
+    @staticmethod
+    def _outputs(run):
+        return np.concatenate([run.final_populations, run.gs_fidelity, [run.final_gs_overlap]])
+
+    def test_fourth_order_across_kinks(self, monkeypatch):
+        lat, sched = self._kinked()
+        rates = DephasingRates.uniform(4, 0.0379)
+
+        def outputs(safety):
+            monkeypatch.setattr(open_system, "STEP_SAFETY", safety)
+            return self._outputs(adiabatic_prepare(lat, sched, "A,1", rates, n_checkpoints=8))
+
+        reference = outputs(0.04 / 16)
+        errors = [np.abs(outputs(0.04 / 2**k) - reference).max() for k in range(3)]
+        # With a kink inside a substep the error falls at second order, and
+        # unevenly: here the second halving would gain about 1x, not 2^4.
+        assert errors[0] / errors[1] >= 2**3.5
+        assert errors[1] / errors[2] >= 2**3.5
+
+    def test_boundaries_add_no_rows(self):
+        lat, sched = self._kinked()
+        closed, (run,) = adiabatic_ramps(lat, sched, "A,1", [DephasingRates.uniform(4, 0.0379)], n_checkpoints=8)
+        expected = np.linspace(0.0, sched.total_duration, 8)
+        for result in (closed, run):
+            assert np.array_equal(result.times, expected)
+            assert result.gs_fidelity.shape == result.gaps.shape == (8,)
+
+    @pytest.mark.parametrize("flux, midpoint_error", [(0.0, 1.31e-7), (PI, 1.55e-7)])
+    def test_more_accurate_than_midpoint_walk(self, monkeypatch, flux, midpoint_error):
+        # midpoint_error: the largest deviation of the walk that froze H at
+        # substep midpoints, at the default rule, from the same reference.
+        lat = build_lattice(1, [flux])
+        sched = two_stage_ramp(lat, "A,1", 6.0)
+        rates = DephasingRates.uniform(4, 0.0379)
+        run = self._outputs(adiabatic_prepare(lat, sched, "A,1", rates, n_checkpoints=11))
+        monkeypatch.setattr(open_system, "STEP_SAFETY", 0.001)
+        reference = self._outputs(adiabatic_prepare(lat, sched, "A,1", rates, n_checkpoints=11))
+        assert np.abs(run - reference).max() < midpoint_error / 10
