@@ -46,10 +46,10 @@ def trimer_bloch(k: float | np.ndarray, J: float = 1.0, delta: float = 0.0) -> n
     as ``delta * exp(-ik)`` on the (+, -) element.  An array of k gives the
     matrices stacked along its leading axes.
     """
-    if J <= 0:
-        raise ConfigError("J must be positive")
-    if delta < 0:
-        raise ConfigError("delta must be nonnegative")
+    if not 0 < J < math.inf:  # also rejects NaN
+        raise ConfigError("J must be finite and positive")
+    if not 0 <= delta < math.inf:
+        raise ConfigError("delta must be finite and nonnegative")
     k = np.asarray(k, dtype=float)
     h = np.zeros(k.shape + (3, 3), dtype=complex)
     h[..., 0, 1] = h[..., 1, 0] = -SQRT2 * J

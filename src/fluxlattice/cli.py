@@ -247,6 +247,8 @@ def cmd_detuning_sweep(args) -> int:
     ctx = RunContext("detuning-sweep", args)
     fluxes = [0.0, PI] if args.flux == "both" else [parse_flux(args.flux)]
     tokens = [t for t in args.delta.split(",") if t]
+    if not tokens:
+        raise ConfigError(f"--delta needs at least one detuning, got {args.delta!r}")
     deltas = [(t, parse_delta_token(t)) for t in tokens]
     times = _time_grid(args)
     for flux in fluxes:
@@ -444,6 +446,8 @@ def _parse_response_csv(text: str) -> dict[tuple[str, str], list[tuple[float, fl
 
 def cmd_crosstalk_fit(args) -> int:
     ctx = RunContext("crosstalk-fit", args)
+    if ctx.seed < 0:
+        raise ConfigError(f"--seed must be nonnegative, got {ctx.seed}")
     rng = np.random.default_rng(ctx.seed)
     truth = None
     if args.responses:

@@ -281,6 +281,8 @@ def crosstalk_fit(response: Sequence[tuple[float, float]]) -> float:
     data = np.asarray(response, dtype=float)
     if data.ndim != 2 or data.shape[1] != 2 or data.shape[0] < 2:
         raise ConfigError("need at least two (source, target) response points")
+    if not np.all(np.isfinite(data)):
+        raise ConfigError("response points must be finite")
     source, target = data[:, 0], data[:, 1]
     if np.ptp(source) == 0:
         raise ConfigError("response abscissa is degenerate (all source values equal)")
@@ -301,6 +303,8 @@ def simulate_compensation_data(
         if rng is None:
             raise ConfigError("noisy synthesis needs an explicit random generator")
         target = target + rng.normal(0.0, noise_sigma, size=source.shape)
+        if not np.all(np.isfinite(target)):
+            raise NumericalError(f"noise sigma {noise_sigma:g} overflows the synthetic responses")
     return np.column_stack([source, target])
 
 

@@ -42,6 +42,14 @@ STEP_MAP_MAX_BYTES = 16 * 2**20
 #: runs of both paths (CHANGES.md) for the least time lost to wrong picks.
 CALL_COST = 1600
 
+#: Most substeps ``_substeps`` hands ``advance`` in one call, so per-call
+#: arrays stay at most this many substeps' worth whatever the step.
+SUBSTEP_CHUNK = 256
+
+#: Most substeps one walk may take (about a minute of the slowest stepping);
+#: a longer walk is refused as invalid configuration before any step is taken.
+SUBSTEP_BUDGET = 10**7
+
 
 @dataclass(frozen=True, eq=False)
 class DephasingRates:
@@ -204,6 +212,13 @@ def _rk4_step(
     return rho + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.kron`` of the last two axes, broadcast over the leading ones."""
+    n, m = a.shape[-1], b.shape[-1]
+    out = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return out.reshape(out.shape[:-4] + (n * m, n * m))
+
+
 def _liouvillian(h: np.ndarray, collapse: _Collapse) -> np.ndarray:
     """``_lindblad_rhs`` as one matrix acting on ``rho.reshape(-1)``.
 
@@ -212,14 +227,19 @@ def _liouvillian(h: np.ndarray, collapse: _Collapse) -> np.ndarray:
     elementwise decay ``-D * rho`` into a diagonal.  The one-sided terms of
     every general operator are summed before the Kronecker products, and the
     jump terms ``op @ rho @ op^dagger`` are summed by one tensor contraction.
+    A stack of Hamiltonians, or a decay matrix with leading axes, gives the
+    stack of Liouvillians their leading axes broadcast to.
     """
-    dim = h.shape[0]
+    dim = h.shape[-1]
     decay, general = collapse
     anti = sum((opd_op for _, opd_op in general), np.zeros_like(h))
     eye = np.eye(dim)
-    gen = np.kron(-1j * h - 0.5 * anti, eye) + np.kron(eye, (1j * h - 0.5 * anti).T)
+    gen = _kron(-1j * h - 0.5 * anti, eye) + _kron(eye, np.swapaxes(1j * h - 0.5 * anti, -1, -2))
     if decay is not None:
-        gen[np.diag_indices_from(gen)] -= decay.reshape(-1)
+        stack = np.broadcast_shapes(gen.shape[:-2], decay.shape[:-2])
+        gen = np.array(np.broadcast_to(gen, stack + gen.shape[-2:]))
+        diagonal = np.arange(dim * dim)
+        gen[..., diagonal, diagonal] -= decay.reshape(decay.shape[:-2] + (-1,))
     if general:
         ops = np.array([op for op, _ in general])
         jumps = np.tensordot(ops, ops.conj(), axes=(0, 0))  # [a, b, c, d] = sum op_ab conj(op_cd)
@@ -227,39 +247,111 @@ def _liouvillian(h: np.ndarray, collapse: _Collapse) -> np.ndarray:
     return gen
 
 
-def _rk4_map(generator: np.ndarray, dt: float) -> np.ndarray:
-    """``_rk4_step`` of the linear equation ``d vec/dt = generator @ vec`` as one matrix.
+def _rk4_map(
+    generator: np.ndarray, dt: float, mid: np.ndarray | None = None, end: np.ndarray | None = None
+) -> np.ndarray:
+    """``_rk4_step`` of the linear equation ``d vec/dt = L(t) @ vec`` as one matrix.
 
-    For a linear right-hand side the four stages collapse to the polynomial
-    ``I + A + A^2/2 + A^3/6 + A^4/24`` with ``A = dt * generator``, built in
-    Horner form with three matrix products.
+    ``generator`` is L at the start of the step; a time-dependent caller also
+    passes L at its middle and end, the stage times, as to ``_rk4_step``, and
+    stacks of them give the stack of maps.  The stages compose as
+    ``K2 = L_mid (I + dt/2 L)``, ``K3 = L_mid (I + dt/2 K2)`` and
+    ``K4 = L_end (I + dt K3)``, and the step is
+    ``I + dt/6 (L + 2 K2 + 2 K3 + K4)``.  For a fixed L that is the
+    polynomial ``I + A + A^2/2 + A^3/6 + A^4/24`` with ``A = dt L``, built in
+    Horner form.  Either way it takes three matrix products.
     """
-    a = dt * generator
-    diag = np.diag_indices_from(a)
-    step = a / 24
-    step[diag] += 1 / 6
-    for c in (0.5, 1.0, 1.0):
-        step = a @ step
-        step[diag] += c
+    if mid is None and end is None:
+        a = dt * generator
+        diag = np.diag_indices_from(a)
+        step = a / 24
+        step[diag] += 1 / 6
+        for c in (0.5, 1.0, 1.0):
+            step = a @ step
+            step[diag] += c
+        return step
+    k2 = mid + (0.5 * dt) * (mid @ generator)
+    k3 = mid + (0.5 * dt) * (mid @ k2)
+    k4 = end + dt * (end @ k3)
+    step = (dt / 6.0) * (generator + 2 * k2 + 2 * k3 + k4)
+    diagonal = np.arange(step.shape[-1])
+    step[..., diagonal, diagonal] += 1.0
     return step
 
 
-def _step_map_pays(dim: int, n_general: int, n_steps: int, n_maps: int) -> bool:
+#: Chebyshev points of the first kind on [-1, 1]: where ``_polynomial_step_maps`` samples.
+_CHEBYSHEV_5 = np.cos((2 * np.arange(5) + 1) * math.pi / 10)
+
+
+def _polynomial_step_maps(
+    generators: Callable[[np.ndarray], np.ndarray], start: float, stop: float, dt: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """RK4 step maps of length ``dt`` for a Liouvillian affine in time on ``[start, stop]``.
+
+    With ``L(t) = A + t B`` the stage-time map of a step starting at ``t`` is
+    a polynomial of degree 4 in ``t``, fixed by its values at five points.
+    Returns the five Chebyshev points of ``[start, stop]`` and the maps of the
+    steps starting there, stacked on the first axis; ``_lagrange_weights``
+    combines them into the map of any step starting in the interval.
+    ``generators(times)`` returns L at each time, stacked on the first axis,
+    and is called once with the three stage times of every point.
+    """
+    nodes = 0.5 * (start + stop) + 0.5 * (stop - start) * _CHEBYSHEV_5
+    stages = generators((nodes[:, None] + np.array([0.0, 0.5 * dt, dt])).reshape(-1))
+    stages = stages.reshape((5, 3) + stages.shape[1:])
+    return nodes, _rk4_map(stages[:, 0], dt, stages[:, 1], stages[:, 2])
+
+
+def _lagrange_weights(nodes: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """``w[i, j]``: weight of the value at ``nodes[j]`` in the interpolant at ``times[i]``."""
+    off = ~np.eye(nodes.size, dtype=bool)
+    denominators = np.prod(np.where(off, nodes[:, None] - nodes, 1.0), axis=1)
+    factors = np.where(off, (times[:, None] - nodes)[:, None, :], 1.0)
+    return np.prod(factors, axis=2) / denominators
+
+
+def _batch_pays(
+    n_steps: int, loop_calls: float, loop_products: float, step_products: float,
+    setup_products: float = 0.0, nbytes: int = 0,
+) -> bool:
+    """Whether a walk that prepares its substeps in batches beats taking them one at a time.
+
+    Costs count complex multiply-adds, plus ``CALL_COST`` for each numpy
+    call.  The loop makes ``loop_calls`` calls and ``loop_products``
+    multiply-adds per substep.  The batched walk spends ``setup_products``
+    once, then ``step_products`` and at most one call per substep.  A batch
+    that holds more than ``STEP_MAP_MAX_BYTES`` is refused whatever the costs
+    say.
+    """
+    if nbytes > STEP_MAP_MAX_BYTES:
+        return False
+    batched = setup_products + n_steps * (step_products + CALL_COST)
+    return batched < n_steps * (loop_calls * CALL_COST + loop_products)
+
+
+def _step_map_pays(
+    dim: int, n_general: int, n_steps: int, n_maps: int, nodes: int = 1, held: int = 1
+) -> bool:
     """Whether ``n_maps`` RK4 step maps plus ``n_steps`` products with them beat ``n_steps`` RK4 steps.
 
-    Costs count complex multiply-adds, plus ``CALL_COST`` for each numpy call.
-    One ``_rk4_step`` makes ``37 + 36 * n_general`` calls and
-    ``4 * (2 + 4 * n_general)`` products of ``dim x dim`` matrices; a map
-    costs three products of ``dim^2 x dim^2`` matrices, then one
-    matrix-vector product per substep.  A map above ``STEP_MAP_MAX_BYTES`` is
-    refused whatever the costs say.
+    ``_batch_pays`` with the counts of both walks.  One ``_rk4_step`` makes
+    ``37 + 36 * n_general`` calls and ``4 * (2 + 4 * n_general)`` products of
+    ``dim x dim`` matrices; a map costs three products of ``dim^2 x dim^2``
+    matrices at each of its ``nodes`` (1 for a fixed Liouvillian, 5 for one
+    affine in time), then one matrix-vector product per substep, after
+    combining the node maps when there are several.  ``held`` maps of
+    ``dim^2 x dim^2`` are kept at once.
     """
     n = dim * dim
-    if 16 * n * n > STEP_MAP_MAX_BYTES:
-        return False
-    stepping = n_steps * ((37 + 36 * n_general) * CALL_COST + 4 * (2 + 4 * n_general) * dim**3)
-    mapping = n_maps * 3 * n**3 + n_steps * (n * n + CALL_COST)
-    return mapping < stepping
+    combine = nodes * n * n if nodes > 1 else 0
+    return _batch_pays(
+        n_steps,
+        37 + 36 * n_general,
+        4 * (2 + 4 * n_general) * dim**3,
+        combine + n * n,
+        n_maps * nodes * 3 * n**3,
+        16 * n * n * held,
+    )
 
 
 def spectral_norm(operator: HermitianOperator | np.ndarray) -> float:
@@ -273,39 +365,64 @@ def rk4_max_step(h_norm: float, max_rate: float) -> float:
     return STEP_SAFETY / max(h_norm, max_rate, 1e-12)
 
 
+def _substep_grid(checkpoints: np.ndarray, step: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Start, substep count and substep length of every checkpoint gap ``_substeps`` walks.
+
+    A gap of positive span is cut into ``max(1, ceil(span / step))`` equal
+    substeps; any other gap gets none (and a length of 0).
+
+    Raises
+    ------
+    ConfigError : if the walk needs more than ``SUBSTEP_BUDGET`` substeps.
+    """
+    starts = np.concatenate(([0.0], checkpoints[:-1]))
+    spans = checkpoints - starts
+    counts = np.where(spans > 0, np.maximum(1.0, np.ceil(spans / step)), 0.0)
+    total = counts.sum()
+    if not total <= SUBSTEP_BUDGET:  # also rejects an infinite count
+        raise ConfigError(
+            f"the walk needs {total:.0f} substeps of at most {step:.3e}, above the budget of "
+            f"{SUBSTEP_BUDGET}; shorten the run or lower the rates"
+        )
+    counts = counts.astype(int)
+    lengths = np.divide(spans, counts, out=np.zeros_like(spans), where=counts > 0)
+    return starts, counts, lengths
+
+
 def _substeps(
     state: np.ndarray,
     checkpoints: np.ndarray,
     step: float,
-    advance: Callable[[np.ndarray, np.ndarray, float], np.ndarray],
+    advance: Callable[[np.ndarray, float, np.ndarray, float], np.ndarray],
 ) -> Iterator[tuple[int, float, np.ndarray]]:
     """Carry ``state`` from time 0 through sorted checkpoints in short substeps.
 
-    Each gap between checkpoints is cut into ``max(1, ceil(span / step))``
-    equal substeps of length ``dt``.  ``advance(state, midpoints, dt)`` is
-    called once per gap with the array of that gap's substep midpoints, in
-    time order, and returns the state after taking every substep in turn:
-    with the Hamiltonian frozen at each midpoint (the closed ramp), fixed
-    (``lindblad_evolve``), or evaluated at RK4's stage times around each
-    midpoint (the dephased ramp).  Working a gap at a time lets ``advance``
-    batch per-substep work (building or diagonalizing the Hamiltonians) while
-    its memory stays bounded by one gap.  Yields ``(index, time, state)`` at
-    every checkpoint.  A density matrix, or a stack of them along the first
-    axis, has every trace checked there first.
+    Each gap between checkpoints is cut into ``n = max(1, ceil(span / step))``
+    equal substeps of length ``dt`` (``_substep_grid``, which also refuses a
+    walk above ``SUBSTEP_BUDGET`` substeps before any is taken).
+    ``advance(state, start, index, dt)`` takes the substeps numbered
+    ``index`` (consecutive, at most ``SUBSTEP_CHUNK`` of them) of the gap
+    that begins at ``start``, in time order, and returns the state after
+    them.  Substep ``k`` runs from ``start + k * dt``; its midpoint is
+    ``start + (k + 0.5) * dt``.  Every chunk of a gap therefore sees the
+    times the whole gap would, while ``advance`` batches per-substep work
+    (building or diagonalizing the Hamiltonians, forming step maps or
+    unitaries) over a bounded number of substeps.  H may be frozen at each
+    midpoint (the closed ramp), fixed (``lindblad_evolve``), or evaluated at
+    RK4's stage times (the dephased ramp).  Yields ``(index, time, state)``
+    at every checkpoint.  A density matrix, or a stack of them along the
+    first axis, has every trace checked there first.
 
     Raises
     ------
+    ConfigError : if the walk needs more than ``SUBSTEP_BUDGET`` substeps.
     NumericalError : if a density-matrix trace drifts by more than
         ``TRACE_TOL`` or stops being finite, which means the step is too large.
     """
-    now = 0.0
-    for i, target in enumerate(checkpoints):
-        span = target - now
-        if span > 0:
-            n_sub = max(1, math.ceil(span / step))
-            dt = span / n_sub
-            state = advance(state, now + (np.arange(n_sub) + 0.5) * dt, dt)
-            now = target
+    starts, counts, lengths = _substep_grid(checkpoints, step)
+    for i, (target, start, n_sub, dt) in enumerate(zip(checkpoints, starts, counts, lengths)):
+        for first in range(0, n_sub, SUBSTEP_CHUNK):
+            state = advance(state, start, np.arange(first, min(first + SUBSTEP_CHUNK, n_sub)), dt)
         if state.ndim >= 2:
             drift = abs(state.trace(axis1=-2, axis2=-1).real - 1.0).max()
             if not drift <= TRACE_TOL:  # also rejects NaN
@@ -392,28 +509,25 @@ def lindblad_evolve(
     coherences = np.empty(t.size)
     snapshots: list[DensityMatrix] = []
 
-    # The substep grid of ``_substeps``: the number and lengths of the substeps.
-    spans = np.diff(t, prepend=0.0)
-    spans = spans[spans > 0]
-    n_sub = np.maximum(1.0, np.ceil(spans / step))
-    n_maps = len(set((spans / n_sub).tolist()))
-    if _step_map_pays(rho0.dim, len(collapse[1]), int(n_sub.sum()), n_maps):
+    _, counts, lengths = _substep_grid(t, step)
+    n_maps = len(set(lengths[counts > 0].tolist()))
+    if _step_map_pays(rho0.dim, len(collapse[1]), int(counts.sum()), n_maps):
         generator = _liouvillian(h, collapse)
         maps: dict[float, np.ndarray] = {}
 
-        def advance(rho: np.ndarray, midpoints: np.ndarray, dt: float) -> np.ndarray:
+        def advance(rho: np.ndarray, start: float, index: np.ndarray, dt: float) -> np.ndarray:
             step_map = maps.get(dt)
             if step_map is None:
                 step_map = maps[dt] = _rk4_map(generator, dt)
             vec = rho.reshape(-1)
-            for _ in midpoints:
+            for _ in index:
                 vec = step_map @ vec
             return vec.reshape(rho.shape)
 
     else:
 
-        def advance(rho: np.ndarray, midpoints: np.ndarray, dt: float) -> np.ndarray:
-            for _ in midpoints:
+        def advance(rho: np.ndarray, start: float, index: np.ndarray, dt: float) -> np.ndarray:
+            for _ in index:
                 rho = _rk4_step(h, rho, dt, collapse)
             return rho
 

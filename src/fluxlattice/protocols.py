@@ -38,10 +38,17 @@ from .open_system import (
     DensityMatrix,
     DephasingRates,
     STAGE_TIME_STEP_FACTOR,
+    SUBSTEP_CHUNK,
+    _batch_pays,
     _bhattacharyya,
     _collapse_terms,
     _embed_vacuum,
+    _lagrange_weights,
+    _liouvillian,
+    _polynomial_step_maps,
     _rk4_step,
+    _step_map_pays,
+    _substep_grid,
     _substeps,
     dephasing_operators,
     fidelity,
@@ -350,12 +357,14 @@ class RampSchedule:
 
     def evaluator(
         self, sites: Sequence[SiteId]
-    ) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
+    ) -> Callable[..., tuple[np.ndarray, np.ndarray]]:
         """Vectorized schedule over ``sites``: times -> (J per time, detuning per time and site).
 
         The per-segment coupling and detuning vectors are built here, once;
         the returned function interpolates ``start + frac * (end - start)``
-        inside the segment ``_locate`` picks.
+        inside the segment ``_locate`` picks.  Called as
+        ``evaluate(times, segment=k)`` it uses segment ``k``'s line at every
+        time, extended past the segment's ends.
         """
         column = {site: i for i, site in enumerate(sites)}
         shape = (len(self.segments), len(column))
@@ -368,9 +377,15 @@ class RampSchedule:
                     table[k, column[site]] = value
         j_start = np.array([seg.j_start for seg in self.segments])
         j_end = np.array([seg.j_end for seg in self.segments])
+        durations = [seg.duration for seg in self.segments]
+        offsets = np.cumsum([0.0, *durations])
 
-        def evaluate(times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            k, frac = self._locate(times)
+        def evaluate(times: np.ndarray, segment: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+            if segment is None:
+                k, frac = self._locate(times)
+            else:
+                k = segment
+                frac = (np.asarray(times, dtype=float) - offsets[segment]) / durations[segment]
             j = j_start[k] + frac * (j_end[k] - j_start[k])
             det = d_start[k] + frac[..., None] * (d_end[k] - d_start[k])
             return j, det
@@ -519,6 +534,22 @@ def adiabatic_ramps(
     below the norm of H), with every segment boundary on a step edge.
     Returns the closed result and one result per rate set, whose fidelities
     are against the closed ground populations.
+
+    Both walks go through ``_substeps`` a chunk of at most ``SUBSTEP_CHUNK``
+    substeps at a time, and one cost rule (``_batch_pays``, with
+    ``_step_map_pays`` for the dephased walk) picks how each takes a chunk:
+    one Python loop turn per substep, or a few batched products.  Batched,
+    the closed walk multiplies the chunk's unitaries by pairwise halving and
+    the dephased walk takes each substep's RK4 map from a degree-4
+    polynomial in its start time.  Both choices take the same steps and agree
+    to round-off; the batched ones pay on small lattices, and no choice
+    depends on the number of rate sets.
+
+    Raises
+    ------
+    ConfigError : for an invalid schedule, or a walk above
+        ``SUBSTEP_BUDGET`` substeps (checked before any substep is taken).
+    NumericalError : if a density-matrix trace drifts (the step is too large).
     """
     if n_checkpoints < 1:
         raise ConfigError("a ramp needs at least one checkpoint")
@@ -535,9 +566,9 @@ def adiabatic_ramps(
     coefficients = schedule.evaluator(lattice_final.sites)
     diagonal = np.arange(n)
 
-    def hamiltonians(times: np.ndarray) -> np.ndarray:
-        """Stack of single-excitation Hamiltonians, one per time."""
-        j, det = coefficients(times)
+    def hamiltonians(times: np.ndarray, segment: int | None = None) -> np.ndarray:
+        """Stack of single-excitation Hamiltonians, one per time (on ``segment``'s line if given)."""
+        j, det = coefficients(times, segment)
         # Exactly the entries ``np.diag`` gives per time; ``det * eye`` would
         # put -0.0 off the diagonal for negative detunings.
         detuning = np.zeros((j.size, n, n))
@@ -550,43 +581,99 @@ def adiabatic_ramps(
         spectral_norm(h) for h in hamiltonians(np.linspace(0.0, total, 4 * len(schedule.segments) + 1))
     )
 
-    # Each gap's Hamiltonians are built together (and, closed, diagonalized in
-    # one stacked eigh) but applied one substep at a time, in order.
-    def unitary(psi: np.ndarray, midpoints: np.ndarray, dt: float) -> np.ndarray:
-        energies, vectors = np.linalg.eigh(hamiltonians(midpoints))
-        for phase, v in zip(np.exp(-1j * energies * dt), vectors):
-            psi = v @ (phase * (v.conj().T @ psi))
-        return psi
+    # Closed: H frozen at each substep's midpoint, so a substep is the exact
+    # unitary of one Hamiltonian; a chunk's Hamiltonians are diagonalized in
+    # one stacked eigh.  Either each unitary is applied to psi in turn, or
+    # (when ``_batch_pays`` says so: small lattices) the unitaries are formed
+    # in one batched product and multiplied by pairwise halving, later
+    # substeps on the left, before one product with psi.  A looped substep
+    # costs 4 numpy calls and 2n^2 + n multiply-adds, a batched one about
+    # 2n^3 (forming its unitary and its share of the halving).
+    closed_step = rk4_max_step(norm_bound, 0.0)
+    _, counts, _ = _substep_grid(checkpoints, closed_step)
+    longest = min(SUBSTEP_CHUNK, int(counts.max()))
+    pairwise = _batch_pays(int(counts.sum()), 4, 2 * n * n + n, 2 * n**3, nbytes=16 * n * n * longest)
+
+    def unitary(psi: np.ndarray, start: float, index: np.ndarray, dt: float) -> np.ndarray:
+        energies, vectors = np.linalg.eigh(hamiltonians(start + (index + 0.5) * dt))
+        if not pairwise:
+            for phase, v in zip(np.exp(-1j * energies * dt), vectors):
+                psi = v @ (phase * (v.conj().T @ psi))
+            return psi
+        u = (vectors * np.exp(-1j * energies * dt)[:, None, :]) @ vectors.conj().swapaxes(1, 2)
+        while len(u) > 1:
+            if len(u) % 2:
+                psi = u[0] @ psi
+                u = u[1:]
+            u = u[1::2] @ u[0::2]
+        return u[0] @ psi
 
     psi0 = np.zeros(n, dtype=complex)
     psi0[lattice_final.site_index(site)] = 1.0
-    closed = _substeps(psi0, checkpoints, rk4_max_step(norm_bound, 0.0), unitary)
+    closed = _substeps(psi0, checkpoints, closed_step, unitary)
     dephased = (() for _ in checkpoints)
     if rate_sets:
         # One (R, L+1, L+1) decay stack; a set without nonzero rates decays nowhere.
         decays = [_collapse_terms(dephasing_operators(rates, n + 1))[0] for rates in rate_sets]
         collapse = (np.array([np.zeros((n + 1, n + 1)) if d is None else d for d in decays]), [])
 
-        def lindblad(rho: np.ndarray, midpoints: np.ndarray, dt: float) -> np.ndarray:
-            # H at the stage times t, t + dt/2 and t + dt of every substep;
-            # each substep's end is the next one's start.
-            stage_times = midpoints[0] + (np.arange(2 * midpoints.size + 1) - 1) * (0.5 * dt)
-            stages = _embed_vacuum(hamiltonians(stage_times))
-            for k in range(midpoints.size):
-                rho = _rk4_step(stages[2 * k], rho, dt, collapse, stages[2 * k + 1], stages[2 * k + 2])
-            return rho
-
         # Segment boundaries become substep edges (a kink inside a substep
         # would cost the fourth order) but yield no result row.  Python sets,
         # since ``np.union1d`` imports ``numpy.ma`` (6 MB) on its first call.
+        offsets = np.cumsum([0.0] + [seg.duration for seg in schedule.segments])
         rows = set(checkpoints.tolist())
-        boundaries = np.cumsum([seg.duration for seg in schedule.segments]).tolist()
-        grid = sorted(rows.union(b for b in boundaries if 0 < b < checkpoints[-1]))
+        grid = np.array(sorted(rows.union(b for b in offsets[1:].tolist() if 0 < b < checkpoints[-1])))
         keep = [t in rows for t in grid]
-        stack = np.repeat(DensityMatrix.single_excitation(lattice_final, site).matrix[None], len(rate_sets), 0)
+        sets = len(rate_sets)
+        stack = np.repeat(DensityMatrix.single_excitation(lattice_final, site).matrix[None], sets, 0)
         max_rate = max(float(rates.values.max(initial=0.0)) for rates in rate_sets)
         step = STAGE_TIME_STEP_FACTOR * rk4_max_step(norm_bound, max_rate)
-        dephased = (rhos for i, _, rhos in _substeps(stack, np.array(grid), step, lindblad) if keep[i])
+
+        # Every gap lies inside one segment, where H is affine in time.
+        starts, counts, lengths = _substep_grid(grid, step)
+        walked = counts > 0
+        segments = schedule._locate(0.5 * (starts + grid)[walked])[0]
+        segment_of = dict(zip(starts[walked].tolist(), segments.tolist()))
+        n_maps = len(set(zip(segments.tolist(), lengths[walked].tolist())))
+        held = 5 + min(SUBSTEP_CHUNK, int(counts.max()))
+        if _step_map_pays(n, 0, int(counts.sum()), n_maps, nodes=5, held=held):
+            # The steps of one length inside one segment are one degree-4
+            # polynomial in their start time (``_polynomial_step_maps``), on
+            # the n^2 x n^2 Liouvillian without the vacuum, whose row and
+            # column stay zero.  One product with a chunk's Lagrange weights
+            # gives its substeps' maps; each substep is then one stacked product.
+            decay_stack = collapse[0][:, 1:, 1:]
+            node_maps: dict[tuple[int, float], tuple[np.ndarray, np.ndarray]] = {}
+
+            def lindblad(rho: np.ndarray, start: float, index: np.ndarray, dt: float) -> np.ndarray:
+                segment = segment_of[start]
+                if (segment, dt) not in node_maps:
+                    nodes, maps = _polynomial_step_maps(
+                        lambda times: _liouvillian(hamiltonians(times, segment)[:, None], (decay_stack, [])),
+                        offsets[segment], offsets[segment + 1], dt,
+                    )
+                    node_maps[segment, dt] = nodes, maps.transpose(1, 0, 2, 3).reshape(sets, 5, n**4)
+                nodes, maps = node_maps[segment, dt]
+                step_maps = (_lagrange_weights(nodes, start + index * dt) @ maps).reshape(sets, -1, n * n, n * n)
+                vec = rho[:, 1:, 1:].reshape(sets, n * n, 1)
+                for k in range(index.size):
+                    vec = step_maps[:, k] @ vec
+                out = np.zeros_like(rho)
+                out[:, 1:, 1:] = vec.reshape(sets, n, n)
+                return out
+
+        else:
+
+            def lindblad(rho: np.ndarray, start: float, index: np.ndarray, dt: float) -> np.ndarray:
+                # H at the stage times t, t + dt/2 and t + dt of every substep;
+                # each substep's end is the next one's start.
+                stage_times = (start + 0.5 * dt) + (np.arange(2 * index[0], 2 * index[-1] + 3) - 1) * (0.5 * dt)
+                stages = _embed_vacuum(hamiltonians(stage_times))
+                for k in range(index.size):
+                    rho = _rk4_step(stages[2 * k], rho, dt, collapse, stages[2 * k + 1], stages[2 * k + 2])
+                return rho
+
+        dephased = (rhos for i, _, rhos in _substeps(stack, grid, step, lindblad) if keep[i])
 
     fidelities = np.empty((1 + len(rate_sets), checkpoints.size))
     gaps = np.empty(checkpoints.size)

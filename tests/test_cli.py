@@ -406,6 +406,7 @@ def _sample_device_with(**fields):
         (["adiabatic", "--config"], "{not json"),
         (["adiabatic", "--schedule"], "[{"),
         (["crosstalk-fit", "--responses"], "source,target,source_zpa\nZ1,Z2,0.5\n"),
+        (["crosstalk-fit", "--responses"], "source,target,source_zpa,target_zpa\nZ1,Z2,0,0\nZ1,Z2,1,inf\n"),
         (["adiabatic", "--config"], '{"l": "x"}'),
         (["adiabatic", "--config"], '{"duration_over_J": "abc"}'),
         (["adiabatic", "--config"], '{"duration_over_J": 3, "J_MHz": -4.2}'),
@@ -456,6 +457,7 @@ def _sample_device_with(**fields):
         "bad-config-json",
         "bad-schedule-json",
         "three-column-responses",
+        "responses-infinite",
         "config-l-not-int",
         "config-duration-not-number",
         "config-j-mhz-negative",
@@ -517,6 +519,11 @@ def test_bad_input_file_exits_2(tmp_path, argv, content):
         ["spectroscopy", "--j-mhz", "nan"],
         ["adiabatic", "--l", "1", "--duration", "3", "--j-mhz", "4.2", "--dephasing-us", "1,1.0"],
         ["adiabatic", "--l", "1", "--duration", "3", "--j-mhz", "4.2", "--dephasing-us", "10,3,1e1"],
+        ["bands", "--model", "trimer", "--delta-over-sqrt2j", "nan"],
+        ["crosstalk-fit", "--seed", "-1"],
+        ["detuning-sweep", "--delta", ","],
+        # 2.8e8 substeps: refused by the budget before any array is built.
+        ["adiabatic", "--l", "1", "--duration", "30", "--j-mhz", "4.2", "--dephasing-us", "1e-7"],
     ],
     ids=[
         "tmax",
@@ -546,10 +553,32 @@ def test_bad_input_file_exits_2(tmp_path, argv, content):
         "spectroscopy-j-mhz-nan",
         "adiabatic-dephasing-repeated",
         "adiabatic-dephasing-repeated-exponent",
+        "bands-trimer-delta-nan",
+        "crosstalk-seed-negative",
+        "sweep-delta-empty",
+        "adiabatic-substep-budget",
     ],
 )
 def test_bad_argument_exits_2(tmp_path, argv):
     assert main([*argv, "--outdir", str(tmp_path / "out")]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # Finite and nonnegative, but the synthetic responses overflow.
+        ["crosstalk-fit", "--noise", "1e308"],
+    ],
+    ids=["crosstalk-noise-overflow"],
+)
+def test_infeasible_argument_exits_3(tmp_path, argv):
+    assert main([*argv, "--outdir", str(tmp_path / "out")]) == 3
+
+
+def test_substep_budget_names_the_count(tmp_path, capsys):
+    argv = ["adiabatic", "--l", "1", "--duration", "30", "--j-mhz", "4.2", "--dephasing-us", "1e-7"]
+    assert main([*argv, "--outdir", str(tmp_path / "out")]) == 2
+    assert "284205300 substeps" in capsys.readouterr().err
 
 
 def test_parser_lists_all_subcommands():

@@ -346,6 +346,77 @@ class TestStepMap:
             )
 
 
+class TestPolynomialStepMap:
+    @given(
+        st.integers(2, 5),
+        st.integers(0, 2),
+        st.floats(0.0, 1.0),
+        st.floats(1e-3, 0.05),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_map_is_the_stage_time_rk4_step(self, dim, n_general, where, dt, seed):
+        # H affine in time across [start, stop]; the interpolated map of a step
+        # starting anywhere in it is one stage-time RK4 step.
+        rng = np.random.default_rng(seed)
+        a, b = _random_matrix(rng, dim), _random_matrix(rng, dim)
+        a, b = a + a.conj().T, b + b.conj().T
+        ops = [np.diag(rng.uniform(0, 1, dim) + 0j)] + [_random_matrix(rng, dim) for _ in range(n_general)]
+        collapse = open_system._collapse_terms(ops)
+        start = rng.uniform(0, 30)
+        stop = start + dt + rng.uniform(0, 10)
+
+        def h(t):
+            return a + ((t - start) / (stop - start)) * b
+
+        nodes, maps = open_system._polynomial_step_maps(
+            lambda times: open_system._liouvillian(np.array([h(t) for t in times]), collapse), start, stop, dt
+        )
+        t = start + where * (stop - start - dt)
+        step_map = (open_system._lagrange_weights(nodes, np.array([t])) @ maps.reshape(5, -1)).reshape(maps.shape[1:])
+        rho = _random_matrix(rng, dim)
+        rho = rho + rho.conj().T
+        expected = open_system._rk4_step(h(t), rho, dt, collapse, h(t + 0.5 * dt), h(t + dt))
+        assert np.abs((step_map @ rho.reshape(-1)).reshape(dim, dim) - expected).max() < 1e-13
+
+
+class TestSubsteps:
+    def test_chunks_cover_each_gap_in_order(self, monkeypatch):
+        monkeypatch.setattr(open_system, "SUBSTEP_CHUNK", 5)
+        calls = []
+
+        def advance(state, start, index, dt):
+            calls.append((start, dt, index.tolist()))
+            return state
+
+        # Gaps of 2 and 3 at step 0.25: 8 and 12 substeps of exactly 0.25.
+        list(open_system._substeps(np.zeros(2), np.array([0.0, 2.0, 5.0]), 0.25, advance))
+        assert calls == [
+            (0.0, 0.25, [0, 1, 2, 3, 4]), (0.0, 0.25, [5, 6, 7]),
+            (2.0, 0.25, [0, 1, 2, 3, 4]), (2.0, 0.25, [5, 6, 7, 8, 9]), (2.0, 0.25, [10, 11]),
+        ]
+
+    def test_budget_refused_before_any_step(self, monkeypatch):
+        monkeypatch.setattr(open_system, "SUBSTEP_BUDGET", 19)
+
+        def advance(*args):
+            raise AssertionError("stepped")
+
+        with pytest.raises(ConfigError, match="needs 20 substeps"):
+            next(open_system._substeps(np.zeros(2), np.array([2.0, 5.0]), 0.25, advance))
+
+    def test_lindblad_budget(self):
+        lat = build_lattice(1, [PI])
+        with pytest.raises(ConfigError, match="substeps"):
+            lindblad_evolve(
+                with_vacuum(hamiltonian_single_excitation(lat)),
+                DephasingRates.uniform(4, 0.1),
+                DensityMatrix.single_excitation(lat, "A,1"),
+                [0.0, 1.0],
+                max_step=1e-8,
+            )
+
+
 class TestFidelity:
     def test_equal_distributions(self):
         n = np.array([0.25, 0.25, 0.5])

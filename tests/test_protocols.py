@@ -487,3 +487,95 @@ class TestStageTimeRamp:
         monkeypatch.setattr(open_system, "STEP_SAFETY", 0.001)
         reference = self._outputs(adiabatic_prepare(lat, sched, "A,1", rates, n_checkpoints=11))
         assert np.abs(run - reference).max() < midpoint_error / 10
+
+
+class TestRampCostRule:
+    """Both sides of each ramp walk's cost rule take the same steps and agree to round-off."""
+
+    @staticmethod
+    def _force(monkeypatch, name, pick):
+        """Record the picks of ``protocols.<name>``; return ``pick`` instead unless it is None."""
+        picks = []
+        rule = getattr(protocols, name)
+
+        def spy(*args, **kwargs):
+            picks.append(rule(*args, **kwargs))
+            return picks[-1] if pick is None else pick
+
+        monkeypatch.setattr(protocols, name, spy)
+        return picks
+
+    @staticmethod
+    def _outputs(run):
+        return np.concatenate([
+            run.gs_fidelity, run.final_populations, run.ground_populations,
+            [run.final_gs_overlap, run.population_fidelity, run.population_fidelity_raw],
+        ])
+
+    @pytest.mark.parametrize("l, pairwise", [(1, True), (4, True), (5, False)])
+    def test_closed_walks_agree(self, monkeypatch, l, pairwise):
+        # Pairwise products pay up to n = 13 sites (l = 4), not from n = 16 (l = 5).
+        lat = build_lattice(l, [PI] * l)
+        sched = two_stage_ramp(lat, "A,1", 6.0)
+        runs = {}
+        for pick in (None, True, False):
+            picks = self._force(monkeypatch, "_batch_pays", pick)
+            runs[pick] = self._outputs(adiabatic_ramps(lat, sched, "A,1", n_checkpoints=11)[0])
+            assert picks == [pairwise]
+            monkeypatch.undo()
+        assert np.array_equal(runs[None], runs[pairwise])
+        assert np.abs(runs[True] - runs[False]).max() < 1e-12
+
+    @pytest.mark.parametrize("l, maps", [(1, True), (2, True), (3, False)])
+    def test_dephased_walks_agree(self, monkeypatch, l, maps):
+        lat = build_lattice(l, [0.0] * l)
+        sched = two_stage_ramp(lat, "A,1", 6.0)
+        rate_sets = [
+            DephasingRates.uniform(lat.num_sites, 0.0379),
+            DephasingRates(np.linspace(0.0, 0.1, lat.num_sites)),
+        ]
+        runs = {}
+        for pick in (None, True, False):
+            picks = self._force(monkeypatch, "_step_map_pays", pick)
+            _, dephased = adiabatic_ramps(lat, sched, "A,1", rate_sets, n_checkpoints=11)
+            runs[pick] = np.concatenate([self._outputs(run) for run in dephased])
+            assert picks == [maps]
+            monkeypatch.undo()
+        assert np.array_equal(runs[None], runs[maps])
+        assert np.abs(runs[True] - runs[False]).max() < 1e-12
+
+    def test_dephased_walks_agree_across_kinks(self, monkeypatch):
+        lat, sched = TestStageTimeRamp._kinked()
+        rates = [DephasingRates.uniform(4, 0.0379)]
+        runs = []
+        for pick in (True, False):
+            self._force(monkeypatch, "_step_map_pays", pick)
+            _, (run,) = adiabatic_ramps(lat, sched, "A,1", rates, n_checkpoints=8)
+            runs.append(self._outputs(run))
+            monkeypatch.undo()
+        assert np.abs(runs[0] - runs[1]).max() < 1e-12
+
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_chunks_match_whole_gaps(self, monkeypatch, batched):
+        # Chunks see the substep times of the whole gap: the loops change no
+        # bit, and the batched walks only regroup their products.
+        lat = build_lattice(1, [PI])
+        sched = two_stage_ramp(lat, "A,1", 6.0)
+        rates = [DephasingRates.uniform(4, 0.0379)]
+        monkeypatch.setattr(protocols, "_batch_pays", lambda *a, **k: batched)
+        monkeypatch.setattr(protocols, "_step_map_pays", lambda *a, **k: batched)
+        runs = []
+        for chunk in (open_system.SUBSTEP_CHUNK, 5):
+            monkeypatch.setattr(open_system, "SUBSTEP_CHUNK", chunk)
+            closed, (run,) = adiabatic_ramps(lat, sched, "A,1", rates, n_checkpoints=11)
+            runs.append(np.concatenate([self._outputs(closed), self._outputs(run)]))
+        if batched:
+            assert np.abs(runs[0] - runs[1]).max() < 1e-12
+        else:
+            assert np.array_equal(runs[0], runs[1])
+
+    def test_substep_budget(self, monkeypatch):
+        monkeypatch.setattr(open_system, "SUBSTEP_BUDGET", 1000)
+        lat = build_lattice(1, [PI])
+        with pytest.raises(ConfigError, match="substeps"):
+            adiabatic_ramps(lat, two_stage_ramp(lat, "A,1", 30.0), "A,1", n_checkpoints=11)
