@@ -534,6 +534,8 @@ def compare_against_reference(trace: PopulationTrace, metadata: Mapping, oracle:
 
 
 def cmd_verify(args) -> int:
+    if not 0 < args.tolerance < math.inf:  # also rejects NaN
+        raise ConfigError(f"--tolerance must be finite and positive, got {args.tolerance}")
     ctx = RunContext("verify", args)
     doc = read_config_file(args.trace, "trace file")
     trace = PopulationTrace.from_json_dict(doc)

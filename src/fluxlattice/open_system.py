@@ -279,8 +279,13 @@ def _rk4_map(
     return step
 
 
-#: Chebyshev points of the first kind on [-1, 1]: where ``_polynomial_step_maps`` samples.
+#: Chebyshev points of the first kind on [-1, 1]: where the degree-4 interpolants sample.
 _CHEBYSHEV_5 = np.cos((2 * np.arange(5) + 1) * math.pi / 10)
+
+
+def _chebyshev_nodes(start: float, stop: float) -> np.ndarray:
+    """The five Chebyshev points of ``[start, stop]``."""
+    return 0.5 * (start + stop) + 0.5 * (stop - start) * _CHEBYSHEV_5
 
 
 def _polynomial_step_maps(
@@ -296,18 +301,45 @@ def _polynomial_step_maps(
     ``generators(times)`` returns L at each time, stacked on the first axis,
     and is called once with the three stage times of every point.
     """
-    nodes = 0.5 * (start + stop) + 0.5 * (stop - start) * _CHEBYSHEV_5
+    nodes = _chebyshev_nodes(start, stop)
     stages = generators((nodes[:, None] + np.array([0.0, 0.5 * dt, dt])).reshape(-1))
     stages = stages.reshape((5, 3) + stages.shape[1:])
     return nodes, _rk4_map(stages[:, 0], dt, stages[:, 1], stages[:, 2])
 
 
+def _midpoint_unitaries(
+    hamiltonians: Callable[[np.ndarray], np.ndarray], start: float, stop: float, dt: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Unitaries ``exp(-i dt H(t + dt/2))`` of substeps whose midpoint lies in ``[start, stop]``, H affine there.
+
+    The exponent is affine in the substep's start time ``t``, so the unitary
+    is an entire function of ``t``.  Returns the five Chebyshev points of
+    ``[start - dt/2, stop - dt/2]`` and the exact unitaries of the substeps
+    starting there, from one stacked ``eigh``; ``_lagrange_weights`` combines
+    them into the degree-4 interpolant at any start in the interval.  Across
+    it the exponent moves by ``dt * ||H(stop) - H(start)||``, at most
+    ``2 * STEP_SAFETY = 0.02`` under the step rule, which puts the interpolant
+    within about 1e-14 of the exact unitary.  ``hamiltonians(times)`` returns
+    H at each time, stacked on the first axis.
+    """
+    nodes = _chebyshev_nodes(start - 0.5 * dt, stop - 0.5 * dt)
+    energies, vectors = np.linalg.eigh(hamiltonians(nodes + 0.5 * dt))
+    return nodes, (vectors * np.exp(-1j * energies * dt)[:, None, :]) @ vectors.conj().swapaxes(1, 2)
+
+
 def _lagrange_weights(nodes: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """``w[i, j]``: weight of the value at ``nodes[j]`` in the interpolant at ``times[i]``."""
-    off = ~np.eye(nodes.size, dtype=bool)
-    denominators = np.prod(np.where(off, nodes[:, None] - nodes, 1.0), axis=1)
-    factors = np.where(off, (times[:, None] - nodes)[:, None, :], 1.0)
-    return np.prod(factors, axis=2) / denominators
+    """``w[i, j]``: weight of the value at ``nodes[j]`` in the interpolant at ``times[i]``.
+
+    Every difference is scaled by a power of two near the inverse node
+    spread (at most 2^1000, for subnormal spreads), which is exact and keeps
+    the products of a tiny interval (a ramp of 1e-200) from underflowing to
+    0 / 0.
+    """
+    k = nodes.size
+    others = np.nonzero(~np.eye(k, dtype=bool))[1].reshape(k, k - 1)  # row j: every node but j, in order
+    scale = math.ldexp(1.0, min(-math.frexp(np.ptp(nodes))[1], 1000))
+    numerators = ((times[:, None] - nodes) * scale)[:, others].prod(axis=2)
+    return numerators / ((nodes[:, None] - nodes[others]) * scale).prod(axis=1)
 
 
 def _batch_pays(

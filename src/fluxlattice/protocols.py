@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cache, partial
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -35,6 +35,7 @@ from .dynamics import (
     evolve_unitary,
 )
 from .open_system import (
+    CALL_COST,
     DensityMatrix,
     DephasingRates,
     STAGE_TIME_STEP_FACTOR,
@@ -45,6 +46,7 @@ from .open_system import (
     _embed_vacuum,
     _lagrange_weights,
     _liouvillian,
+    _midpoint_unitaries,
     _polynomial_step_maps,
     _rk4_step,
     _step_map_pays,
@@ -516,6 +518,58 @@ def _validate_schedule(
             raise ConfigError(f"schedule must end at the target detuning of {site.label}")
 
 
+def _ramp_hamiltonians(
+    lattice_final: RhombicLattice, schedule: RampSchedule
+) -> Callable[..., np.ndarray]:
+    """``hamiltonians(times, segment=None)``: the ramp's single-excitation H at each time, stacked.
+
+    Hopping signs come from the final lattice; given ``segment``, its line is
+    used at every time (``RampSchedule.evaluator``).
+    """
+    n = lattice_final.num_sites
+    # Hopping pattern at unit coupling, signs taken from the final lattice.
+    h_unit = hamiltonian_single_excitation(
+        RhombicLattice(lattice_final.l, lattice_final.bonds, {}, 1.0)
+    ).matrix
+    coefficients = schedule.evaluator(lattice_final.sites)
+    diagonal = np.arange(n)
+
+    def hamiltonians(times: np.ndarray, segment: int | None = None) -> np.ndarray:
+        j, det = coefficients(times, segment)
+        # Exactly the entries ``np.diag`` gives per time; ``det * eye`` would
+        # put -0.0 off the diagonal for negative detunings.
+        detuning = np.zeros((j.size, n, n))
+        detuning[:, diagonal, diagonal] = det
+        return j[:, None, None] * h_unit + detuning
+
+    return hamiltonians
+
+
+def _segment_runs(
+    offsets: np.ndarray, starts: np.ndarray, counts: np.ndarray, lengths: np.ndarray
+) -> tuple[dict[float, list[tuple[int, int, int]]], int]:
+    """Which substeps of each walked gap (``_substep_grid``'s arrays) lie in which schedule segment.
+
+    Substep ``k`` of a gap starting at ``s`` belongs to the segment that holds
+    its midpoint ``s + (k + 1/2) dt`` (the earlier one at a boundary, as
+    ``RampSchedule._locate`` picks); ``offsets`` are the segment boundaries,
+    from 0 to the end.  Returns, keyed by gap start, the ``(segment, first,
+    stop)`` runs of substep numbers in time order (one run for a gap inside
+    one segment), and the number of distinct ``(segment, dt)`` pairs.
+    """
+    walked = counts > 0
+    s, c, dt = starts[walked], counts[walked], lengths[walked]
+    # Substeps whose midpoint is at or before each inner boundary b: k <= (b - s) / dt - 1/2.
+    inner = np.clip(np.floor((offsets[1:-1] - s[:, None]) / dt[:, None] + 0.5), 0, c[:, None])
+    cuts = np.column_stack((np.zeros_like(c), inner.astype(int), c)).tolist()
+    runs = {
+        start: [(k, lo, hi) for k, (lo, hi) in enumerate(zip(row, row[1:])) if lo < hi]
+        for start, row in zip(s.tolist(), cuts)
+    }
+    pairs = {(k, step) for step, gap in zip(dt.tolist(), runs.values()) for k, _, _ in gap}
+    return runs, len(pairs)
+
+
 def adiabatic_ramps(
     lattice_final: RhombicLattice, schedule: RampSchedule, init_site: SiteId | str,
     rate_sets: Sequence[DephasingRates] = (), *, n_checkpoints: int = 101,
@@ -539,11 +593,16 @@ def adiabatic_ramps(
     substeps at a time, and one cost rule (``_batch_pays``, with
     ``_step_map_pays`` for the dephased walk) picks how each takes a chunk:
     one Python loop turn per substep, or a few batched products.  Batched,
-    the closed walk multiplies the chunk's unitaries by pairwise halving and
-    the dephased walk takes each substep's RK4 map from a degree-4
-    polynomial in its start time.  Both choices take the same steps and agree
-    to round-off; the batched ones pay on small lattices, and no choice
-    depends on the number of rate sets.
+    each walk takes a substep's matrix from a degree-4 interpolant in its
+    start time, through five exact samples per schedule segment (the one
+    that holds the substep's midpoint, ``_segment_runs``) and substep
+    length: the closed walk's unitary (``_midpoint_unitaries``, within about
+    1e-14, so no eigendecomposition per substep), multiplied over the chunk
+    by pairwise halving, and the dephased walk's RK4 map
+    (``_polynomial_step_maps``, exact).  Both choices take the same steps and
+    agree to round-off.  The closed walk batches at every size the memory
+    cap admits, the dephased one on small lattices, and no choice depends on
+    the number of rate sets.
 
     Raises
     ------
@@ -559,54 +618,67 @@ def adiabatic_ramps(
         _validate_schedule(lattice_final, schedule, site)
 
     n = lattice_final.num_sites
-    # Hopping pattern at unit coupling, signs taken from the final lattice.
-    h_unit = hamiltonian_single_excitation(
-        RhombicLattice(lattice_final.l, lattice_final.bonds, {}, 1.0)
-    ).matrix
-    coefficients = schedule.evaluator(lattice_final.sites)
-    diagonal = np.arange(n)
-
-    def hamiltonians(times: np.ndarray, segment: int | None = None) -> np.ndarray:
-        """Stack of single-excitation Hamiltonians, one per time (on ``segment``'s line if given)."""
-        j, det = coefficients(times, segment)
-        # Exactly the entries ``np.diag`` gives per time; ``det * eye`` would
-        # put -0.0 off the diagonal for negative detunings.
-        detuning = np.zeros((j.size, n, n))
-        detuning[:, diagonal, diagonal] = det
-        return j[:, None, None] * h_unit + detuning
-
+    hamiltonians = _ramp_hamiltonians(lattice_final, schedule)
     h_final = hamiltonian_single_excitation(lattice_final).matrix
     checkpoints = np.linspace(0.0, total, n_checkpoints) if total > 0 else np.array([0.0])
+    offsets = np.cumsum([0.0] + [seg.duration for seg in schedule.segments])
     norm_bound = max(
         spectral_norm(h) for h in hamiltonians(np.linspace(0.0, total, 4 * len(schedule.segments) + 1))
     )
 
     # Closed: H frozen at each substep's midpoint, so a substep is the exact
-    # unitary of one Hamiltonian; a chunk's Hamiltonians are diagonalized in
-    # one stacked eigh.  Either each unitary is applied to psi in turn, or
-    # (when ``_batch_pays`` says so: small lattices) the unitaries are formed
-    # in one batched product and multiplied by pairwise halving, later
-    # substeps on the left, before one product with psi.  A looped substep
-    # costs 4 numpy calls and 2n^2 + n multiply-adds, a batched one about
-    # 2n^3 (forming its unitary and its share of the halving).
+    # unitary of one Hamiltonian.  The loop diagonalizes a chunk's
+    # Hamiltonians in one stacked eigh and applies each unitary to psi in
+    # turn.  Per substep that is 4 numpy calls and 2n^2 + n multiply-adds,
+    # plus one LAPACK call (charged as a numpy call) of about 4.5n^3 (the
+    # 9n^3 flops Golub & Van Loan count for eigenvalues and eigenvectors).
+    # Batched, a substep's unitary is an entire function of its start time
+    # inside the segment that holds its midpoint, so a chunk's unitaries come
+    # from one product of Lagrange weights with five exact node unitaries per
+    # segment and substep length (``_midpoint_unitaries``), 5n^2 per substep.
+    # Pairwise halving multiplies them, later substeps on the left, for about
+    # n^3 per substep, before one product with psi.  With no eigh per
+    # substep this pays at every size the memory cap admits (up to n = 88,
+    # l = 29, on the README ramp).
     closed_step = rk4_max_step(norm_bound, 0.0)
-    _, counts, _ = _substep_grid(checkpoints, closed_step)
+    starts, counts, lengths = _substep_grid(checkpoints, closed_step)
+    runs, n_maps = _segment_runs(offsets, starts, counts, lengths)
     longest = min(SUBSTEP_CHUNK, int(counts.max()))
-    pairwise = _batch_pays(int(counts.sum()), 4, 2 * n * n + n, 2 * n**3, nbytes=16 * n * n * longest)
+    pairwise = _batch_pays(
+        int(counts.sum()), 5, 2 * n * n + n + 4.5 * n**3, 5 * n * n + n**3,
+        n_maps * 5 * (CALL_COST + 5.5 * n**3), 16 * n * n * longest,
+    )
+    if pairwise:
 
-    def unitary(psi: np.ndarray, start: float, index: np.ndarray, dt: float) -> np.ndarray:
-        energies, vectors = np.linalg.eigh(hamiltonians(start + (index + 0.5) * dt))
-        if not pairwise:
+        @cache
+        def closed_nodes(segment: int, dt: float) -> tuple[np.ndarray, np.ndarray]:
+            nodes, maps = _midpoint_unitaries(
+                partial(hamiltonians, segment=segment), offsets[segment], offsets[segment + 1], dt
+            )
+            return nodes, maps.reshape(5, n * n)
+
+        def unitary(psi: np.ndarray, start: float, index: np.ndarray, dt: float) -> np.ndarray:
+            for segment, first, stop in runs[start]:
+                steps = np.arange(max(first, index[0]), min(stop, index[-1] + 1))
+                if not steps.size:
+                    continue
+                nodes, maps = closed_nodes(segment, dt)
+                u = (_lagrange_weights(nodes, start + steps * dt) @ maps).reshape(-1, n, n)
+                while len(u) > 1:
+                    if len(u) % 2:
+                        psi = u[0] @ psi
+                        u = u[1:]
+                    u = u[1::2] @ u[0::2]
+                psi = u[0] @ psi
+            return psi
+
+    else:
+
+        def unitary(psi: np.ndarray, start: float, index: np.ndarray, dt: float) -> np.ndarray:
+            energies, vectors = np.linalg.eigh(hamiltonians(start + (index + 0.5) * dt))
             for phase, v in zip(np.exp(-1j * energies * dt), vectors):
                 psi = v @ (phase * (v.conj().T @ psi))
             return psi
-        u = (vectors * np.exp(-1j * energies * dt)[:, None, :]) @ vectors.conj().swapaxes(1, 2)
-        while len(u) > 1:
-            if len(u) % 2:
-                psi = u[0] @ psi
-                u = u[1:]
-            u = u[1::2] @ u[0::2]
-        return u[0] @ psi
 
     psi0 = np.zeros(n, dtype=complex)
     psi0[lattice_final.site_index(site)] = 1.0
@@ -620,7 +692,6 @@ def adiabatic_ramps(
         # Segment boundaries become substep edges (a kink inside a substep
         # would cost the fourth order) but yield no result row.  Python sets,
         # since ``np.union1d`` imports ``numpy.ma`` (6 MB) on its first call.
-        offsets = np.cumsum([0.0] + [seg.duration for seg in schedule.segments])
         rows = set(checkpoints.tolist())
         grid = np.array(sorted(rows.union(b for b in offsets[1:].tolist() if 0 < b < checkpoints[-1])))
         keep = [t in rows for t in grid]
@@ -631,10 +702,7 @@ def adiabatic_ramps(
 
         # Every gap lies inside one segment, where H is affine in time.
         starts, counts, lengths = _substep_grid(grid, step)
-        walked = counts > 0
-        segments = schedule._locate(0.5 * (starts + grid)[walked])[0]
-        segment_of = dict(zip(starts[walked].tolist(), segments.tolist()))
-        n_maps = len(set(zip(segments.tolist(), lengths[walked].tolist())))
+        segment_of, n_maps = _segment_runs(offsets, starts, counts, lengths)
         held = 5 + min(SUBSTEP_CHUNK, int(counts.max()))
         if _step_map_pays(n, 0, int(counts.sum()), n_maps, nodes=5, held=held):
             # The steps of one length inside one segment are one degree-4
@@ -643,17 +711,18 @@ def adiabatic_ramps(
             # column stay zero.  One product with a chunk's Lagrange weights
             # gives its substeps' maps; each substep is then one stacked product.
             decay_stack = collapse[0][:, 1:, 1:]
-            node_maps: dict[tuple[int, float], tuple[np.ndarray, np.ndarray]] = {}
+
+            @cache
+            def dephased_nodes(segment: int, dt: float) -> tuple[np.ndarray, np.ndarray]:
+                nodes, maps = _polynomial_step_maps(
+                    lambda times: _liouvillian(hamiltonians(times, segment)[:, None], (decay_stack, [])),
+                    offsets[segment], offsets[segment + 1], dt,
+                )
+                return nodes, maps.transpose(1, 0, 2, 3).reshape(sets, 5, n**4)
 
             def lindblad(rho: np.ndarray, start: float, index: np.ndarray, dt: float) -> np.ndarray:
-                segment = segment_of[start]
-                if (segment, dt) not in node_maps:
-                    nodes, maps = _polynomial_step_maps(
-                        lambda times: _liouvillian(hamiltonians(times, segment)[:, None], (decay_stack, [])),
-                        offsets[segment], offsets[segment + 1], dt,
-                    )
-                    node_maps[segment, dt] = nodes, maps.transpose(1, 0, 2, 3).reshape(sets, 5, n**4)
-                nodes, maps = node_maps[segment, dt]
+                ((segment, _, _),) = segment_of[start]
+                nodes, maps = dephased_nodes(segment, dt)
                 step_maps = (_lagrange_weights(nodes, start + index * dt) @ maps).reshape(sets, -1, n * n, n * n)
                 vec = rho[:, 1:, 1:].reshape(sets, n * n, 1)
                 for k in range(index.size):

@@ -489,6 +489,18 @@ def test_bad_input_file_exits_2(tmp_path, argv, content):
     assert main([*argv, str(path), "--outdir", str(tmp_path / "out")]) == 2
 
 
+#: Stands in an argv for the trace ``passing_trace`` writes.
+PASSING_TRACE = "<passing trace>"
+
+
+@pytest.fixture(scope="module")
+def passing_trace(tmp_path_factory):
+    """An l = 2, pi-flux dynamics trace that the effective-model oracle passes."""
+    out = tmp_path_factory.mktemp("trace")
+    assert main(["dynamics", "--l", "2", "--flux", "pi", "--init", "A,2", "--outdir", str(out)]) == 0
+    return out / "dynamics.json"
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -524,6 +536,9 @@ def test_bad_input_file_exits_2(tmp_path, argv, content):
         ["detuning-sweep", "--delta", ","],
         # 2.8e8 substeps: refused by the budget before any array is built.
         ["adiabatic", "--l", "1", "--duration", "30", "--j-mhz", "4.2", "--dephasing-us", "1e-7"],
+        # A trace that passes at the default tolerance.
+        ["verify", "--trace", PASSING_TRACE, "--oracle", "effective_model", "--tolerance", "-1"],
+        ["verify", "--trace", PASSING_TRACE, "--oracle", "effective_model", "--tolerance", "nan"],
     ],
     ids=[
         "tmax",
@@ -557,9 +572,14 @@ def test_bad_input_file_exits_2(tmp_path, argv, content):
         "crosstalk-seed-negative",
         "sweep-delta-empty",
         "adiabatic-substep-budget",
+        "verify-tolerance-negative",
+        "verify-tolerance-nan",
     ],
 )
-def test_bad_argument_exits_2(tmp_path, argv):
+def test_bad_argument_exits_2(tmp_path, request, argv):
+    if PASSING_TRACE in argv:
+        trace = str(request.getfixturevalue("passing_trace"))
+        argv = [trace if arg == PASSING_TRACE else arg for arg in argv]
     assert main([*argv, "--outdir", str(tmp_path / "out")]) == 2
 
 

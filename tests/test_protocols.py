@@ -1,7 +1,14 @@
 import math
+import os
+import subprocess
+import sys
+from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fluxlattice import (
     PI,
@@ -22,6 +29,7 @@ from fluxlattice import (
     two_stage_ramp,
     with_vacuum,
 )
+import fluxlattice
 from fluxlattice import open_system, protocols
 from fluxlattice.protocols import adiabatic_ramps
 
@@ -434,6 +442,16 @@ class TestAdiabaticPreparation:
         assert abs(slow_run.population_fidelity - alone.population_fidelity) < 1e-7
 
 
+def _three_segment_ramp(lat):
+    """Couplings up, then the initial-site detuning back to zero in two legs of unequal slope."""
+    site, j = lat.sites[0], lat.J
+    return RampSchedule((
+        RampSegment(10.3, 0.0, j, {site: -4.0 * j}, {site: -4.0 * j}),
+        RampSegment(9.4, j, j, {site: -4.0 * j}, {site: -1.5 * j}),
+        RampSegment(10.3, j, j, {site: -1.5 * j}, {site: 0.0}),
+    ))
+
+
 class TestStageTimeRamp:
     """The dephased ramp is stage-time RK4: fourth order, with schedule kinks on substep edges."""
 
@@ -441,13 +459,7 @@ class TestStageTimeRamp:
     def _kinked():
         # Both segment boundaries (Jt = 10.3 and 19.7) fall inside gaps of the 8 checkpoints.
         lat = build_lattice(1, [PI])
-        site = lat.sites[0]
-        sched = RampSchedule((
-            RampSegment(10.3, 0.0, 1.0, {site: -4.0}, {site: -4.0}),
-            RampSegment(9.4, 1.0, 1.0, {site: -4.0}, {site: -1.5}),
-            RampSegment(10.3, 1.0, 1.0, {site: -1.5}, {site: 0.0}),
-        ))
-        return lat, sched
+        return lat, _three_segment_ramp(lat)
 
     @staticmethod
     def _outputs(run):
@@ -489,6 +501,40 @@ class TestStageTimeRamp:
         assert np.abs(run - reference).max() < midpoint_error / 10
 
 
+class TestMidpointUnitaries:
+    @given(
+        st.integers(1, 4),
+        st.sampled_from([0.0, PI]),
+        st.booleans(),
+        st.integers(0, 5),
+        st.floats(0.0, 1.0),
+        st.floats(1e-3, 1.0),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_interpolant_is_the_midpoint_unitary(self, l, flux, three, segment, where, fraction):
+        # Inside a segment the substep unitary exp(-i dt H(t + dt/2)) is an
+        # entire function of the start t; the degree-4 interpolant through its
+        # Chebyshev nodes matches it anywhere, at any step the rule allows.
+        lat = build_lattice(l, [flux] * l)
+        sched = _three_segment_ramp(lat) if three else two_stage_ramp(lat, "A,1", 30.0)
+        segment %= len(sched.segments)
+        hamiltonians = protocols._ramp_hamiltonians(lat, sched)
+        offsets = np.cumsum([0.0] + [seg.duration for seg in sched.segments])
+        # H is affine on each segment, so its norm peaks at a boundary.
+        norm = max(open_system.spectral_norm(h) for h in hamiltonians(offsets))
+        dt = fraction * open_system.rk4_max_step(norm, 0.0)
+        nodes, maps = open_system._midpoint_unitaries(
+            partial(hamiltonians, segment=segment), offsets[segment], offsets[segment + 1], dt
+        )
+        start = offsets[segment] + where * (offsets[segment + 1] - offsets[segment]) - 0.5 * dt
+        weights = open_system._lagrange_weights(nodes, np.array([start]))
+        u = (weights @ maps.reshape(5, -1)).reshape(maps.shape[1:])
+        energies, vectors = np.linalg.eigh(hamiltonians(np.array([start + 0.5 * dt]), segment)[0])
+        exact = (vectors * np.exp(-1j * energies * dt)) @ vectors.conj().T
+        assert np.abs(u - exact).max() < 1e-13
+        assert np.abs(u.conj().T @ u - np.eye(lat.num_sites)).max() < 1e-13
+
+
 class TestRampCostRule:
     """Both sides of each ramp walk's cost rule take the same steps and agree to round-off."""
 
@@ -512,9 +558,10 @@ class TestRampCostRule:
             [run.final_gs_overlap, run.population_fidelity, run.population_fidelity_raw],
         ])
 
-    @pytest.mark.parametrize("l, pairwise", [(1, True), (4, True), (5, False)])
+    @pytest.mark.parametrize("l, pairwise", [(1, True), (4, True), (5, True)])
     def test_closed_walks_agree(self, monkeypatch, l, pairwise):
-        # Pairwise products pay up to n = 13 sites (l = 4), not from n = 16 (l = 5).
+        # Interpolated unitaries and pairwise products pay at every size the
+        # memory cap admits (test_closed_rule_crossover).
         lat = build_lattice(l, [PI] * l)
         sched = two_stage_ramp(lat, "A,1", 6.0)
         runs = {}
@@ -525,6 +572,46 @@ class TestRampCostRule:
             monkeypatch.undo()
         assert np.array_equal(runs[None], runs[pairwise])
         assert np.abs(runs[True] - runs[False]).max() < 1e-12
+
+    @pytest.mark.parametrize("l", [1, 4, 5])
+    def test_closed_walks_agree_with_a_boundary_inside_a_gap(self, monkeypatch, l):
+        # At 100 checkpoints the segment boundary (Jt = 3) falls inside a gap,
+        # whose substeps the batched walk takes from both segments' nodes.
+        lat = build_lattice(l, [PI] * l)
+        sched = two_stage_ramp(lat, "A,1", 6.0)
+        split = []
+        segment_runs = protocols._segment_runs
+
+        def spy(*args):
+            runs, n_maps = segment_runs(*args)
+            split.extend(gap for gap in runs.values() if len(gap) > 1)
+            return runs, n_maps
+
+        monkeypatch.setattr(protocols, "_segment_runs", spy)
+        runs = {}
+        for pick in (True, False):
+            self._force(monkeypatch, "_batch_pays", pick)
+            runs[pick] = self._outputs(adiabatic_ramps(lat, sched, "A,1", n_checkpoints=100)[0])
+        assert [[k for k, _, _ in gap] for gap in split] == [[0, 1], [0, 1]]
+        assert np.abs(runs[True] - runs[False]).max() < 1e-11
+
+    @pytest.mark.parametrize("l, pairwise", [(29, True), (30, False)])
+    def test_closed_rule_crossover(self, monkeypatch, l, pairwise):
+        # Without an eigh per substep the batched walk wins at every size, so
+        # on the README ramp only the 16 MiB cap stops it: a chunk of 136
+        # unitaries on 91 sites (l = 30) holds 18 MB.
+        class Picked(Exception):
+            pass
+
+        def walk(*args):
+            raise Picked
+
+        picks = self._force(monkeypatch, "_batch_pays", None)
+        monkeypatch.setattr(protocols, "_substeps", walk)
+        lat = build_lattice(l, [PI] * l)
+        with pytest.raises(Picked):
+            adiabatic_ramps(lat, two_stage_ramp(lat, "A,1", 30.0), "A,1")
+        assert picks == [pairwise]
 
     @pytest.mark.parametrize("l, maps", [(1, True), (2, True), (3, False)])
     def test_dephased_walks_agree(self, monkeypatch, l, maps):
@@ -574,8 +661,37 @@ class TestRampCostRule:
         else:
             assert np.array_equal(runs[0], runs[1])
 
+    def test_tiny_ramp_stays_finite(self, monkeypatch):
+        # The Lagrange weights of a 1e-200 ramp multiply differences of about
+        # 1e-201, whose products underflowed to 0 / 0.
+        lat = build_lattice(1, [PI])
+        sched = two_stage_ramp(lat, "A,1", 1e-200)
+        rates = [DephasingRates.uniform(4, 0.0379)]
+        runs = {}
+        for batched in (True, False):
+            monkeypatch.setattr(protocols, "_batch_pays", lambda *a, **k: batched)
+            monkeypatch.setattr(protocols, "_step_map_pays", lambda *a, **k: batched)
+            closed, (run,) = adiabatic_ramps(lat, sched, "A,1", rates, n_checkpoints=11)
+            runs[batched] = np.concatenate([self._outputs(closed), self._outputs(run)])
+        assert np.all(np.isfinite(runs[True]))
+        assert np.abs(runs[True] - runs[False]).max() < 1e-12
+
     def test_substep_budget(self, monkeypatch):
         monkeypatch.setattr(open_system, "SUBSTEP_BUDGET", 1000)
         lat = build_lattice(1, [PI])
         with pytest.raises(ConfigError, match="substeps"):
             adiabatic_ramps(lat, two_stage_ramp(lat, "A,1", 30.0), "A,1", n_checkpoints=11)
+
+    def test_ramps_leave_numpy_ma_unimported(self):
+        # ``numpy.ma`` adds about 6.5 MB of peak RSS, and ``np.unique`` or
+        # ``np.union1d`` import it on their first call.
+        code = (
+            "import sys\n"
+            "from fluxlattice import PI, DephasingRates, build_lattice, two_stage_ramp\n"
+            "from fluxlattice.protocols import adiabatic_ramps\n"
+            "lat = build_lattice(1, [PI])\n"
+            "adiabatic_ramps(lat, two_stage_ramp(lat, 'A,1', 30.0), 'A,1', [DephasingRates.uniform(4, 0.0379)])\n"
+            "assert 'numpy.ma' not in sys.modules\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(fluxlattice.__file__).parents[1])}
+        subprocess.run([sys.executable, "-c", code], env=env, check=True)
