@@ -421,6 +421,15 @@ def _substep_grid(checkpoints: np.ndarray, step: float) -> tuple[np.ndarray, np.
     return starts, counts, lengths
 
 
+def _chunks(n_sub: int) -> list[tuple[int, int]]:
+    """``(first, stop)`` of each run of substeps ``_substeps`` hands ``advance`` at once, for a gap of ``n_sub``.
+
+    Runs are at most ``SUBSTEP_CHUNK`` long, read at call time, so a walk and
+    any work prepared for its chunks in advance cut every gap alike.
+    """
+    return [(first, min(first + SUBSTEP_CHUNK, n_sub)) for first in range(0, n_sub, SUBSTEP_CHUNK)]
+
+
 def _substeps(
     state: np.ndarray,
     checkpoints: np.ndarray,
@@ -433,10 +442,10 @@ def _substeps(
     equal substeps of length ``dt`` (``_substep_grid``, which also refuses a
     walk above ``SUBSTEP_BUDGET`` substeps before any is taken).
     ``advance(state, start, index, dt)`` takes the substeps numbered
-    ``index`` (consecutive, at most ``SUBSTEP_CHUNK`` of them) of the gap
-    that begins at ``start``, in time order, and returns the state after
-    them.  Substep ``k`` runs from ``start + k * dt``; its midpoint is
-    ``start + (k + 0.5) * dt``.  Every chunk of a gap therefore sees the
+    ``index`` (one of the gap's ``_chunks``, at most ``SUBSTEP_CHUNK``
+    consecutive substeps) of the gap that begins at ``start``, in time
+    order, and returns the state after them.  Substep ``k`` runs from
+    ``start + k * dt``; its midpoint is ``start + (k + 0.5) * dt``.  Every chunk of a gap therefore sees the
     times the whole gap would, while ``advance`` batches per-substep work
     (building or diagonalizing the Hamiltonians, forming step maps or
     unitaries) over a bounded number of substeps.  H may be frozen at each
@@ -453,8 +462,8 @@ def _substeps(
     """
     starts, counts, lengths = _substep_grid(checkpoints, step)
     for i, (target, start, n_sub, dt) in enumerate(zip(checkpoints, starts, counts, lengths)):
-        for first in range(0, n_sub, SUBSTEP_CHUNK):
-            state = advance(state, start, np.arange(first, min(first + SUBSTEP_CHUNK, n_sub)), dt)
+        for first, stop in _chunks(n_sub):
+            state = advance(state, start, np.arange(first, stop), dt)
         if state.ndim >= 2:
             drift = abs(state.trace(axis1=-2, axis2=-1).real - 1.0).max()
             if not drift <= TRACE_TOL:  # also rejects NaN

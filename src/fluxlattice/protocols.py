@@ -42,6 +42,7 @@ from .open_system import (
     SUBSTEP_CHUNK,
     _batch_pays,
     _bhattacharyya,
+    _chunks,
     _collapse_terms,
     _embed_vacuum,
     _lagrange_weights,
@@ -55,11 +56,16 @@ from .open_system import (
     dephasing_operators,
     fidelity,
     rk4_max_step,
-    spectral_norm,
 )
 
 #: Flat-order permutation of the analytic single-plaquette basis (A1, up1, A2, dn1).
 _RING_TO_FLAT = (0, 1, 3, 2)
+
+#: Most bytes of substep unitaries the batched closed walk stacks at once (a
+#: chunk that alone holds more is formed by itself).  On the README dephased
+#: ramp (l = 1) 256 KiB batches run as fast as 16 MiB ones, and add 0.2 MB of
+#: peak RSS where 16 MiB batches added 9.8 MB and 1 MiB ones 2.7 MB.
+CLOSED_BATCH_BYTES = 256 * 2**10
 
 
 def analytic_plaquette_populations(
@@ -470,27 +476,27 @@ class AdiabaticResult:
     population_fidelity_raw: float
 
 
-def _ground_projector(h: np.ndarray) -> tuple[np.ndarray, float]:
-    """Projector onto the (possibly degenerate) ground eigenspace, plus the gap.
+def _ground_projectors(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Projector onto each (possibly degenerate) ground eigenspace of a stack of H, plus the gaps.
 
-    The gap is measured to the first eigenvalue outside the degenerate ground
-    cluster, which is the scale that controls adiabaticity.
+    One stacked ``eigh``.  The ground cluster holds every level within
+    ``1e-9`` times the larger of the lowest and highest level's magnitude of
+    the lowest; the gap runs to the first level outside it, the scale that
+    controls adiabaticity, and is ``inf`` when every level is in it.
     """
     energies, vectors = np.linalg.eigh(h)
-    scale = max(abs(energies[0]), abs(energies[-1]), 1e-12)
-    tol = 1e-9 * scale
-    members = energies <= energies[0] + tol
-    projector = vectors[:, members] @ vectors[:, members].conj().T
-    outside = energies[~members]
-    gap = float(outside[0] - energies[0]) if outside.size else math.inf
-    return projector, gap
+    scale = np.maximum(np.maximum(abs(energies[:, 0]), abs(energies[:, -1])), 1e-12)
+    members = energies <= (energies[:, 0] + 1e-9 * scale)[:, None]
+    ground = vectors * members[:, None, :]
+    gaps = np.where(members, math.inf, energies).min(axis=1) - energies[:, 0]
+    return ground @ ground.conj().swapaxes(1, 2), gaps
 
 
-def _ground_weight(projector: np.ndarray, state: np.ndarray) -> float:
-    """Weight of a state vector, or a vacuum + 1 density matrix, in ``projector``'s space."""
-    if state.ndim == 1:
-        return float(np.real(state.conj() @ projector @ state))
-    return float(np.real(np.trace(projector @ state[1:, 1:])))
+def _ground_weights(projectors: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """Weight of each state vector, or vacuum + 1 density matrix, in its projector's space."""
+    if states.ndim == 2:
+        return np.einsum("ci,cij,cj->c", states.conj(), projectors, states).real
+    return np.einsum("cij,cji->c", projectors, states[:, 1:, 1:]).real
 
 
 def _validate_schedule(
@@ -570,6 +576,56 @@ def _segment_runs(
     return runs, len(pairs)
 
 
+def _closed_chunk_products(
+    nodes: Callable[[int, float], tuple[np.ndarray, np.ndarray]],
+    runs: dict[float, list[tuple[int, int, int]]],
+    starts: np.ndarray, counts: np.ndarray, lengths: np.ndarray, n: int,
+) -> dict[tuple[float, int], np.ndarray]:
+    """Propagator of every ``_substeps`` chunk of the batched closed walk, keyed by (gap start, first substep).
+
+    A piece is the part of a chunk inside one of its gap's ``_segment_runs``.
+    Pieces of equal segment, substep length and substep count are stacked,
+    ``CLOSED_BATCH_BYTES`` of unitaries at a time (at least one piece): one
+    product of their Lagrange weights with ``nodes(segment, dt)``, the five
+    node unitaries of ``_midpoint_unitaries`` flattened to ``(5, n * n)``,
+    gives every substep's unitary, and pairwise halving along the substep
+    axis multiplies them, later substeps on the left.  A chunk's pieces are
+    then joined in time order.
+    """
+    groups: dict[tuple[int, float, int], list[tuple[float, int, int]]] = {}
+    for start, n_sub, dt in zip(starts.tolist(), counts.tolist(), lengths.tolist()):
+        for first, stop in _chunks(n_sub):
+            for segment, lo, hi in runs[start]:
+                lo, hi = max(lo, first), min(hi, stop)
+                if lo < hi:
+                    groups.setdefault((segment, dt, hi - lo), []).append((start, first, lo))
+    pieces: dict[tuple[float, int], list[tuple[int, np.ndarray]]] = {}
+    for (segment, dt, length), members in groups.items():
+        node_times, maps = nodes(segment, dt)
+        per_batch = max(1, CLOSED_BATCH_BYTES // (16 * n * n * length))
+        for b in range(0, len(members), per_batch):
+            batch = members[b:b + per_batch]
+            gap_starts, _, lows = (np.array(column) for column in zip(*batch))
+            times = gap_starts[:, None] + (lows[:, None] + np.arange(length)) * dt
+            u = (_lagrange_weights(node_times, times.ravel()) @ maps).reshape(len(batch), length, n, n)
+            earlier = None  # the product of the substeps peeled off the front
+            while u.shape[1] > 1:
+                if u.shape[1] % 2:
+                    earlier = u[:, 0] if earlier is None else u[:, 0] @ earlier
+                    u = u[:, 1:]
+                u = u[:, 1::2] @ u[:, 0::2]
+            product = u[:, 0] if earlier is None else u[:, 0] @ earlier
+            for (start, first, lo), piece in zip(batch, product):
+                pieces.setdefault((start, first), []).append((lo, piece))
+    products = {}
+    for key, parts in pieces.items():
+        parts.sort(key=lambda part: part[0])
+        products[key] = parts[0][1]
+        for _, piece in parts[1:]:
+            products[key] = piece @ products[key]
+    return products
+
+
 def adiabatic_ramps(
     lattice_final: RhombicLattice, schedule: RampSchedule, init_site: SiteId | str,
     rate_sets: Sequence[DephasingRates] = (), *, n_checkpoints: int = 101,
@@ -597,12 +653,16 @@ def adiabatic_ramps(
     start time, through five exact samples per schedule segment (the one
     that holds the substep's midpoint, ``_segment_runs``) and substep
     length: the closed walk's unitary (``_midpoint_unitaries``, within about
-    1e-14, so no eigendecomposition per substep), multiplied over the chunk
-    by pairwise halving, and the dephased walk's RK4 map
-    (``_polynomial_step_maps``, exact).  Both choices take the same steps and
-    agree to round-off.  The closed walk batches at every size the memory
-    cap admits, the dephased one on small lattices, and no choice depends on
-    the number of rate sets.
+    1e-14, so no eigendecomposition per substep) and the dephased walk's RK4
+    map (``_polynomial_step_maps``, exact).  The closed walk forms every
+    chunk's propagator before it takes a step, stacked across the gaps whose
+    chunks share a segment, substep length and count
+    (``_closed_chunk_products``), so a chunk costs it one product with the
+    state.  Both choices take the same steps and agree to round-off.  The
+    closed walk batches at every size the memory cap admits, the dephased
+    one on small lattices, and no choice depends on the number of rate sets.
+    The checkpoints are diagnosed after both walks, from one stacked
+    ``eigh`` of their Hamiltonians (``_ground_projectors``).
 
     Raises
     ------
@@ -622,9 +682,9 @@ def adiabatic_ramps(
     h_final = hamiltonian_single_excitation(lattice_final).matrix
     checkpoints = np.linspace(0.0, total, n_checkpoints) if total > 0 else np.array([0.0])
     offsets = np.cumsum([0.0] + [seg.duration for seg in schedule.segments])
-    norm_bound = max(
-        spectral_norm(h) for h in hamiltonians(np.linspace(0.0, total, 4 * len(schedule.segments) + 1))
-    )
+    # H is affine on each segment and its norm convex there, so the largest
+    # norm at a segment boundary is the largest on the ramp.
+    norm_bound = float(np.abs(np.linalg.eigvalsh(hamiltonians(offsets))).max())
 
     # Closed: H frozen at each substep's midpoint, so a substep is the exact
     # unitary of one Hamiltonian.  The loop diagonalizes a chunk's
@@ -637,9 +697,11 @@ def adiabatic_ramps(
     # from one product of Lagrange weights with five exact node unitaries per
     # segment and substep length (``_midpoint_unitaries``), 5n^2 per substep.
     # Pairwise halving multiplies them, later substeps on the left, for about
-    # n^3 per substep, before one product with psi.  With no eigh per
-    # substep this pays at every size the memory cap admits (up to n = 88,
-    # l = 29, on the README ramp).
+    # n^3 per substep.  The unitaries and their products are stacked across
+    # every gap with the same segment, substep length and count (nine groups
+    # of the 100 gaps on the README ramp), so the per-gap numpy calls become
+    # a few per batch of gaps, and each chunk is then one product with psi.  With no eigh per substep this pays at every size the memory
+    # cap admits (up to n = 88, l = 29, on the README ramp).
     closed_step = rk4_max_step(norm_bound, 0.0)
     starts, counts, lengths = _substep_grid(checkpoints, closed_step)
     runs, n_maps = _segment_runs(offsets, starts, counts, lengths)
@@ -657,20 +719,11 @@ def adiabatic_ramps(
             )
             return nodes, maps.reshape(5, n * n)
 
+        # Formed on the walk's first call, so a walk that never starts forms none.
+        chunk_products = cache(partial(_closed_chunk_products, closed_nodes, runs, starts, counts, lengths, n))
+
         def unitary(psi: np.ndarray, start: float, index: np.ndarray, dt: float) -> np.ndarray:
-            for segment, first, stop in runs[start]:
-                steps = np.arange(max(first, index[0]), min(stop, index[-1] + 1))
-                if not steps.size:
-                    continue
-                nodes, maps = closed_nodes(segment, dt)
-                u = (_lagrange_weights(nodes, start + steps * dt) @ maps).reshape(-1, n, n)
-                while len(u) > 1:
-                    if len(u) % 2:
-                        psi = u[0] @ psi
-                        u = u[1:]
-                    u = u[1::2] @ u[0::2]
-                psi = u[0] @ psi
-            return psi
+            return chunk_products()[start, index[0]] @ psi
 
     else:
 
@@ -682,8 +735,8 @@ def adiabatic_ramps(
 
     psi0 = np.zeros(n, dtype=complex)
     psi0[lattice_final.site_index(site)] = 1.0
-    closed = _substeps(psi0, checkpoints, closed_step, unitary)
-    dephased = (() for _ in checkpoints)
+    # The state at every checkpoint, one stack per walk: closed, then each rate set.
+    walks = [np.array([psi for _, _, psi in _substeps(psi0, checkpoints, closed_step, unitary)])]
     if rate_sets:
         # One (R, L+1, L+1) decay stack; a set without nonzero rates decays nowhere.
         decays = [_collapse_terms(dephasing_operators(rates, n + 1))[0] for rates in rate_sets]
@@ -742,29 +795,26 @@ def adiabatic_ramps(
                     rho = _rk4_step(stages[2 * k], rho, dt, collapse, stages[2 * k + 1], stages[2 * k + 2])
                 return rho
 
-        dephased = (rhos for i, _, rhos in _substeps(stack, grid, step, lindblad) if keep[i])
+        # One contiguous stack per set, so a set's weights take the same
+        # arithmetic however many sets were walked with it.
+        rhos = np.array([rhos for i, _, rhos in _substeps(stack, grid, step, lindblad) if keep[i]])
+        walks.extend(np.ascontiguousarray(rhos.swapaxes(0, 1)))
 
-    fidelities = np.empty((1 + len(rate_sets), checkpoints.size))
-    gaps = np.empty(checkpoints.size)
-    j_ref = max(lattice_final.J, 1e-12)
-    warned = False
-    for (idx, target, psi), rhos in zip(closed, dephased):
-        projector, gap = _ground_projector(hamiltonians(np.array([target]))[0])
-        gaps[idx] = gap
-        if gap < 1e-6 * j_ref and not warned:
-            warnings.warn(
-                f"instantaneous gap {gap:.3e} below 1e-6 J at Jt={target:g}: "
-                "possible level crossing",
-                stacklevel=2,
-            )
-            warned = True
-        fidelities[:, idx] = [_ground_weight(projector, state) for state in (psi, *rhos)]
+    projectors, gaps = _ground_projectors(hamiltonians(checkpoints))
+    low = np.flatnonzero(gaps < 1e-6 * max(lattice_final.J, 1e-12))
+    if low.size:
+        warnings.warn(
+            f"instantaneous gap {gaps[low[0]]:.3e} below 1e-6 J at Jt={checkpoints[low[0]]:g}: "
+            "possible level crossing",
+            stacklevel=2,
+        )
 
     # Final metrics are always taken against the target Hamiltonian (for a
     # zero-duration schedule the instantaneous one never reaches it).  The
     # ideal ground populations come from the closed state for every result.
-    projector_final, _ = _ground_projector(h_final)
-    projected = projector_final @ psi
+    final_projector = _ground_projectors(h_final[None])[0]
+    psi = walks[0][-1]
+    projected = final_projector[0] @ psi
     weight = np.linalg.norm(projected)
     if weight < 1e-12:
         # Orthogonal to the ground space: fall back to the lowest eigenvector.
@@ -772,16 +822,17 @@ def adiabatic_ramps(
     else:
         ground_pops = np.abs(projected / weight) ** 2
     results = []
-    for gs_fidelity, state in zip(fidelities, (psi, *rhos)):
+    for states in walks:
+        state = states[-1]
         final_pops = np.abs(state) ** 2 if state.ndim == 1 else state.diagonal().real[1:].copy()
         np.clip(final_pops, 0.0, None, out=final_pops)
         results.append(AdiabaticResult(
             times=checkpoints,
-            gs_fidelity=gs_fidelity,
+            gs_fidelity=_ground_weights(projectors, states),
             gaps=gaps,
             final_populations=final_pops,
             ground_populations=ground_pops,
-            final_gs_overlap=_ground_weight(projector_final, state),
+            final_gs_overlap=float(_ground_weights(final_projector, states[-1:])[0]),
             population_fidelity=fidelity(final_pops, ground_pops),
             population_fidelity_raw=_bhattacharyya(final_pops, ground_pops),
         ))

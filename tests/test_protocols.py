@@ -2,6 +2,8 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
+import warnings
 from functools import partial
 from pathlib import Path
 
@@ -340,6 +342,48 @@ class TestAdiabaticPreparation:
         with pytest.warns(UserWarning, match="level crossing"):
             adiabatic_prepare(lat, sched, "A,1", n_checkpoints=11)
 
+    def test_low_gaps_warn_once_at_the_first(self):
+        # The near crossing of test_near_crossing_warns, held for a third
+        # segment: the last five of 13 checkpoints are below 1e-6 J.
+        lat = build_lattice(1, [PI], {"A,2": 1e-7})
+        sched = RampSchedule((
+            two_stage_ramp(lat, "A,1", 6.0).segments[0],
+            RampSegment(3.0, 1.0, 1.0, {"A,1": -4.0}, {"A,1": 0.0, "A,2": 1e-7}),
+            RampSegment(3.0, 1.0, 1.0, {"A,2": 1e-7}, {"A,2": 1e-7}),
+        ))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            closed, _ = adiabatic_ramps(lat, sched, "A,1", n_checkpoints=13)
+        assert np.flatnonzero(closed.gaps < 1e-6).tolist() == [8, 9, 10, 11, 12]
+        assert [str(w.message) for w in caught] == [
+            "instantaneous gap 5.000e-08 below 1e-6 J at Jt=6: possible level crossing"
+        ]
+        assert caught[0].filename == __file__
+
+    def test_step_rule_sees_the_norm_at_every_boundary(self, monkeypatch):
+        # A detuning spike to -40 J at Jt = 10.8, a segment boundary between
+        # the 17 evenly spaced samples a norm bound once took (29.3 there).
+        lat = build_lattice(1, [PI])
+        sched = RampSchedule((
+            RampSegment(10.3, 0.0, 1.0, {"A,1": -4.0}, {"A,1": -4.0}),
+            RampSegment(0.5, 1.0, 1.0, {"A,1": -4.0}, {"A,1": -40.0}),
+            RampSegment(0.5, 1.0, 1.0, {"A,1": -40.0}, {"A,1": -4.0}),
+            RampSegment(10.0, 1.0, 1.0, {"A,1": -4.0}, {"A,1": 0.0}),
+        ))
+        norms = []
+
+        def rule(h_norm, max_rate):
+            norms.append(h_norm)
+            return open_system.rk4_max_step(h_norm, max_rate)
+
+        monkeypatch.setattr(protocols, "rk4_max_step", rule)
+        adiabatic_ramps(lat, sched, "A,1", n_checkpoints=11)
+        offsets = np.cumsum([0.0] + [seg.duration for seg in sched.segments])
+        times = np.concatenate([np.linspace(0.0, sched.total_duration, 4001), offsets])
+        peak = np.abs(np.linalg.eigvalsh(protocols._ramp_hamiltonians(lat, sched)(times))).max()
+        assert peak > 40.0
+        assert norms == [pytest.approx(peak, rel=1e-12)]
+
     def test_dephasing_lowers_fidelity_ordering(self):
         j_mhz = 4.2
         lat = build_lattice(1, [PI])
@@ -535,6 +579,50 @@ class TestMidpointUnitaries:
         assert np.abs(u.conj().T @ u - np.eye(lat.num_sites)).max() < 1e-13
 
 
+class TestGroundProjectors:
+    """The checkpoint diagnostics are one stacked eigh; each matrix reads as it would alone."""
+
+    @pytest.mark.parametrize("l", [1, 2])
+    def test_stack_matches_per_matrix_reference(self, l):
+        lat = build_lattice(l, [PI] * l)
+        h = hamiltonian_single_excitation(lat).matrix
+        ramp = protocols._ramp_hamiltonians(lat, two_stage_ramp(lat, "A,1", 30.0))(np.linspace(0.0, 30.0, 11))
+        # Degenerate ground levels: the final H at l = 1 (two) and -H^2 (four
+        # at l = 1, two at l = 2).  Adding 1e-12 H keeps each cluster whole,
+        # adding 1e-7 H splits it (by the degeneracy of H's lowest level).
+        squared = -h @ h
+        stack = np.concatenate([
+            ramp, [h, squared, squared + 1e-12 * h, squared + 1e-7 * h, np.zeros_like(h)],
+        ])
+        projectors, gaps = protocols._ground_projectors(stack)
+        rng = np.random.default_rng(7)
+        psis = rng.normal(size=(len(stack), lat.num_sites)) + 1j * rng.normal(size=(len(stack), lat.num_sites))
+        psis /= np.linalg.norm(psis, axis=1, keepdims=True)
+        rhos = rng.normal(size=(len(stack), lat.num_sites + 1, lat.num_sites + 1)) + 0j
+        rhos /= np.linalg.norm(rhos, axis=(1, 2), keepdims=True)
+        psi_weights = protocols._ground_weights(projectors, psis)
+        rho_weights = protocols._ground_weights(projectors, rhos)
+        sizes = []
+        for k, matrix in enumerate(stack):
+            energies, vectors = np.linalg.eigh(matrix)
+            scale = max(abs(energies[0]), abs(energies[-1]), 1e-12)
+            members = energies <= energies[0] + 1e-9 * scale
+            projector = vectors[:, members] @ vectors[:, members].conj().T
+            outside = energies[~members]
+            sizes.append(int(members.sum()))
+            assert np.abs(projectors[k] - projector).max() < 1e-14
+            assert gaps[k] == (outside[0] - energies[0] if outside.size else math.inf)
+            assert abs(psi_weights[k] - np.real(psis[k].conj() @ projector @ psis[k])) < 1e-14
+            assert abs(rho_weights[k] - np.real(np.trace(projector @ rhos[k][1:, 1:]))) < 1e-14
+        assert sizes[-5:] == ([2, 4, 4, 2, 4] if l == 1 else [1, 2, 2, 1, 7])
+
+    def test_gap_is_infinite_when_every_level_is_ground(self):
+        stack = np.array([np.zeros((4, 4)), 3.0 * np.eye(4), np.diag([1.0, 1.0 + 1e-12, 1.0, 1.0])])
+        projectors, gaps = protocols._ground_projectors(stack)
+        assert np.all(gaps == math.inf)
+        assert np.abs(projectors - np.eye(4)).max() < 1e-14
+
+
 class TestRampCostRule:
     """Both sides of each ramp walk's cost rule take the same steps and agree to round-off."""
 
@@ -594,6 +682,71 @@ class TestRampCostRule:
             runs[pick] = self._outputs(adiabatic_ramps(lat, sched, "A,1", n_checkpoints=100)[0])
         assert [[k for k, _, _ in gap] for gap in split] == [[0, 1], [0, 1]]
         assert np.abs(runs[True] - runs[False]).max() < 1e-11
+
+    @pytest.mark.parametrize("n_checkpoints", [101, 100])
+    @pytest.mark.parametrize("l", [1, 2, 3, 4])
+    def test_one_piece_per_batch_matches_the_default(self, monkeypatch, l, n_checkpoints):
+        # A batch stacks pieces of one group up to CLOSED_BATCH_BYTES (several
+        # at l <= 2; from l = 3 one 134-substep piece alone is over 256 KiB);
+        # at a cap of one byte every piece is a batch of its own.
+        lat = build_lattice(l, [PI] * l)
+        sched = two_stage_ramp(lat, "A,1", 30.0)
+        batches = []
+        weights = protocols._lagrange_weights
+
+        def counting(*args):
+            batches[-1] += 1
+            return weights(*args)
+
+        monkeypatch.setattr(protocols, "_lagrange_weights", counting)
+        runs = []
+        for cap in (protocols.CLOSED_BATCH_BYTES, 1):
+            monkeypatch.setattr(protocols, "CLOSED_BATCH_BYTES", cap)
+            batches.append(0)
+            runs.append(self._outputs(adiabatic_ramps(lat, sched, "A,1", n_checkpoints=n_checkpoints)[0]))
+        # One piece per gap: 100 gaps, or 99 and the second piece of the one that straddles Jt = 15.
+        assert batches[1] == 100
+        assert batches[0] < batches[1] if l <= 2 else batches[0] == batches[1]
+        assert np.abs(runs[0] - runs[1]).max() < 1e-12
+
+    def test_gaps_longer_than_a_chunk(self, monkeypatch):
+        # At duration 100 each gap takes 445 substeps, two chunks (256 and
+        # 189), whose pieces fall in two groups of one node set.
+        lat = build_lattice(1, [PI])
+        sched = two_stage_ramp(lat, "A,1", 100.0)
+        keys = []
+        products = protocols._closed_chunk_products
+
+        def spy(*args):
+            keys.extend(products(*args))
+            return products(*args)
+
+        monkeypatch.setattr(protocols, "_closed_chunk_products", spy)
+        runs = {}
+        for pick, chunk in ((True, open_system.SUBSTEP_CHUNK), (True, 1024), (False, 1024)):
+            self._force(monkeypatch, "_batch_pays", pick)
+            monkeypatch.setattr(open_system, "SUBSTEP_CHUNK", chunk)
+            runs[pick, chunk] = self._outputs(adiabatic_ramps(lat, sched, "A,1")[0])
+        assert len(keys) == 300 and sorted({first for _, first in keys}) == [0, 256]
+        assert np.abs(runs[True, 256] - runs[True, 1024]).max() < 1e-12
+        # 44,500 interpolated substeps, each within about 1e-15 of the loop's.
+        assert np.abs(runs[True, 256] - runs[False, 1024]).max() < 1e-10
+
+    def test_dephased_ramp_memory(self):
+        # Peak traced memory of one README dephased ramp: 0.5 MiB for the
+        # dephased walk's step maps, plus the closed walk's batches (2 MiB
+        # with 16 MiB batches), which would show in peak RSS.
+        lat = build_lattice(1, [PI])
+        sched = two_stage_ramp(lat, "A,1", 30.0)
+        rates = DephasingRates.uniform(4, 1.0 / (2 * PI * 4.2))
+        adiabatic_prepare(lat, sched, "A,1", rates)
+        tracemalloc.start()
+        try:
+            adiabatic_prepare(lat, sched, "A,1", rates)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2**20
 
     @pytest.mark.parametrize("l, pairwise", [(29, True), (30, False)])
     def test_closed_rule_crossover(self, monkeypatch, l, pairwise):
