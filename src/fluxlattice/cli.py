@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import json
 import math
 import sys
 import time
 import warnings
 from dataclasses import replace
-from functools import partial
+from functools import cache, partial
 from importlib import resources
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -33,7 +32,9 @@ from .lattice import (
     build_lattice,
     check_j_mhz,
     config_field,
+    csv_text,
     hamiltonian_single_excitation,
+    json_text,
     lattice_from_dict,
     lattice_to_dict,
     load_lattice,
@@ -125,23 +126,20 @@ def _slug(token: str) -> str:
     return token.strip().replace(".", "p").replace("-", "m")
 
 
-def write_csv(path: Path, header: Sequence[str], rows: np.ndarray) -> None:
-    lines = [",".join(header)]
-    for row in np.atleast_2d(rows):
-        lines.append(",".join(f"{v:.12e}" for v in row))
-    path.write_text("\n".join(lines) + "\n")
+def write_csv(ctx: RunContext, name: str, header: Sequence[str], rows: np.ndarray) -> None:
+    ctx.write(name, csv_text(header, rows))
 
 
-def write_json(path: Path, doc: Mapping) -> None:
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+def write_json(ctx: RunContext, name: str, doc: Mapping) -> None:
+    ctx.write(name, json_text(doc) + "\n")
 
 
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
 
 
 class RunContext:
-    """Collects output files and writes the run manifest at the end."""
+    """Writes a command's output files, then the run manifest that lists them."""
 
     def __init__(self, command: str, args: argparse.Namespace):
         self.command = command
@@ -151,13 +149,14 @@ class RunContext:
         self.args = {
             k: v for k, v in vars(args).items() if k not in ("func",) and v is not None
         }
-        self.outputs: list[Path] = []
+        self.outputs: list[tuple[str, bytes]] = []
         self.t0 = time.perf_counter()
 
-    def path(self, name: str) -> Path:
-        p = self.outdir / name
-        self.outputs.append(p)
-        return p
+    def write(self, name: str, text: str) -> None:
+        """Write one output file, keeping its bytes for the manifest."""
+        data = text.encode()
+        (self.outdir / name).write_bytes(data)
+        self.outputs.append((name, data))
 
     def finish(self, extra: Mapping | None = None) -> int:
         manifest = {
@@ -171,13 +170,13 @@ class RunContext:
             "numpy": np.__version__,
             "wall_time_s": round(time.perf_counter() - self.t0, 6),
             "outputs": [
-                {"path": p.name, "sha256": _sha256(p), "bytes": p.stat().st_size}
-                for p in self.outputs
+                {"path": name, "sha256": _sha256(data), "bytes": len(data)}
+                for name, data in self.outputs
             ],
         }
         if extra:
             manifest.update(extra)
-        write_json(self.outdir / "run_manifest.json", manifest)
+        write_json(self, "run_manifest.json", manifest)
         return 0
 
 
@@ -212,8 +211,8 @@ def _trace_metadata(config: LatticeConfig, init: str, delta: float) -> dict:
 
 
 def _write_trace(ctx: RunContext, stem: str, trace: PopulationTrace, meta: dict) -> None:
-    trace.write_csv(ctx.path(f"{stem}.csv"))
-    write_json(ctx.path(f"{stem}.json"), trace.to_json_dict(meta))
+    write_csv(ctx, f"{stem}.csv", *trace.csv_table())
+    write_json(ctx, f"{stem}.json", trace.to_json_dict(meta))
 
 
 # ---------------------------------------------------------------------------
@@ -268,9 +267,10 @@ def cmd_spectroscopy(args) -> int:
     duration = parse_pi_multiple(args.duration)
     spec_config = SpectroscopyConfig(args.drive, args.omega, parse_range(args.delta_range), duration)
     result = spectroscopy(config.lattice, spec_config)
-    result.write_csv(ctx.path("spectroscopy.csv"))
+    write_csv(ctx, "spectroscopy.csv", *result.csv_table())
     write_json(
-        ctx.path("spectroscopy.json"),
+        ctx,
+        "spectroscopy.json",
         {
             "schema": 1,
             "drive_site": args.drive,
@@ -350,9 +350,9 @@ def cmd_adiabatic(args) -> int:
     }
     fid_columns = {"closed": closed.gs_fidelity}
     fid_columns.update((column, run.gs_fidelity) for column, run in zip(columns, dephased))
-    write_json(ctx.path("adiabatic.json"), report)
+    write_json(ctx, "adiabatic.json", report)
     rows = np.column_stack([closed.times, *fid_columns.values()])
-    write_csv(ctx.path("ramp_fidelity.csv"), ["Jt", *fid_columns.keys()], rows)
+    write_csv(ctx, "ramp_fidelity.csv", ["Jt", *fid_columns.keys()], rows)
     return ctx.finish()
 
 
@@ -368,12 +368,14 @@ def cmd_bands(args) -> int:
         tag = f"trimer_delta{_slug(str(args.delta_over_sqrt2j))}sqrt2"
     bs = band_structure(model, args.nk)
     write_csv(
-        ctx.path(f"bands_{tag}.csv"),
+        ctx,
+        f"bands_{tag}.csv",
         ["k", *(f"E{i + 1}" for i in range(bs.num_bands))],
         np.column_stack([bs.k_grid, bs.energies]),
     )
     write_json(
-        ctx.path("bands.json"),
+        ctx,
+        "bands.json",
         {
             "schema": 1,
             "model": args.model,
@@ -398,7 +400,7 @@ def cmd_zak(args) -> int:
                 "min_gap_over_J": result.min_gap,
             }
         )
-    write_json(ctx.path("zak.json"), {"schema": 1, "n_k": args.nk, "points": points})
+    write_json(ctx, "zak.json", {"schema": 1, "n_k": args.nk, "points": points})
     return ctx.finish()
 
 
@@ -415,7 +417,7 @@ def cmd_coupler_calibrate(args) -> int:
             extraction = three_mode_vacuum_rabi(spec, args.levels)
         rows.append([omega_c, formula * 1e3, extraction.value * 1e3, extraction.sign])
     data = np.array(rows)
-    write_csv(ctx.path("coupler_sweep.csv"), ["omega_c_GHz", "g_eff_formula_MHz", "g_extracted_MHz", "sign"], data)
+    write_csv(ctx, "coupler_sweep.csv", ["omega_c_GHz", "g_eff_formula_MHz", "g_extracted_MHz", "sign"], data)
     off = coupler_off_frequency(device.coupler, (grid[0], grid[-1]))
     # Relative agreement is meaningless near the zero crossing; compare where
     # the coupling is an appreciable fraction of its maximum.
@@ -424,7 +426,8 @@ def cmd_coupler_calibrate(args) -> int:
         np.max(np.abs(data[strong, 2] - data[strong, 1]) / np.abs(data[strong, 1]))
     )
     write_json(
-        ctx.path("coupler.json"),
+        ctx,
+        "coupler.json",
         {
             "schema": 1,
             "off_frequency_GHz": off,
@@ -475,7 +478,7 @@ def cmd_crosstalk_fit(args) -> int:
     for (source, target), points in groups.items():
         matrix[index[target], index[source]] = crosstalk_fit(points)
     cm = CrosstalkMatrix(matrix, tuple(labels))
-    write_csv(ctx.path("crosstalk_matrix.csv"), list(labels), matrix)
+    write_csv(ctx, "crosstalk_matrix.csv", list(labels), matrix)
     probe = rng.normal(size=len(labels))
     corrected = crosstalk_correct(cm, probe)
     roundtrip = float(np.abs(cm.matrix @ corrected - probe).max())
@@ -489,7 +492,7 @@ def cmd_crosstalk_fit(args) -> int:
         report["max_element_error"] = float(
             np.abs(matrix - truth)[~np.eye(len(labels), dtype=bool)].max()
         )
-    write_json(ctx.path("crosstalk_fit.json"), report)
+    write_json(ctx, "crosstalk_fit.json", report)
     return ctx.finish()
 
 
@@ -542,7 +545,7 @@ def cmd_verify(args) -> int:
     report = compare_against_reference(
         trace, doc.get("metadata", {}), args.oracle, args.tolerance
     )
-    write_json(ctx.path("verify_report.json"), report)
+    write_json(ctx, "verify_report.json", report)
     ctx.finish()
     if not report["passed"]:
         raise NumericalError(
@@ -569,7 +572,9 @@ def _add_lattice_source(sub: argparse.ArgumentParser, default_l: int | None = No
     sub.add_argument("--j-mhz", type=float, default=None, help="coupling J/2pi in MHz")
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process and shared: do not modify it."""
     parser = argparse.ArgumentParser(
         prog="fluxlattice",
         description="Rhombic flux-lattice simulations: dynamics, spectroscopy, "

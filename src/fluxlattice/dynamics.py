@@ -25,6 +25,7 @@ from .lattice import (
     SiteId,
     as_site,
     config_field,
+    csv_text,
     hamiltonian_single_excitation,
     site_labels,
     uniform_flux,
@@ -103,25 +104,23 @@ class PopulationTrace:
         except ValueError:
             raise ConfigError(f"no trace column for site {label!r}") from None
 
+    def csv_table(self, extra_columns: Mapping[str, np.ndarray] | None = None) -> tuple[list[str], np.ndarray]:
+        """Header ``Jt,n_<site>,...`` plus any extra columns, and the rows under it."""
+        extras = dict(extra_columns or {})
+        header = ["Jt", *(_column_name(lbl) for lbl in self.site_labels), *extras]
+        return header, np.column_stack([self.times, self.populations, *extras.values()])
+
     def write_csv(self, path: str | Path, extra_columns: Mapping[str, np.ndarray] | None = None) -> None:
         """Write ``Jt,n_<site>,...`` rows with fixed 12-digit formatting."""
-        names = [_column_name(lbl) for lbl in self.site_labels]
-        extras = dict(extra_columns or {})
-        header = ",".join(["Jt", *names, *extras])
-        lines = [header]
-        for i, t in enumerate(self.times):
-            cells = [f"{t:.12e}"] + [f"{v:.12e}" for v in self.populations[i]]
-            cells += [f"{col[i]:.12e}" for col in extras.values()]
-            lines.append(",".join(cells))
-        Path(path).write_text("\n".join(lines) + "\n")
+        Path(path).write_text(csv_text(*self.csv_table(extra_columns)))
 
     def to_json_dict(self, metadata: Mapping | None = None) -> dict:
         doc = {
             "schema": 1,
             "kind": "population_trace",
             "site_labels": list(self.site_labels),
-            "times": [float(t) for t in self.times],
-            "populations": [[float(v) for v in row] for row in self.populations],
+            "times": self.times.tolist(),
+            "populations": self.populations.tolist(),
         }
         if metadata:
             doc["metadata"] = dict(metadata)

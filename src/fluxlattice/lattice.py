@@ -15,9 +15,10 @@ import math
 import numbers
 from dataclasses import dataclass, field
 from functools import partial
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from types import MappingProxyType
-from typing import Any, Callable, Iterable, Mapping
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -548,4 +549,79 @@ def load_lattice(path: str | Path) -> LatticeConfig:
 
 
 def save_lattice(config: LatticeConfig, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(lattice_to_dict(config), indent=2, sort_keys=True) + "\n")
+    Path(path).write_text(json_text(lattice_to_dict(config)) + "\n")
+
+
+# ---------------------------------------------------------------------------
+# Output text: every JSON and CSV file the package writes
+# ---------------------------------------------------------------------------
+
+def json_text(doc: Any) -> str:
+    """``json.dumps(doc, indent=2, sort_keys=True)``, character for character.
+
+    The stdlib drops its C encoder whenever ``indent`` is set; this one
+    follows the same rules (dicts, lists and tuples; sorted keys, with
+    float, int, bool and None keys spelled as JSON; ASCII escapes;
+    ``int.__repr__``; ``float.__repr__`` with ``NaN`` and ``Infinity``;
+    ``TypeError`` for any other type, such as ``np.int64``), but joins a
+    list of floats in one ``str.join`` over ``float.__repr__``.  It makes no
+    circular-reference check.
+    """
+    return _json(doc, "\n")
+
+
+def _json(value: Any, newline: str) -> str:
+    """``value`` as indented JSON, each line break followed by ``newline``'s indent."""
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = newline + "  "
+        separator = "," + inner
+        try:
+            body = separator.join(map(float.__repr__, value))
+        except TypeError:  # not all floats
+            body = separator.join([_json(item, inner) for item in value])
+        else:
+            if "n" in body:  # nan or inf, which JSON spells NaN and Infinity
+                body = separator.join([_json_scalar(item, "") for item in value])
+        return "[" + inner + body + newline + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = newline + "  "
+        items = [
+            encode_basestring_ascii(
+                key if isinstance(key, str) else _json_scalar(key, "keys must be str, int, float, bool or None, not {}")
+            ) + ": " + _json(item, inner)
+            for key, item in sorted(value.items())
+        ]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    return _json_scalar(value, "Object of type {} is not JSON serializable")
+
+
+def _json_scalar(value: Any, refusal: str) -> str:
+    """JSON spelling of a float, int, bool or None; ``TypeError(refusal)`` naming any other type."""
+    if isinstance(value, float):
+        if value != value:
+            return "NaN"
+        if value in (math.inf, -math.inf):
+            return "Infinity" if value > 0 else "-Infinity"
+        return float.__repr__(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    raise TypeError(refusal.format(value.__class__.__name__))
+
+
+def csv_text(header: Sequence[str], rows: Any) -> str:
+    """A header line, then one line per row of the 2-d ``rows``, every value as ``%.12e``."""
+    table = np.atleast_2d(rows)
+    line = ",".join(["%.12e"] * table.shape[1])
+    return "\n".join([",".join(header), *[line % tuple(row) for row in table.tolist()]]) + "\n"

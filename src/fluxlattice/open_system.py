@@ -509,7 +509,7 @@ def lindblad_evolve(
     extra_collapse : optional additional collapse operators (hook for
         extensions beyond pure dephasing); rate factors must be folded in.
     max_step : override the automatic step rule; the default keeps
-        ``h * max(norm(H), max rate) <= 0.05``.
+        ``h * max(norm(H), max rate) <= STEP_SAFETY`` (0.01).
     keep_states : also return the density matrix at every sample time.
 
     With H fixed, one RK4 step is a fixed linear map on the flattened

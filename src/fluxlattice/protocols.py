@@ -10,6 +10,7 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from functools import cache, partial
+from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -23,6 +24,7 @@ from .lattice import (
     as_site,
     build_lattice,
     config_field,
+    csv_text,
     hamiltonian_single_excitation,
     parse_flux,
     site_labels,
@@ -66,6 +68,10 @@ _RING_TO_FLAT = (0, 1, 3, 2)
 #: ramp (l = 1) 256 KiB batches run as fast as 16 MiB ones, and add 0.2 MB of
 #: peak RSS where 16 MiB batches added 9.8 MB and 1 MiB ones 2.7 MB.
 CLOSED_BATCH_BYTES = 256 * 2**10
+
+#: Most bytes of Lagrange weights (40 per substep) the batched dephased walk
+#: holds at once; a chunk that alone needs more is formed by itself.
+DEPHASED_WEIGHT_BYTES = 256 * 2**10
 
 
 def analytic_plaquette_populations(
@@ -178,13 +184,12 @@ class SpectroscopyResult:
     excited_population: np.ndarray
     detected_peaks: tuple[float, ...]
 
-    def write_csv(self, path) -> None:
-        from pathlib import Path
+    def csv_table(self) -> tuple[list[str], np.ndarray]:
+        """Header ``delta_over_J,excited_population`` and the rows under it."""
+        return ["delta_over_J", "excited_population"], np.column_stack([self.detunings, self.excited_population])
 
-        lines = ["delta_over_J,excited_population"]
-        for d, p in zip(self.detunings, self.excited_population):
-            lines.append(f"{d:.12e},{p:.12e}")
-        Path(path).write_text("\n".join(lines) + "\n")
+    def write_csv(self, path: str | Path) -> None:
+        Path(path).write_text(csv_text(*self.csv_table()))
 
 
 def _distinct_gaps(energies: np.ndarray, scale: float) -> float:
@@ -626,6 +631,46 @@ def _closed_chunk_products(
     return products
 
 
+def _dephased_chunk_weights(
+    nodes: Callable[[int, float], np.ndarray],
+    runs: dict[float, list[tuple[int, int, int]]],
+    starts: np.ndarray, counts: np.ndarray, lengths: np.ndarray,
+) -> Callable[[float, int], np.ndarray]:
+    """``weights(start, first)``: Lagrange weights of the batched dephased walk's chunk at (gap start, first substep).
+
+    Every gap lies inside one segment (``runs`` holds one run per gap).  The
+    weights are formed ahead in walk order, ``DEPHASED_WEIGHT_BYTES`` at a
+    time (at least one chunk), with one ``_lagrange_weights`` call per
+    (segment, dt) group of the chunks formed together, at the nodes
+    ``nodes(segment, dt)``; a chunk's weights are dropped once taken.
+    """
+    chunks = [
+        (start, first, stop, runs[start][0][0], dt)
+        for start, n_sub, dt in zip(starts.tolist(), counts.tolist(), lengths.tolist())
+        for first, stop in _chunks(n_sub)
+    ]
+    position = {(start, first): i for i, (start, first, *_) in enumerate(chunks)}
+    held: dict[tuple[float, int], np.ndarray] = {}
+
+    def weights(start: float, first: int) -> np.ndarray:
+        if (start, first) not in held:
+            room = DEPHASED_WEIGHT_BYTES // 40
+            groups: dict[tuple[int, float], list[tuple[float, int, int]]] = {}
+            for gap, lo, hi, segment, dt in chunks[position[start, first]:]:
+                if groups and hi - lo > room:
+                    break
+                room -= hi - lo
+                groups.setdefault((segment, dt), []).append((gap, lo, hi))
+            for (segment, dt), members in groups.items():
+                times = np.concatenate([gap + np.arange(lo, hi) * dt for gap, lo, hi in members])
+                cuts = np.cumsum([hi - lo for _, lo, hi in members])[:-1]
+                parts = np.split(_lagrange_weights(nodes(segment, dt), times), cuts)
+                held.update(((gap, lo), part) for (gap, lo, _), part in zip(members, parts))
+        return held.pop((start, first))
+
+    return weights
+
+
 def adiabatic_ramps(
     lattice_final: RhombicLattice, schedule: RampSchedule, init_site: SiteId | str,
     rate_sets: Sequence[DephasingRates] = (), *, n_checkpoints: int = 101,
@@ -700,8 +745,9 @@ def adiabatic_ramps(
     # n^3 per substep.  The unitaries and their products are stacked across
     # every gap with the same segment, substep length and count (nine groups
     # of the 100 gaps on the README ramp), so the per-gap numpy calls become
-    # a few per batch of gaps, and each chunk is then one product with psi.  With no eigh per substep this pays at every size the memory
-    # cap admits (up to n = 88, l = 29, on the README ramp).
+    # a few per batch of gaps, and each chunk is then one product with psi.
+    # With no eigh per substep this pays at every size the memory cap admits
+    # (up to n = 88, l = 29, on the README ramp).
     closed_step = rk4_max_step(norm_bound, 0.0)
     starts, counts, lengths = _substep_grid(checkpoints, closed_step)
     runs, n_maps = _segment_runs(offsets, starts, counts, lengths)
@@ -773,10 +819,14 @@ def adiabatic_ramps(
                 )
                 return nodes, maps.transpose(1, 0, 2, 3).reshape(sets, 5, n**4)
 
+            chunk_weights = _dephased_chunk_weights(
+                lambda segment, dt: dephased_nodes(segment, dt)[0], segment_of, starts, counts, lengths
+            )
+
             def lindblad(rho: np.ndarray, start: float, index: np.ndarray, dt: float) -> np.ndarray:
                 ((segment, _, _),) = segment_of[start]
-                nodes, maps = dephased_nodes(segment, dt)
-                step_maps = (_lagrange_weights(nodes, start + index * dt) @ maps).reshape(sets, -1, n * n, n * n)
+                maps = dephased_nodes(segment, dt)[1]
+                step_maps = (chunk_weights(start, index[0]) @ maps).reshape(sets, -1, n * n, n * n)
                 vec = rho[:, 1:, 1:].reshape(sets, n * n, 1)
                 for k in range(index.size):
                     vec = step_maps[:, k] @ vec

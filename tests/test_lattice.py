@@ -1,3 +1,4 @@
+import json
 import math
 import tempfile
 from pathlib import Path
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from fluxlattice import (
     PI,
@@ -31,6 +33,7 @@ from fluxlattice import (
     site_labels,
 )
 from fluxlattice.dynamics import StateVector, evolve_unitary
+from fluxlattice.lattice import csv_text, json_text
 
 SQRT2 = math.sqrt(2.0)
 
@@ -307,3 +310,81 @@ class TestLatticeFiles:
         config = lattice_from_dict(doc)
         assert type(config.J_MHz) is int
         assert config.config_hash() == "53ef3c129f1eb99f66c89f302224fb6262cc79317d5f5c3f2c1d6648be21d6ba"
+
+
+def _outcome(write, doc):
+    """The text ``write(doc)`` returns, or the type of the exception it raises."""
+    try:
+        return write(doc)
+    except (TypeError, ValueError) as exc:
+        return type(exc)
+
+
+_FLOATS = st.floats() | st.sampled_from([-0.0, 5e-324, 2.2e-308, 1e308, math.inf, -math.inf, math.nan])
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_LEAVES = (
+    st.none() | st.booleans() | st.integers() | _FLOATS | _FLOATS.map(np.float64)
+    | st.text() | st.sampled_from(["\x00\x1f\x7f", "caf\u00e9 \u03c0 \U0001f600", "\ud800", '"\\/\b\f\n\r\t'])
+    # json.dumps refuses these, so the writer must raise TypeError too.
+    | st.sampled_from([np.int64(3), np.bool_(True), 1 + 2j, {1}])
+)
+_KEYS = st.text() | st.integers() | st.booleans() | st.none() | st.floats()
+
+
+def _float_rows(width):
+    return st.lists(st.lists(_FINITE, min_size=width, max_size=width), min_size=1, max_size=6)
+
+
+_DOCS = st.recursive(
+    _LEAVES | st.lists(_FINITE, max_size=8) | st.lists(_FLOATS, max_size=8)
+    | st.integers(0, 4).flatmap(_float_rows) | st.lists(st.lists(_FINITE, max_size=4), max_size=5),
+    lambda children: (
+        st.lists(children, max_size=4)
+        | st.lists(children, max_size=4).map(tuple)
+        # One key type per dict sorts; a mix of str and numbers makes both writers raise.
+        | st.dictionaries(st.text(), children, max_size=4)
+        | st.dictionaries(st.integers() | st.booleans() | st.floats(), children, max_size=4)
+        | st.dictionaries(_KEYS, children, max_size=3)
+    ),
+    max_leaves=20,
+)
+
+
+class TestOutputText:
+    @given(_DOCS)
+    @settings(max_examples=300, deadline=None)
+    def test_json_text_matches_the_stdlib(self, doc):
+        expected = _outcome(lambda d: json.dumps(d, indent=2, sort_keys=True) + "\n", doc)
+        assert _outcome(lambda d: json_text(d) + "\n", doc) == expected
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {}, [], (), "x", 1.5, None, [[]], [[], [1.0]],
+            {"a": [float("nan"), 1.0]}, {2: 1, 10: 2}, {1.5: "a", math.inf: "b"},
+        ],
+    )
+    def test_json_text_edge_documents(self, doc):
+        assert json_text(doc) == json.dumps(doc, indent=2, sort_keys=True)
+
+    @pytest.mark.parametrize("doc", [np.int64(1), [np.int64(1)], {"a": object()}, {(1, 2): 0}, {"a": 1, 2: 0}])
+    def test_json_text_refuses_what_json_refuses(self, doc):
+        with pytest.raises(TypeError):
+            json.dumps(doc, indent=2, sort_keys=True)
+        with pytest.raises(TypeError):
+            json_text(doc)
+
+    @given(
+        hnp.arrays(
+            np.float64,
+            hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=6),
+            elements=st.floats() | st.sampled_from([-0.0, math.nan, math.inf, -math.inf, 5e-324]),
+        ),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_csv_text_matches_per_cell_formatting(self, rows):
+        header = [f"c{i}" for i in range(np.atleast_2d(rows).shape[1])]
+        lines = [",".join(header)]
+        for row in np.atleast_2d(rows):
+            lines.append(",".join(f"{v:.12e}" for v in row))
+        assert csv_text(header, rows) == "\n".join(lines) + "\n"

@@ -748,6 +748,41 @@ class TestRampCostRule:
             tracemalloc.stop()
         assert peak <= 2**20
 
+    def test_dephased_weights_one_call_per_group(self, monkeypatch):
+        # The README dephased ramp takes 3,400 substeps in 100 gaps; their
+        # weights (136 kB) fit one DEPHASED_WEIGHT_BYTES window, so the walk
+        # makes one _lagrange_weights call per (segment, dt) group.  At a cap
+        # of one byte every chunk (here every gap) is a window of its own.
+        lat = build_lattice(1, [PI])
+        sched = two_stage_ramp(lat, "A,1", 30.0)
+        rates = [DephasingRates.uniform(4, 1.0 / (2 * PI * 4.2))]
+        calls, groups = [0], []
+        weights, segment_runs = protocols._lagrange_weights, protocols._segment_runs
+
+        def counting(*args):
+            calls[0] += 1
+            return weights(*args)
+
+        def spy(*args):
+            runs, n_maps = segment_runs(*args)
+            groups.append(n_maps)
+            return runs, n_maps
+
+        monkeypatch.setattr(protocols, "_lagrange_weights", counting)
+        monkeypatch.setattr(protocols, "_segment_runs", spy)
+        dephased_calls, runs = [], []
+        for cap in (protocols.DEPHASED_WEIGHT_BYTES, 1):
+            monkeypatch.setattr(protocols, "DEPHASED_WEIGHT_BYTES", cap)
+            counts = []
+            for rate_sets in ((), rates):
+                calls[0] = 0
+                closed, dephased = adiabatic_ramps(lat, sched, "A,1", rate_sets)
+                counts.append(calls[0])
+            dephased_calls.append(counts[1] - counts[0])
+            runs.append(self._outputs(dephased[0]))
+        assert dephased_calls == [groups[-1], 100] and groups[-1] < 100
+        assert np.array_equal(runs[0], runs[1])
+
     @pytest.mark.parametrize("l, pairwise", [(29, True), (30, False)])
     def test_closed_rule_crossover(self, monkeypatch, l, pairwise):
         # Without an eigh per substep the batched walk wins at every size, so
