@@ -139,12 +139,15 @@ def _sha256(data: bytes) -> str:
 
 
 class RunContext:
-    """Writes a command's output files, then the run manifest that lists them."""
+    """Writes a command's output files, then the run manifest that lists them.
+
+    The output directory is made at the first write, so a run refused before
+    it writes anything leaves no directory behind.
+    """
 
     def __init__(self, command: str, args: argparse.Namespace):
         self.command = command
         self.outdir = Path(args.outdir)
-        self.outdir.mkdir(parents=True, exist_ok=True)
         self.seed = args.seed
         self.args = {
             k: v for k, v in vars(args).items() if k not in ("func",) and v is not None
@@ -155,6 +158,8 @@ class RunContext:
     def write(self, name: str, text: str) -> None:
         """Write one output file, keeping its bytes for the manifest."""
         data = text.encode()
+        if not self.outputs:
+            self.outdir.mkdir(parents=True, exist_ok=True)
         (self.outdir / name).write_bytes(data)
         self.outputs.append((name, data))
 
@@ -248,6 +253,9 @@ def cmd_detuning_sweep(args) -> int:
     tokens = [t for t in args.delta.split(",") if t]
     if not tokens:
         raise ConfigError(f"--delta needs at least one detuning, got {args.delta!r}")
+    stems = [_slug(t) for t in tokens]
+    if len(set(stems)) < len(stems):
+        raise ConfigError(f"--delta tokens must be distinct in their file names, got {stems}")
     deltas = [(t, parse_delta_token(t)) for t in tokens]
     times = _time_grid(args)
     for flux in fluxes:
@@ -447,6 +455,11 @@ def _parse_response_csv(text: str) -> dict[tuple[str, str], list[tuple[float, fl
     return groups
 
 
+#: Most synthetic response points ``crosstalk-fit`` simulates, lines * (lines - 1)
+#: * points; 100 lines at the default 25 points make 247,500.
+SYNTHETIC_MAX_RESPONSES = 10**6
+
+
 def cmd_crosstalk_fit(args) -> int:
     ctx = RunContext("crosstalk-fit", args)
     if ctx.seed < 0:
@@ -462,6 +475,12 @@ def cmd_crosstalk_fit(args) -> int:
         if not 0 <= args.noise < math.inf:
             raise ConfigError(f"--noise must be finite and nonnegative, got {args.noise}")
         n = args.lines
+        size = n * (n - 1) * args.points
+        if size > SYNTHETIC_MAX_RESPONSES:
+            raise ConfigError(
+                f"synthetic crosstalk on {n} lines with {args.points} points per pair needs {size} "
+                f"response points, above the limit of {SYNTHETIC_MAX_RESPONSES}"
+            )
         labels = [f"Z{i + 1}" for i in range(n)]
         truth = rng.normal(6e-4, 1e-4, size=(n, n))
         np.fill_diagonal(truth, 1.0)

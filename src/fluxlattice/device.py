@@ -132,39 +132,14 @@ class VacuumRabiExtraction:
         return self.sign * self.magnitude if self.sign != 0 else 0.0
 
 
-def _bosonic_ops(levels: int) -> np.ndarray:
-    a = np.zeros((levels, levels))
-    for n in range(1, levels):
-        a[n - 1, n] = math.sqrt(n)
-    return a
-
-
-def three_mode_hamiltonian(spec: CouplerSpec, levels: int) -> np.ndarray:
-    """Dense Hamiltonian of the two qubits plus coupler, truncated per mode."""
-    if levels < 2:
-        raise ConfigError("each mode needs at least 2 levels")
-    a = _bosonic_ops(levels)
-    eye = np.eye(levels)
-    ops = [
-        np.kron(np.kron(a, eye), eye),
-        np.kron(np.kron(eye, a), eye),
-        np.kron(np.kron(eye, eye), a),
-    ]
-    h = np.zeros((levels**3, levels**3))
-    params = [(spec.omega_a, spec.u_a), (spec.omega_b, spec.u_b), (spec.omega_c, spec.u_c)]
-    for op, (omega, anharm) in zip(ops, params):
-        number = op.T @ op
-        h += omega * number + 0.5 * anharm * (number @ number - number)
-    for (i, k), g in (((0, 2), spec.g_ac), ((1, 2), spec.g_bc), ((0, 1), spec.g_ab)):
-        h += g * (ops[i].T @ ops[k] + ops[k].T @ ops[i])
-    return h
-
-
 def three_mode_vacuum_rabi(spec: CouplerSpec, levels: int = 3) -> VacuumRabiExtraction:
     """Extract the qubit-qubit coupling from the exact three-mode spectrum.
 
-    The truncated Hamiltonian conserves total excitation number, so the
-    single-excitation manifold is a 3 x 3 block; the two dressed states with
+    The Hamiltonian of the two qubits plus coupler, truncated at ``levels``
+    per mode, conserves total excitation number, so the single-excitation
+    manifold is a 3 x 3 block: the mode frequencies on the diagonal and the
+    couplings off it, the same at every truncation of 2 or more levels (the
+    anharmonicities only act from two excitations on).  The two dressed states with
     the least coupler content form the vacuum-Rabi doublet, whose half
     splitting is the coupling magnitude.  The sign follows from whether the
     symmetric combination is pushed up (positive) or down (negative).
@@ -173,9 +148,15 @@ def three_mode_vacuum_rabi(spec: CouplerSpec, levels: int = 3) -> VacuumRabiExtr
     coupler by more than 20%: outside the dispersive regime the extracted
     number no longer means a qubit-qubit coupling.
     """
-    h = three_mode_hamiltonian(spec, levels)
-    single = [levels**2, levels, 1]  # indices of |100>, |010>, |001>
-    block = h[np.ix_(single, single)]
+    if levels < 2:
+        raise ConfigError("each mode needs at least 2 levels")
+    # Basis |100>, |010>, |001>; adding 0.0 turns a coupling of -0.0 into
+    # the 0.0 that summing the truncated Hamiltonian's terms gives.
+    block = np.array([
+        [spec.omega_a, spec.g_ab, spec.g_ac],
+        [spec.g_ab, spec.omega_b, spec.g_bc],
+        [spec.g_ac, spec.g_bc, spec.omega_c],
+    ]) + 0.0
     energies, vectors = np.linalg.eigh(block)
     weights = np.abs(vectors[2, :]) ** 2
     qubit_like = np.argsort(weights)[:2]

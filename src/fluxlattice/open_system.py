@@ -413,7 +413,7 @@ def _substep_grid(checkpoints: np.ndarray, step: float) -> tuple[np.ndarray, np.
     total = counts.sum()
     if not total <= SUBSTEP_BUDGET:  # also rejects an infinite count
         raise ConfigError(
-            f"the walk needs {total:.0f} substeps of at most {step:.3e}, above the budget of "
+            f"the walk needs {total:.3g} substeps of at most {step:.3e}, above the budget of "
             f"{SUBSTEP_BUDGET}; shorten the run or lower the rates"
         )
     counts = counts.astype(int)

@@ -63,15 +63,13 @@ from .open_system import (
 #: Flat-order permutation of the analytic single-plaquette basis (A1, up1, A2, dn1).
 _RING_TO_FLAT = (0, 1, 3, 2)
 
-#: Most bytes of substep unitaries the batched closed walk stacks at once (a
-#: chunk that alone holds more is formed by itself).  On the README dephased
-#: ramp (l = 1) 256 KiB batches run as fast as 16 MiB ones, and add 0.2 MB of
-#: peak RSS where 16 MiB batches added 9.8 MB and 1 MiB ones 2.7 MB.
-CLOSED_BATCH_BYTES = 256 * 2**10
-
-#: Most bytes of Lagrange weights (40 per substep) the batched dephased walk
-#: holds at once; a chunk that alone needs more is formed by itself.
-DEPHASED_WEIGHT_BYTES = 256 * 2**10
+#: Most bytes one batch of a ramp walk's ``_batcher`` forms at once: substep
+#: unitaries (16 n^2 each) for the closed walk, Lagrange weights (40 each) for
+#: the dephased one; a chunk that alone needs more is formed by itself.  On
+#: the README dephased ramp (l = 1) 256 KiB batches run as fast as 16 MiB
+#: ones, and add 0.2 MB of peak RSS where 16 MiB batches added 9.8 MB and
+#: 1 MiB ones 2.7 MB.
+BATCH_BYTES = 256 * 2**10
 
 
 def analytic_plaquette_populations(
@@ -556,119 +554,55 @@ def _ramp_hamiltonians(
     return hamiltonians
 
 
-def _segment_runs(
-    offsets: np.ndarray, starts: np.ndarray, counts: np.ndarray, lengths: np.ndarray
-) -> tuple[dict[float, list[tuple[int, int, int]]], int]:
-    """Which substeps of each walked gap (``_substep_grid``'s arrays) lie in which schedule segment.
+def _ordered_product(u: np.ndarray) -> np.ndarray:
+    """Product of each stack ``u[b]`` of matrices along its first axis, later ones on the left.
 
-    Substep ``k`` of a gap starting at ``s`` belongs to the segment that holds
-    its midpoint ``s + (k + 1/2) dt`` (the earlier one at a boundary, as
-    ``RampSchedule._locate`` picks); ``offsets`` are the segment boundaries,
-    from 0 to the end.  Returns, keyed by gap start, the ``(segment, first,
-    stop)`` runs of substep numbers in time order (one run for a gap inside
-    one segment), and the number of distinct ``(segment, dt)`` pairs.
+    Pairwise halving: about one matrix product per matrix, in a few stacked
+    numpy calls.
     """
-    walked = counts > 0
-    s, c, dt = starts[walked], counts[walked], lengths[walked]
-    # Substeps whose midpoint is at or before each inner boundary b: k <= (b - s) / dt - 1/2.
-    inner = np.clip(np.floor((offsets[1:-1] - s[:, None]) / dt[:, None] + 0.5), 0, c[:, None])
-    cuts = np.column_stack((np.zeros_like(c), inner.astype(int), c)).tolist()
-    runs = {
-        start: [(k, lo, hi) for k, (lo, hi) in enumerate(zip(row, row[1:])) if lo < hi]
-        for start, row in zip(s.tolist(), cuts)
-    }
-    pairs = {(k, step) for step, gap in zip(dt.tolist(), runs.values()) for k, _, _ in gap}
-    return runs, len(pairs)
+    earlier = None  # the product of the matrices peeled off the front
+    while u.shape[1] > 1:
+        if u.shape[1] % 2:
+            earlier = u[:, 0] if earlier is None else u[:, 0] @ earlier
+            u = u[:, 1:]
+        u = u[:, 1::2] @ u[:, 0::2]
+    return u[:, 0] if earlier is None else u[:, 0] @ earlier
 
 
-def _closed_chunk_products(
-    nodes: Callable[[int, float], tuple[np.ndarray, np.ndarray]],
-    runs: dict[float, list[tuple[int, int, int]]],
-    starts: np.ndarray, counts: np.ndarray, lengths: np.ndarray, n: int,
-) -> dict[tuple[float, int], np.ndarray]:
-    """Propagator of every ``_substeps`` chunk of the batched closed walk, keyed by (gap start, first substep).
+def _batcher(
+    starts: np.ndarray, counts: np.ndarray, lengths: np.ndarray, segments: np.ndarray,
+    room: int, form: Callable[[int, float, np.ndarray], Sequence],
+) -> Callable[[float, int], object]:
+    """``take(start, first)``: what ``form`` made for the chunk at (gap start, first substep).
 
-    A piece is the part of a chunk inside one of its gap's ``_segment_runs``.
-    Pieces of equal segment, substep length and substep count are stacked,
-    ``CLOSED_BATCH_BYTES`` of unitaries at a time (at least one piece): one
-    product of their Lagrange weights with ``nodes(segment, dt)``, the five
-    node unitaries of ``_midpoint_unitaries`` flattened to ``(5, n * n)``,
-    gives every substep's unitary, and pairwise halving along the substep
-    axis multiplies them, later substeps on the left.  A chunk's pieces are
-    then joined in time order.
+    The gaps are ``_substep_grid``'s, each inside the schedule segment of
+    ``segments``; their ``_chunks`` are grouped by segment, substep length
+    and substep count.  When the walk reaches a chunk not yet formed, that
+    chunk and the next ones of its group, at most ``room`` substeps together
+    (at least one chunk), are formed by one call ``form(segment, dt, times)``
+    that returns one value per row of ``times``, the chunks' substep start
+    times.  A value is dropped once taken.
     """
-    groups: dict[tuple[int, float, int], list[tuple[float, int, int]]] = {}
-    for start, n_sub, dt in zip(starts.tolist(), counts.tolist(), lengths.tolist()):
+    groups: dict[tuple[int, float, int], list[tuple[float, int]]] = {}
+    place: dict[tuple[float, int], tuple[tuple[int, float, int], int]] = {}
+    for start, n_sub, dt, segment in zip(starts.tolist(), counts.tolist(), lengths.tolist(), segments.tolist()):
         for first, stop in _chunks(n_sub):
-            for segment, lo, hi in runs[start]:
-                lo, hi = max(lo, first), min(hi, stop)
-                if lo < hi:
-                    groups.setdefault((segment, dt, hi - lo), []).append((start, first, lo))
-    pieces: dict[tuple[float, int], list[tuple[int, np.ndarray]]] = {}
-    for (segment, dt, length), members in groups.items():
-        node_times, maps = nodes(segment, dt)
-        per_batch = max(1, CLOSED_BATCH_BYTES // (16 * n * n * length))
-        for b in range(0, len(members), per_batch):
-            batch = members[b:b + per_batch]
-            gap_starts, _, lows = (np.array(column) for column in zip(*batch))
-            times = gap_starts[:, None] + (lows[:, None] + np.arange(length)) * dt
-            u = (_lagrange_weights(node_times, times.ravel()) @ maps).reshape(len(batch), length, n, n)
-            earlier = None  # the product of the substeps peeled off the front
-            while u.shape[1] > 1:
-                if u.shape[1] % 2:
-                    earlier = u[:, 0] if earlier is None else u[:, 0] @ earlier
-                    u = u[:, 1:]
-                u = u[:, 1::2] @ u[:, 0::2]
-            product = u[:, 0] if earlier is None else u[:, 0] @ earlier
-            for (start, first, lo), piece in zip(batch, product):
-                pieces.setdefault((start, first), []).append((lo, piece))
-    products = {}
-    for key, parts in pieces.items():
-        parts.sort(key=lambda part: part[0])
-        products[key] = parts[0][1]
-        for _, piece in parts[1:]:
-            products[key] = piece @ products[key]
-    return products
+            members = groups.setdefault((segment, dt, stop - first), [])
+            place[start, first] = (segment, dt, stop - first), len(members)
+            members.append((start, first))
+    held: dict[tuple[float, int], object] = {}
 
-
-def _dephased_chunk_weights(
-    nodes: Callable[[int, float], np.ndarray],
-    runs: dict[float, list[tuple[int, int, int]]],
-    starts: np.ndarray, counts: np.ndarray, lengths: np.ndarray,
-) -> Callable[[float, int], np.ndarray]:
-    """``weights(start, first)``: Lagrange weights of the batched dephased walk's chunk at (gap start, first substep).
-
-    Every gap lies inside one segment (``runs`` holds one run per gap).  The
-    weights are formed ahead in walk order, ``DEPHASED_WEIGHT_BYTES`` at a
-    time (at least one chunk), with one ``_lagrange_weights`` call per
-    (segment, dt) group of the chunks formed together, at the nodes
-    ``nodes(segment, dt)``; a chunk's weights are dropped once taken.
-    """
-    chunks = [
-        (start, first, stop, runs[start][0][0], dt)
-        for start, n_sub, dt in zip(starts.tolist(), counts.tolist(), lengths.tolist())
-        for first, stop in _chunks(n_sub)
-    ]
-    position = {(start, first): i for i, (start, first, *_) in enumerate(chunks)}
-    held: dict[tuple[float, int], np.ndarray] = {}
-
-    def weights(start: float, first: int) -> np.ndarray:
+    def take(start: float, first: int) -> object:
         if (start, first) not in held:
-            room = DEPHASED_WEIGHT_BYTES // 40
-            groups: dict[tuple[int, float], list[tuple[float, int, int]]] = {}
-            for gap, lo, hi, segment, dt in chunks[position[start, first]:]:
-                if groups and hi - lo > room:
-                    break
-                room -= hi - lo
-                groups.setdefault((segment, dt), []).append((gap, lo, hi))
-            for (segment, dt), members in groups.items():
-                times = np.concatenate([gap + np.arange(lo, hi) * dt for gap, lo, hi in members])
-                cuts = np.cumsum([hi - lo for _, lo, hi in members])[:-1]
-                parts = np.split(_lagrange_weights(nodes(segment, dt), times), cuts)
-                held.update(((gap, lo), part) for (gap, lo, _), part in zip(members, parts))
+            key, i = place[start, first]
+            segment, dt, count = key
+            batch = groups[key][i:i + max(1, room // count)]
+            gap_starts, firsts = (np.array(column) for column in zip(*batch))
+            times = gap_starts[:, None] + (firsts[:, None] + np.arange(count)) * dt
+            held.update(zip(batch, form(segment, dt, times)))
         return held.pop((start, first))
 
-    return weights
+    return take
 
 
 def adiabatic_ramps(
@@ -690,24 +624,27 @@ def adiabatic_ramps(
     Returns the closed result and one result per rate set, whose fidelities
     are against the closed ground populations.
 
-    Both walks go through ``_substeps`` a chunk of at most ``SUBSTEP_CHUNK``
-    substeps at a time, and one cost rule (``_batch_pays``, with
-    ``_step_map_pays`` for the dephased walk) picks how each takes a chunk:
-    one Python loop turn per substep, or a few batched products.  Batched,
-    each walk takes a substep's matrix from a degree-4 interpolant in its
-    start time, through five exact samples per schedule segment (the one
-    that holds the substep's midpoint, ``_segment_runs``) and substep
+    Both walks step on one grid, the checkpoints plus every segment boundary
+    inside the ramp (a kink inside a substep would cost either walk its
+    order), so every walked gap lies inside one segment; the boundaries yield
+    no result row.  Both go through ``_substeps`` a chunk of at most
+    ``SUBSTEP_CHUNK`` substeps at a time, and one cost rule (``_batch_pays``,
+    with ``_step_map_pays`` for the dephased walk) picks how each takes a
+    chunk: one Python loop turn per substep, or a few batched products.
+    Batched, each walk takes a substep's matrix from a degree-4 interpolant
+    in its start time, through five exact samples per segment and substep
     length: the closed walk's unitary (``_midpoint_unitaries``, within about
     1e-14, so no eigendecomposition per substep) and the dephased walk's RK4
-    map (``_polynomial_step_maps``, exact).  The closed walk forms every
-    chunk's propagator before it takes a step, stacked across the gaps whose
-    chunks share a segment, substep length and count
-    (``_closed_chunk_products``), so a chunk costs it one product with the
-    state.  Both choices take the same steps and agree to round-off.  The
-    closed walk batches at every size the memory cap admits, the dephased
-    one on small lattices, and no choice depends on the number of rate sets.
-    The checkpoints are diagnosed after both walks, from one stacked
-    ``eigh`` of their Hamiltonians (``_ground_projectors``).
+    map (``_polynomial_step_maps``, exact).  One ``_batcher`` forms the
+    chunks' interpolation weights ahead of the walk, stacked across the
+    chunks that share a segment, substep length and count, at most
+    ``BATCH_BYTES`` at a time; the closed walk also multiplies each chunk's
+    unitaries into its propagator there (``_ordered_product``), so a chunk
+    costs it one product with the state.  Both choices take the same steps
+    and agree to round-off.  The closed walk batches at every size the memory
+    cap admits, the dephased one on small lattices, and no choice depends on
+    the number of rate sets.  The checkpoints are diagnosed after both walks,
+    from one stacked ``eigh`` of their Hamiltonians (``_ground_projectors``).
 
     Raises
     ------
@@ -730,6 +667,19 @@ def adiabatic_ramps(
     # H is affine on each segment and its norm convex there, so the largest
     # norm at a segment boundary is the largest on the ramp.
     norm_bound = float(np.abs(np.linalg.eigvalsh(hamiltonians(offsets))).max())
+    # The walks' grid and the row of each checkpoint in it.  Python sets,
+    # since ``np.union1d`` imports ``numpy.ma`` (6 MB) on its first call.
+    grid = np.array(sorted(set(checkpoints.tolist()).union(
+        b for b in offsets[1:].tolist() if 0 < b < checkpoints[-1]
+    )))
+    rows = np.searchsorted(grid, checkpoints)
+
+    def plan(step: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
+        """``_substep_grid`` of a walk at ``step``, each gap's segment, and the number of (segment, dt) pairs."""
+        starts, counts, lengths = _substep_grid(grid, step)
+        segments = np.searchsorted(offsets[1:-1], starts, side="right")
+        walked = counts > 0
+        return starts, counts, lengths, segments, len(set(zip(segments[walked].tolist(), lengths[walked].tolist())))
 
     # Closed: H frozen at each substep's midpoint, so a substep is the exact
     # unitary of one Hamiltonian.  The loop diagonalizes a chunk's
@@ -738,19 +688,17 @@ def adiabatic_ramps(
     # plus one LAPACK call (charged as a numpy call) of about 4.5n^3 (the
     # 9n^3 flops Golub & Van Loan count for eigenvalues and eigenvectors).
     # Batched, a substep's unitary is an entire function of its start time
-    # inside the segment that holds its midpoint, so a chunk's unitaries come
-    # from one product of Lagrange weights with five exact node unitaries per
-    # segment and substep length (``_midpoint_unitaries``), 5n^2 per substep.
-    # Pairwise halving multiplies them, later substeps on the left, for about
-    # n^3 per substep.  The unitaries and their products are stacked across
-    # every gap with the same segment, substep length and count (nine groups
-    # of the 100 gaps on the README ramp), so the per-gap numpy calls become
-    # a few per batch of gaps, and each chunk is then one product with psi.
-    # With no eigh per substep this pays at every size the memory cap admits
-    # (up to n = 88, l = 29, on the README ramp).
+    # inside its gap's segment, so the batcher takes a batch's unitaries from
+    # one product of Lagrange weights with five exact node unitaries per
+    # segment and substep length (``_midpoint_unitaries``), 5n^2 per substep,
+    # and multiplies each chunk's by pairwise halving, about n^3 per substep.
+    # A batch stacks the chunks of every gap with the same segment, substep
+    # length and count (nine groups of the 100 gaps on the README ramp), so
+    # the per-gap numpy calls become a few per batch, and each chunk is then
+    # one product with psi.  With no eigh per substep this pays at every size
+    # the memory cap admits (up to n = 88, l = 29, on the README ramp).
     closed_step = rk4_max_step(norm_bound, 0.0)
-    starts, counts, lengths = _substep_grid(checkpoints, closed_step)
-    runs, n_maps = _segment_runs(offsets, starts, counts, lengths)
+    starts, counts, lengths, segments, n_maps = plan(closed_step)
     longest = min(SUBSTEP_CHUNK, int(counts.max()))
     pairwise = _batch_pays(
         int(counts.sum()), 5, 2 * n * n + n + 4.5 * n**3, 5 * n * n + n**3,
@@ -765,11 +713,14 @@ def adiabatic_ramps(
             )
             return nodes, maps.reshape(5, n * n)
 
-        # Formed on the walk's first call, so a walk that never starts forms none.
-        chunk_products = cache(partial(_closed_chunk_products, closed_nodes, runs, starts, counts, lengths, n))
+        def propagators(segment: int, dt: float, times: np.ndarray) -> np.ndarray:
+            nodes, maps = closed_nodes(segment, dt)
+            return _ordered_product((_lagrange_weights(nodes, times.ravel()) @ maps).reshape(*times.shape, n, n))
+
+        chunk_propagator = _batcher(starts, counts, lengths, segments, BATCH_BYTES // (16 * n * n), propagators)
 
         def unitary(psi: np.ndarray, start: float, index: np.ndarray, dt: float) -> np.ndarray:
-            return chunk_products()[start, index[0]] @ psi
+            return chunk_propagator(start, index[0]) @ psi
 
     else:
 
@@ -782,26 +733,18 @@ def adiabatic_ramps(
     psi0 = np.zeros(n, dtype=complex)
     psi0[lattice_final.site_index(site)] = 1.0
     # The state at every checkpoint, one stack per walk: closed, then each rate set.
-    walks = [np.array([psi for _, _, psi in _substeps(psi0, checkpoints, closed_step, unitary)])]
+    walks = [np.array([psi for _, _, psi in _substeps(psi0, grid, closed_step, unitary)])[rows]]
     if rate_sets:
         # One (R, L+1, L+1) decay stack; a set without nonzero rates decays nowhere.
         decays = [_collapse_terms(dephasing_operators(rates, n + 1))[0] for rates in rate_sets]
         collapse = (np.array([np.zeros((n + 1, n + 1)) if d is None else d for d in decays]), [])
-
-        # Segment boundaries become substep edges (a kink inside a substep
-        # would cost the fourth order) but yield no result row.  Python sets,
-        # since ``np.union1d`` imports ``numpy.ma`` (6 MB) on its first call.
-        rows = set(checkpoints.tolist())
-        grid = np.array(sorted(rows.union(b for b in offsets[1:].tolist() if 0 < b < checkpoints[-1])))
-        keep = [t in rows for t in grid]
         sets = len(rate_sets)
         stack = np.repeat(DensityMatrix.single_excitation(lattice_final, site).matrix[None], sets, 0)
         max_rate = max(float(rates.values.max(initial=0.0)) for rates in rate_sets)
         step = STAGE_TIME_STEP_FACTOR * rk4_max_step(norm_bound, max_rate)
 
         # Every gap lies inside one segment, where H is affine in time.
-        starts, counts, lengths = _substep_grid(grid, step)
-        segment_of, n_maps = _segment_runs(offsets, starts, counts, lengths)
+        starts, counts, lengths, segments, n_maps = plan(step)
         held = 5 + min(SUBSTEP_CHUNK, int(counts.max()))
         if _step_map_pays(n, 0, int(counts.sum()), n_maps, nodes=5, held=held):
             # The steps of one length inside one segment are one degree-4
@@ -819,14 +762,15 @@ def adiabatic_ramps(
                 )
                 return nodes, maps.transpose(1, 0, 2, 3).reshape(sets, 5, n**4)
 
-            chunk_weights = _dephased_chunk_weights(
-                lambda segment, dt: dephased_nodes(segment, dt)[0], segment_of, starts, counts, lengths
-            )
+            def weights(segment: int, dt: float, times: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+                nodes, maps = dephased_nodes(segment, dt)
+                return [(w, maps) for w in _lagrange_weights(nodes, times.ravel()).reshape(*times.shape, 5)]
+
+            chunk_weights = _batcher(starts, counts, lengths, segments, BATCH_BYTES // 40, weights)
 
             def lindblad(rho: np.ndarray, start: float, index: np.ndarray, dt: float) -> np.ndarray:
-                ((segment, _, _),) = segment_of[start]
-                maps = dephased_nodes(segment, dt)[1]
-                step_maps = (chunk_weights(start, index[0]) @ maps).reshape(sets, -1, n * n, n * n)
+                w, maps = chunk_weights(start, index[0])
+                step_maps = (w @ maps).reshape(sets, -1, n * n, n * n)
                 vec = rho[:, 1:, 1:].reshape(sets, n * n, 1)
                 for k in range(index.size):
                     vec = step_maps[:, k] @ vec
@@ -847,7 +791,7 @@ def adiabatic_ramps(
 
         # One contiguous stack per set, so a set's weights take the same
         # arithmetic however many sets were walked with it.
-        rhos = np.array([rhos for i, _, rhos in _substeps(stack, grid, step, lindblad) if keep[i]])
+        rhos = np.array([rhos for _, _, rhos in _substeps(stack, grid, step, lindblad)])[rows]
         walks.extend(np.ascontiguousarray(rhos.swapaxes(0, 1)))
 
     projectors, gaps = _ground_projectors(hamiltonians(checkpoints))

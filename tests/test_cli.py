@@ -487,6 +487,7 @@ def test_bad_input_file_exits_2(tmp_path, argv, content):
     if content is not None:
         path.write_text(content)
     assert main([*argv, str(path), "--outdir", str(tmp_path / "out")]) == 2
+    assert not (tmp_path / "out").exists()
 
 
 #: Stands in an argv for the trace ``passing_trace`` writes.
@@ -534,6 +535,11 @@ def passing_trace(tmp_path_factory):
         ["bands", "--model", "trimer", "--delta-over-sqrt2j", "nan"],
         ["crosstalk-fit", "--seed", "-1"],
         ["detuning-sweep", "--delta", ","],
+        # Two tokens that name one file (sweep_phi*_delta0).
+        ["detuning-sweep", "--l", "1", "--delta", "0,0,-2sqrt2", "--points", "7"],
+        # 1e10 lines^2 * points: refused before any array is built.
+        ["crosstalk-fit", "--lines", "100000"],
+        ["crosstalk-fit", "--points", "1000000000"],
         # 2.8e8 substeps: refused by the budget before any array is built.
         ["adiabatic", "--l", "1", "--duration", "30", "--j-mhz", "4.2", "--dephasing-us", "1e-7"],
         # A trace that passes at the default tolerance.
@@ -571,6 +577,9 @@ def passing_trace(tmp_path_factory):
         "bands-trimer-delta-nan",
         "crosstalk-seed-negative",
         "sweep-delta-empty",
+        "sweep-delta-repeated",
+        "crosstalk-lines-too-many",
+        "crosstalk-points-too-many",
         "adiabatic-substep-budget",
         "verify-tolerance-negative",
         "verify-tolerance-nan",
@@ -581,6 +590,7 @@ def test_bad_argument_exits_2(tmp_path, request, argv):
         trace = str(request.getfixturevalue("passing_trace"))
         argv = [trace if arg == PASSING_TRACE else arg for arg in argv]
     assert main([*argv, "--outdir", str(tmp_path / "out")]) == 2
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(
@@ -595,10 +605,37 @@ def test_infeasible_argument_exits_3(tmp_path, argv):
     assert main([*argv, "--outdir", str(tmp_path / "out")]) == 3
 
 
-def test_substep_budget_names_the_count(tmp_path, capsys):
-    argv = ["adiabatic", "--l", "1", "--duration", "30", "--j-mhz", "4.2", "--dephasing-us", "1e-7"]
+@pytest.mark.parametrize("tphi, count", [("1e-7", "2.84e+08"), ("1e-300", "2.84e+301")])
+def test_substep_budget_names_the_count(tmp_path, capsys, tphi, count):
+    argv = ["adiabatic", "--l", "1", "--duration", "30", "--j-mhz", "4.2", "--dephasing-us", tphi]
     assert main([*argv, "--outdir", str(tmp_path / "out")]) == 2
-    assert "284205300 substeps" in capsys.readouterr().err
+    assert f"the walk needs {count} substeps of at most" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["dynamics", "--l", "1", "--flux", "tau"],
+        ["detuning-sweep", "--delta", ","],
+        ["verify", "--trace", "missing.json", "--oracle", "analytic_l1"],
+    ],
+    ids=["dynamics-flux", "sweep-delta-empty", "verify-missing-trace"],
+)
+def test_refused_run_leaves_no_directory(tmp_path, argv):
+    out = tmp_path / "out"
+    assert main([*argv, "--outdir", str(out)]) == 2
+    assert not out.exists()
+
+
+def test_coupler_block_is_the_same_at_every_truncation(tmp_path):
+    # The single-excitation block is formed directly, so a truncation whose
+    # dense three-mode Hamiltonian would not fit in memory runs as well.
+    files = {}
+    for levels in ("2", "3", "100000"):
+        out = tmp_path / levels
+        assert main(["coupler-calibrate", "--levels", levels, "--outdir", str(out)]) == 0
+        files[levels] = [(out / name).read_bytes() for name in ("coupler_sweep.csv", "coupler.json")]
+    assert files["2"] == files["3"] == files["100000"]
 
 
 def test_parser_lists_all_subcommands():

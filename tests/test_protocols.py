@@ -663,32 +663,37 @@ class TestRampCostRule:
 
     @pytest.mark.parametrize("l", [1, 4, 5])
     def test_closed_walks_agree_with_a_boundary_inside_a_gap(self, monkeypatch, l):
-        # At 100 checkpoints the segment boundary (Jt = 3) falls inside a gap,
-        # whose substeps the batched walk takes from both segments' nodes.
+        # At 100 checkpoints the segment boundary (Jt = 3) falls inside a gap;
+        # both closed walks step on it, and it adds no result row.
         lat = build_lattice(l, [PI] * l)
         sched = two_stage_ramp(lat, "A,1", 6.0)
-        split = []
-        segment_runs = protocols._segment_runs
+        grids = []
+        substeps = protocols._substeps
 
-        def spy(*args):
-            runs, n_maps = segment_runs(*args)
-            split.extend(gap for gap in runs.values() if len(gap) > 1)
-            return runs, n_maps
+        def spy(state, grid, *args):
+            grids.append(grid)
+            return substeps(state, grid, *args)
 
-        monkeypatch.setattr(protocols, "_segment_runs", spy)
+        monkeypatch.setattr(protocols, "_substeps", spy)
+        checkpoints = np.linspace(0.0, 6.0, 100)
+        assert 3.0 not in checkpoints
         runs = {}
         for pick in (True, False):
             self._force(monkeypatch, "_batch_pays", pick)
-            runs[pick] = self._outputs(adiabatic_ramps(lat, sched, "A,1", n_checkpoints=100)[0])
-        assert [[k for k, _, _ in gap] for gap in split] == [[0, 1], [0, 1]]
+            closed = adiabatic_ramps(lat, sched, "A,1", n_checkpoints=100)[0]
+            assert np.array_equal(closed.times, checkpoints)
+            runs[pick] = self._outputs(closed)
+        assert len(grids) == 2
+        for grid in grids:
+            assert np.array_equal(grid, np.sort(np.append(checkpoints, 3.0)))
         assert np.abs(runs[True] - runs[False]).max() < 1e-11
 
     @pytest.mark.parametrize("n_checkpoints", [101, 100])
     @pytest.mark.parametrize("l", [1, 2, 3, 4])
     def test_one_piece_per_batch_matches_the_default(self, monkeypatch, l, n_checkpoints):
-        # A batch stacks pieces of one group up to CLOSED_BATCH_BYTES (several
-        # at l <= 2; from l = 3 one 134-substep piece alone is over 256 KiB);
-        # at a cap of one byte every piece is a batch of its own.
+        # A batch stacks chunks of one group up to BATCH_BYTES of unitaries
+        # (several at l <= 2; from l = 3 one chunk alone is over 256 KiB); at
+        # a cap of one byte every chunk is a batch of its own.
         lat = build_lattice(l, [PI] * l)
         sched = two_stage_ramp(lat, "A,1", 30.0)
         batches = []
@@ -700,37 +705,54 @@ class TestRampCostRule:
 
         monkeypatch.setattr(protocols, "_lagrange_weights", counting)
         runs = []
-        for cap in (protocols.CLOSED_BATCH_BYTES, 1):
-            monkeypatch.setattr(protocols, "CLOSED_BATCH_BYTES", cap)
+        for cap in (protocols.BATCH_BYTES, 1):
+            monkeypatch.setattr(protocols, "BATCH_BYTES", cap)
             batches.append(0)
             runs.append(self._outputs(adiabatic_ramps(lat, sched, "A,1", n_checkpoints=n_checkpoints)[0]))
-        # One piece per gap: 100 gaps, or 99 and the second piece of the one that straddles Jt = 15.
+        # One chunk per gap: 100 gaps, or 99 and one more where Jt = 15 cuts one in two.
         assert batches[1] == 100
         assert batches[0] < batches[1] if l <= 2 else batches[0] == batches[1]
         assert np.abs(runs[0] - runs[1]).max() < 1e-12
 
     def test_gaps_longer_than_a_chunk(self, monkeypatch):
         # At duration 100 each gap takes 445 substeps, two chunks (256 and
-        # 189), whose pieces fall in two groups of one node set.
+        # 189), which fall in two groups of one node set; every batch holds
+        # chunks of one group.
         lat = build_lattice(1, [PI])
         sched = two_stage_ramp(lat, "A,1", 100.0)
-        keys = []
-        products = protocols._closed_chunk_products
+        products = protocols._ordered_product
+        batches = []
 
-        def spy(*args):
-            keys.extend(products(*args))
-            return products(*args)
+        def spy(u):
+            batches.append(u.shape[:2])
+            return products(u)
 
-        monkeypatch.setattr(protocols, "_closed_chunk_products", spy)
-        runs = {}
+        monkeypatch.setattr(protocols, "_ordered_product", spy)
+        runs, rows = {}, {}
         for pick, chunk in ((True, open_system.SUBSTEP_CHUNK), (True, 1024), (False, 1024)):
             self._force(monkeypatch, "_batch_pays", pick)
             monkeypatch.setattr(open_system, "SUBSTEP_CHUNK", chunk)
+            batches.clear()
             runs[pick, chunk] = self._outputs(adiabatic_ramps(lat, sched, "A,1")[0])
-        assert len(keys) == 300 and sorted({first for _, first in keys}) == [0, 256]
+            rows[pick, chunk] = {}
+            for size, count in batches:
+                rows[pick, chunk][count] = rows[pick, chunk].get(count, 0) + size
+        assert rows == {(True, 256): {256: 100, 189: 100}, (True, 1024): {445: 100}, (False, 1024): {}}
         assert np.abs(runs[True, 256] - runs[True, 1024]).max() < 1e-12
         # 44,500 interpolated substeps, each within about 1e-15 of the loop's.
         assert np.abs(runs[True, 256] - runs[False, 1024]).max() < 1e-10
+
+    def test_closed_walk_steps_on_boundaries_inside_gaps(self, monkeypatch):
+        # Both boundaries of the three-segment ramp (Jt = 10.3 and 19.7) fall
+        # inside gaps of 101 checkpoints.  A kink inside a substep would cost
+        # the closed walk its second order: with substeps across them it
+        # deviates by 3.1e-8 from a run at a tenth of the step, on edges 8.9e-9.
+        lat = build_lattice(1, [PI])
+        sched = _three_segment_ramp(lat)
+        run = self._outputs(adiabatic_ramps(lat, sched, "A,1")[0])
+        monkeypatch.setattr(open_system, "STEP_SAFETY", 0.001)
+        reference = self._outputs(adiabatic_ramps(lat, sched, "A,1")[0])
+        assert np.abs(run - reference).max() < 1.5e-8
 
     def test_dephased_ramp_memory(self):
         # Peak traced memory of one README dephased ramp: 0.5 MiB for the
@@ -750,37 +772,46 @@ class TestRampCostRule:
 
     def test_dephased_weights_one_call_per_group(self, monkeypatch):
         # The README dephased ramp takes 3,400 substeps in 100 gaps; their
-        # weights (136 kB) fit one DEPHASED_WEIGHT_BYTES window, so the walk
-        # makes one _lagrange_weights call per (segment, dt) group.  At a cap
-        # of one byte every chunk (here every gap) is a window of its own.
+        # weights (136 kB) fit one BATCH_BYTES batch per group, so the walk
+        # makes one _lagrange_weights call per (segment, dt, count) group.  At
+        # a cap of one byte every chunk (here every gap) is a batch of its own.
         lat = build_lattice(1, [PI])
         sched = two_stage_ramp(lat, "A,1", 30.0)
         rates = [DephasingRates.uniform(4, 1.0 / (2 * PI * 4.2))]
-        calls, groups = [0], []
-        weights, segment_runs = protocols._lagrange_weights, protocols._segment_runs
+        calls, forms = [0], []
+        weights, batcher = protocols._lagrange_weights, protocols._batcher
 
         def counting(*args):
             calls[0] += 1
             return weights(*args)
 
         def spy(*args):
-            runs, n_maps = segment_runs(*args)
-            groups.append(n_maps)
-            return runs, n_maps
+            *grid, form = args
+            keys = []
+            forms.append(keys)
+
+            def recording(segment, dt, times):
+                keys.append((segment, dt, times.shape[1]))
+                return form(segment, dt, times)
+
+            return batcher(*grid, recording)
 
         monkeypatch.setattr(protocols, "_lagrange_weights", counting)
-        monkeypatch.setattr(protocols, "_segment_runs", spy)
-        dephased_calls, runs = [], []
-        for cap in (protocols.DEPHASED_WEIGHT_BYTES, 1):
-            monkeypatch.setattr(protocols, "DEPHASED_WEIGHT_BYTES", cap)
+        monkeypatch.setattr(protocols, "_batcher", spy)
+        dephased_calls, groups, runs = [], [], []
+        for cap in (protocols.BATCH_BYTES, 1):
+            monkeypatch.setattr(protocols, "BATCH_BYTES", cap)
             counts = []
             for rate_sets in ((), rates):
                 calls[0] = 0
                 closed, dephased = adiabatic_ramps(lat, sched, "A,1", rate_sets)
                 counts.append(calls[0])
             dephased_calls.append(counts[1] - counts[0])
+            groups.append(forms[-1])  # the dephased walk's batcher is the run's last
             runs.append(self._outputs(dephased[0]))
-        assert dephased_calls == [groups[-1], 100] and groups[-1] < 100
+        assert len(set(groups[0])) == len(groups[0]) < 100
+        assert set(groups[1]) == set(groups[0])
+        assert dephased_calls == [len(groups[0]), 100] == [len(groups[0]), len(groups[1])]
         assert np.array_equal(runs[0], runs[1])
 
     @pytest.mark.parametrize("l, pairwise", [(29, True), (30, False)])
