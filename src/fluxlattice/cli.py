@@ -107,6 +107,16 @@ def parse_delta_token(token: str) -> float:
     return _scaled_number(token, "sqrt2", SQRT2)
 
 
+#: Most points a ``--points`` option or a range's count may ask for, checked
+#: before any grid is built.
+MAX_POINTS = 10**6
+
+
+def _check_count(name: str, count: int) -> None:
+    if not 1 <= count <= MAX_POINTS:
+        raise ConfigError(f"{name} must be between 1 and the limit of {MAX_POINTS}, got {count}")
+
+
 def parse_range(text: str) -> np.ndarray:
     parts = text.split(":")
     if len(parts) != 3:
@@ -115,8 +125,7 @@ def parse_range(text: str) -> np.ndarray:
         start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError:
         raise ConfigError(f"expected numbers in start:stop:count, got {text!r}") from None
-    if count < 1:
-        raise ConfigError("range count must be at least 1")
+    _check_count("range count", count)
     if not (math.isfinite(start) and math.isfinite(stop)):
         raise ConfigError(f"range start and stop must be finite, got {text!r}")
     return np.linspace(start, stop, count)
@@ -198,8 +207,7 @@ def _resolve_lattice(args) -> LatticeConfig:
 
 
 def _time_grid(args) -> np.ndarray:
-    if args.points < 1:
-        raise ConfigError(f"--points must be at least 1, got {args.points}")
+    _check_count("--points", args.points)
     return np.linspace(0.0, parse_pi_multiple(args.tmax), args.points)
 
 
@@ -425,8 +433,8 @@ def cmd_coupler_calibrate(args) -> int:
             extraction = three_mode_vacuum_rabi(spec, args.levels)
         rows.append([omega_c, formula * 1e3, extraction.value * 1e3, extraction.sign])
     data = np.array(rows)
-    write_csv(ctx, "coupler_sweep.csv", ["omega_c_GHz", "g_eff_formula_MHz", "g_extracted_MHz", "sign"], data)
     off = coupler_off_frequency(device.coupler, (grid[0], grid[-1]))
+    write_csv(ctx, "coupler_sweep.csv", ["omega_c_GHz", "g_eff_formula_MHz", "g_extracted_MHz", "sign"], data)
     # Relative agreement is meaningless near the zero crossing; compare where
     # the coupling is an appreciable fraction of its maximum.
     strong = np.abs(data[:, 1]) > 0.25 * np.abs(data[:, 1]).max()

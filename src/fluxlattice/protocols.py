@@ -38,9 +38,8 @@ from .dynamics import (
 )
 from .open_system import (
     CALL_COST,
-    DensityMatrix,
     DephasingRates,
-    STAGE_TIME_STEP_FACTOR,
+    SPLIT_STEP_FACTOR,
     SUBSTEP_CHUNK,
     _batch_pays,
     _bhattacharyya,
@@ -48,11 +47,10 @@ from .open_system import (
     _collapse_terms,
     _embed_vacuum,
     _lagrange_weights,
-    _liouvillian,
     _midpoint_unitaries,
-    _polynomial_step_maps,
-    _rk4_step,
-    _step_map_pays,
+    _split_decays,
+    _split_step_maps,
+    _split_unitaries,
     _substep_grid,
     _substeps,
     dephasing_operators,
@@ -616,11 +614,13 @@ def adiabatic_ramps(
     sector) and is propagated exactly with the Hamiltonian frozen at the
     midpoint of each short substep.  Along the ramp the overlap with the
     instantaneous ground eigenspace is recorded; a gap below 1e-6 J triggers a
-    level-crossing warning.  One density matrix per rate set follows in
-    lockstep, all in one stack, by stage-time RK4 (H at the start, middle and
-    end of each step: fourth order in time) at ``STAGE_TIME_STEP_FACTOR``
-    times the largest rate's step rule (each set's own while every rate is
-    below the norm of H), with every segment boundary on a step edge.
+    level-crossing warning.  One density matrix per rate set follows, all in
+    one stack and without the vacuum, whose row and column stay zero, by
+    split steps (``_split_step_maps``: the exact elementwise decay between
+    the midpoint unitaries of Yoshida's three Strang sub-steps, fourth order
+    in time and trace-preserving at any step) at ``SPLIT_STEP_FACTOR`` times
+    the largest rate's step rule (each set's own while every rate is below
+    the norm of H), with every segment boundary on a step edge.
     Returns the closed result and one result per rate set, whose fidelities
     are against the closed ground populations.
 
@@ -628,20 +628,21 @@ def adiabatic_ramps(
     inside the ramp (a kink inside a substep would cost either walk its
     order), so every walked gap lies inside one segment; the boundaries yield
     no result row.  Both go through ``_substeps`` a chunk of at most
-    ``SUBSTEP_CHUNK`` substeps at a time, and one cost rule (``_batch_pays``,
-    with ``_step_map_pays`` for the dephased walk) picks how each takes a
-    chunk: one Python loop turn per substep, or a few batched products.
-    Batched, each walk takes a substep's matrix from a degree-4 interpolant
-    in its start time, through five exact samples per segment and substep
-    length: the closed walk's unitary (``_midpoint_unitaries``, within about
-    1e-14, so no eigendecomposition per substep) and the dephased walk's RK4
-    map (``_polynomial_step_maps``, exact).  One ``_batcher`` forms the
+    ``SUBSTEP_CHUNK`` substeps at a time, and one cost rule (``_batch_pays``)
+    picks how each takes a chunk: one Python loop turn per substep, or a few
+    batched products.  Batched, each walk takes a substep's matrix from a
+    degree-4 interpolant in its start time, through five exact samples per
+    segment and substep length: the closed walk's unitary
+    (``_midpoint_unitaries``, within about 1e-14, so no eigendecomposition
+    per substep) and the dephased walk's Liouville-space map
+    (``_split_step_maps``, within about 3e-10).  One ``_batcher`` forms the
     chunks' interpolation weights ahead of the walk, stacked across the
     chunks that share a segment, substep length and count, at most
     ``BATCH_BYTES`` at a time; the closed walk also multiplies each chunk's
     unitaries into its propagator there (``_ordered_product``), so a chunk
-    costs it one product with the state.  Both choices take the same steps
-    and agree to round-off.  The closed walk batches at every size the memory
+    costs it one product with the state.  Both choices take the same steps;
+    the closed walks agree to round-off, the dephased ones to the
+    interpolant's error.  The closed walk batches at every size the memory
     cap admits, the dephased one on small lattices, and no choice depends on
     the number of rate sets.  The checkpoints are diagnosed after both walks,
     from one stacked ``eigh`` of their Hamiltonians (``_ground_projectors``).
@@ -650,7 +651,7 @@ def adiabatic_ramps(
     ------
     ConfigError : for an invalid schedule, or a walk above
         ``SUBSTEP_BUDGET`` substeps (checked before any substep is taken).
-    NumericalError : if a density-matrix trace drifts (the step is too large).
+    NumericalError : if a density-matrix trace drifts or stops being finite.
     """
     if n_checkpoints < 1:
         raise ConfigError("a ramp needs at least one checkpoint")
@@ -735,32 +736,43 @@ def adiabatic_ramps(
     # The state at every checkpoint, one stack per walk: closed, then each rate set.
     walks = [np.array([psi for _, _, psi in _substeps(psi0, grid, closed_step, unitary)])[rows]]
     if rate_sets:
-        # One (R, L+1, L+1) decay stack; a set without nonzero rates decays nowhere.
+        # One (R, L, L) decay stack without the vacuum, whose row and column
+        # of the density matrix stay zero; a set without nonzero rates decays
+        # nowhere.
         decays = [_collapse_terms(dephasing_operators(rates, n + 1))[0] for rates in rate_sets]
-        collapse = (np.array([np.zeros((n + 1, n + 1)) if d is None else d for d in decays]), [])
+        decay = np.array([np.zeros((n, n)) if d is None else d[1:, 1:] for d in decays])
         sets = len(rate_sets)
-        stack = np.repeat(DensityMatrix.single_excitation(lattice_final, site).matrix[None], sets, 0)
+        stack = np.repeat(np.outer(psi0, psi0)[None], sets, 0)
         max_rate = max(float(rates.values.max(initial=0.0)) for rates in rate_sets)
-        step = STAGE_TIME_STEP_FACTOR * rk4_max_step(norm_bound, max_rate)
+        step = SPLIT_STEP_FACTOR * rk4_max_step(norm_bound, max_rate)
 
-        # Every gap lies inside one segment, where H is affine in time.
+        # Every gap lies inside one segment, where H is affine in time.  The
+        # loop forms a chunk's sub-step unitaries from one stacked eigh, then
+        # takes each step as U rho U^H per sub-step between the four decays:
+        # about 20 numpy calls per step (10 to step, the rest its share of
+        # the chunk's work, each LAPACK call charged as a call), 3 * 4.5n^3
+        # for the eigh, 3n^3 to form the unitaries and 6n^3 + 4n^2 to step.
+        # Batched, a step's n^2 x n^2 map is an entire function of its start,
+        # so the batcher combines a chunk's maps from five exact node maps per
+        # segment and step length (``_split_step_maps``, two n^6 products
+        # each) with Lagrange weights, 5n^4 per step, and each step is one
+        # matrix-vector product of n^4.  Those large products run about 5x
+        # faster per multiply-add than the loop's small ones (timed on the
+        # README ramp, l = 1-4), and are charged so; the loop pays from l = 4
+        # on the README ramp.
         starts, counts, lengths, segments, n_maps = plan(step)
         held = 5 + min(SUBSTEP_CHUNK, int(counts.max()))
-        if _step_map_pays(n, 0, int(counts.sum()), n_maps, nodes=5, held=held):
-            # The steps of one length inside one segment are one degree-4
-            # polynomial in their start time (``_polynomial_step_maps``), on
-            # the n^2 x n^2 Liouvillian without the vacuum, whose row and
-            # column stay zero.  One product with a chunk's Lagrange weights
-            # gives its substeps' maps; each substep is then one stacked product.
-            decay_stack = collapse[0][:, 1:, 1:]
+        if _batch_pays(
+            int(counts.sum()), 20, 22.5 * n**3 + 4 * n * n, 2 * n**4,
+            n_maps * 2 * n**6, 16 * n**4 * held,
+        ):
 
             @cache
             def dephased_nodes(segment: int, dt: float) -> tuple[np.ndarray, np.ndarray]:
-                nodes, maps = _polynomial_step_maps(
-                    lambda times: _liouvillian(hamiltonians(times, segment)[:, None], (decay_stack, [])),
-                    offsets[segment], offsets[segment + 1], dt,
+                nodes, maps = _split_step_maps(
+                    partial(hamiltonians, segment=segment), decay, offsets[segment], offsets[segment + 1], dt
                 )
-                return nodes, maps.transpose(1, 0, 2, 3).reshape(sets, 5, n**4)
+                return nodes, maps.reshape(sets, 5, n**4)
 
             def weights(segment: int, dt: float, times: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
                 nodes, maps = dephased_nodes(segment, dt)
@@ -771,28 +783,26 @@ def adiabatic_ramps(
             def lindblad(rho: np.ndarray, start: float, index: np.ndarray, dt: float) -> np.ndarray:
                 w, maps = chunk_weights(start, index[0])
                 step_maps = (w @ maps).reshape(sets, -1, n * n, n * n)
-                vec = rho[:, 1:, 1:].reshape(sets, n * n, 1)
+                vec = rho.reshape(sets, n * n, 1)
                 for k in range(index.size):
                     vec = step_maps[:, k] @ vec
-                out = np.zeros_like(rho)
-                out[:, 1:, 1:] = vec.reshape(sets, n, n)
-                return out
+                return vec.reshape(rho.shape)
 
         else:
 
             def lindblad(rho: np.ndarray, start: float, index: np.ndarray, dt: float) -> np.ndarray:
-                # H at the stage times t, t + dt/2 and t + dt of every substep;
-                # each substep's end is the next one's start.
-                stage_times = (start + 0.5 * dt) + (np.arange(2 * index[0], 2 * index[-1] + 3) - 1) * (0.5 * dt)
-                stages = _embed_vacuum(hamiltonians(stage_times))
-                for k in range(index.size):
-                    rho = _rk4_step(stages[2 * k], rho, dt, collapse, stages[2 * k + 1], stages[2 * k + 2])
+                outer, inner = _split_decays(decay, dt)
+                u = _split_unitaries(hamiltonians, start + index * dt, dt)
+                for (u1, u2, u3), (v1, v2, v3) in zip(u, u.conj().swapaxes(-1, -2)):
+                    rho = inner * (u1 @ (outer * rho) @ v1)
+                    rho = outer * (u3 @ (inner * (u2 @ rho @ v2)) @ v3)
                 return rho
 
-        # One contiguous stack per set, so a set's weights take the same
-        # arithmetic however many sets were walked with it.
+        # The vacuum row and column back in, one contiguous stack per set, so
+        # a set's weights take the same arithmetic however many sets were
+        # walked with it.
         rhos = np.array([rhos for _, _, rhos in _substeps(stack, grid, step, lindblad)])[rows]
-        walks.extend(np.ascontiguousarray(rhos.swapaxes(0, 1)))
+        walks.extend(_embed_vacuum(rhos.swapaxes(0, 1)))
 
     projectors, gaps = _ground_projectors(hamiltonians(checkpoints))
     low = np.flatnonzero(gaps < 1e-6 * max(lattice_final.J, 1e-12))

@@ -540,7 +540,12 @@ def passing_trace(tmp_path_factory):
         # 1e10 lines^2 * points: refused before any array is built.
         ["crosstalk-fit", "--lines", "100000"],
         ["crosstalk-fit", "--points", "1000000000"],
-        # 2.8e8 substeps: refused by the budget before any array is built.
+        # Counts above the MAX_POINTS ceiling: refused before any grid is built.
+        ["dynamics", "--l", "1", "--points", "1000000000"],
+        ["detuning-sweep", "--points", "1000000000"],
+        ["spectroscopy", "--delta-range", "0:1:1000000000"],
+        ["zak", "--delta-range", "0:1:1000000000"],
+        # 1.1e8 substeps: refused by the budget before any array is built.
         ["adiabatic", "--l", "1", "--duration", "30", "--j-mhz", "4.2", "--dephasing-us", "1e-7"],
         # A trace that passes at the default tolerance.
         ["verify", "--trace", PASSING_TRACE, "--oracle", "effective_model", "--tolerance", "-1"],
@@ -580,6 +585,10 @@ def passing_trace(tmp_path_factory):
         "sweep-delta-repeated",
         "crosstalk-lines-too-many",
         "crosstalk-points-too-many",
+        "dynamics-points-too-many",
+        "sweep-points-too-many",
+        "spectroscopy-range-too-many",
+        "zak-range-too-many",
         "adiabatic-substep-budget",
         "verify-tolerance-negative",
         "verify-tolerance-nan",
@@ -605,7 +614,7 @@ def test_infeasible_argument_exits_3(tmp_path, argv):
     assert main([*argv, "--outdir", str(tmp_path / "out")]) == 3
 
 
-@pytest.mark.parametrize("tphi, count", [("1e-7", "2.84e+08"), ("1e-300", "2.84e+301")])
+@pytest.mark.parametrize("tphi, count", [("1e-7", "1.14e+08"), ("1e-300", "1.14e+301")])
 def test_substep_budget_names_the_count(tmp_path, capsys, tphi, count):
     argv = ["adiabatic", "--l", "1", "--duration", "30", "--j-mhz", "4.2", "--dephasing-us", tphi]
     assert main([*argv, "--outdir", str(tmp_path / "out")]) == 2
@@ -618,8 +627,10 @@ def test_substep_budget_names_the_count(tmp_path, capsys, tphi, count):
         ["dynamics", "--l", "1", "--flux", "tau"],
         ["detuning-sweep", "--delta", ","],
         ["verify", "--trace", "missing.json", "--oracle", "analytic_l1"],
+        # The sweep is computed, but no sign change lies in its window.
+        ["coupler-calibrate", "--sweep", "8.5:9:5"],
     ],
-    ids=["dynamics-flux", "sweep-delta-empty", "verify-missing-trace"],
+    ids=["dynamics-flux", "sweep-delta-empty", "verify-missing-trace", "coupler-no-sign-change"],
 )
 def test_refused_run_leaves_no_directory(tmp_path, argv):
     out = tmp_path / "out"

@@ -346,40 +346,6 @@ class TestStepMap:
             )
 
 
-class TestPolynomialStepMap:
-    @given(
-        st.integers(2, 5),
-        st.integers(0, 2),
-        st.floats(0.0, 1.0),
-        st.floats(1e-3, 0.05),
-        st.integers(0, 2**32 - 1),
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_map_is_the_stage_time_rk4_step(self, dim, n_general, where, dt, seed):
-        # H affine in time across [start, stop]; the interpolated map of a step
-        # starting anywhere in it is one stage-time RK4 step.
-        rng = np.random.default_rng(seed)
-        a, b = _random_matrix(rng, dim), _random_matrix(rng, dim)
-        a, b = a + a.conj().T, b + b.conj().T
-        ops = [np.diag(rng.uniform(0, 1, dim) + 0j)] + [_random_matrix(rng, dim) for _ in range(n_general)]
-        collapse = open_system._collapse_terms(ops)
-        start = rng.uniform(0, 30)
-        stop = start + dt + rng.uniform(0, 10)
-
-        def h(t):
-            return a + ((t - start) / (stop - start)) * b
-
-        nodes, maps = open_system._polynomial_step_maps(
-            lambda times: open_system._liouvillian(np.array([h(t) for t in times]), collapse), start, stop, dt
-        )
-        t = start + where * (stop - start - dt)
-        step_map = (open_system._lagrange_weights(nodes, np.array([t])) @ maps.reshape(5, -1)).reshape(maps.shape[1:])
-        rho = _random_matrix(rng, dim)
-        rho = rho + rho.conj().T
-        expected = open_system._rk4_step(h(t), rho, dt, collapse, h(t + 0.5 * dt), h(t + dt))
-        assert np.abs((step_map @ rho.reshape(-1)).reshape(dim, dim) - expected).max() < 1e-13
-
-
 class TestSubsteps:
     def test_chunks_cover_each_gap_in_order(self, monkeypatch):
         monkeypatch.setattr(open_system, "SUBSTEP_CHUNK", 5)

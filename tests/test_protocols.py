@@ -434,16 +434,58 @@ class TestAdiabaticPreparation:
         protocols.adiabatic_prepare(lat, two_stage_ramp(lat, "A,1", 12.0), "A,1", rates, n_checkpoints=11)
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("batched", [True, False], ids=["batched", "loop"])
     @pytest.mark.parametrize("gammas", [(0.0379,), (0.0379, 0.0038)], ids=["one-set", "two-sets"])
-    def test_unstable_dephased_ramp_raises(self, monkeypatch, gammas):
+    def test_loose_rule_keeps_the_trace(self, monkeypatch, gammas, batched):
         # With 11 checkpoints the step rule, not the checkpoint spacing, sets the
-        # substep; a 1000x looser rule makes the dephased RK4 ramp diverge.
+        # step; at a 1000x looser rule (one step per gap) the split walk, which
+        # has no stability limit, still keeps every trace to round-off (3e-15
+        # batched, 1.6e-14 looping), though its states are far from the
+        # dynamics and not positive, so the walk is stopped at its end.
+        class Walked(Exception):
+            pass
+
         monkeypatch.setattr(open_system, "STEP_SAFETY", 10.0)
+        monkeypatch.setattr(protocols, "_batch_pays", lambda *a, **k: batched)
+        drifts = []
+        substeps = protocols._substeps
+
+        def spy(state, *args):
+            for i, time, walked in substeps(state, *args):
+                if walked.ndim == 3:
+                    drifts.append(np.abs(walked.trace(axis1=1, axis2=2) - 1.0).max())
+                yield i, time, walked
+            if state.ndim == 3:
+                raise Walked
+
+        monkeypatch.setattr(protocols, "_substeps", spy)
         lat = build_lattice(1, [PI])
         sched = two_stage_ramp(lat, "A,1", 30.0, -4.0)
         rate_sets = [DephasingRates.uniform(4, gamma) for gamma in gammas]
-        with pytest.raises(NumericalError, match="trace drifted"):
+        with pytest.raises(Walked):
             adiabatic_ramps(lat, sched, "A,1", rate_sets, n_checkpoints=11)
+        assert len(drifts) == 11
+        assert max(drifts) < 1e-13
+
+    @pytest.mark.parametrize("corrupt", [math.nan, 1.0 + 1e-5], ids=["non-finite", "drifted"])
+    @pytest.mark.parametrize("gammas", [(0.0379,), (0.0379, 0.0038)], ids=["one-set", "two-sets"])
+    def test_bad_trace_raises(self, monkeypatch, gammas, corrupt):
+        # ``_substeps`` checks every density-matrix trace at each checkpoint;
+        # a walk that lost its trace, or every bit of it, is refused.
+        substeps = protocols._substeps
+
+        def corrupting(state, grid, step, advance):
+            def bad(rho, *args):
+                out = advance(rho, *args)
+                return out * corrupt if out.ndim == 3 else out
+
+            return substeps(state, grid, step, bad)
+
+        monkeypatch.setattr(protocols, "_substeps", corrupting)
+        lat = build_lattice(1, [PI])
+        rate_sets = [DephasingRates.uniform(4, gamma) for gamma in gammas]
+        with pytest.raises(NumericalError, match="trace drifted"):
+            adiabatic_ramps(lat, two_stage_ramp(lat, "A,1", 30.0), "A,1", rate_sets, n_checkpoints=11)
 
     @staticmethod
     def _assert_same_result(a, b):
@@ -496,8 +538,8 @@ def _three_segment_ramp(lat):
     ))
 
 
-class TestStageTimeRamp:
-    """The dephased ramp is stage-time RK4: fourth order, with schedule kinks on substep edges."""
+class TestSplitStepRamp:
+    """The dephased ramp is a Yoshida split-step walk: fourth order, with schedule kinks on step edges."""
 
     @staticmethod
     def _kinked():
@@ -519,8 +561,9 @@ class TestStageTimeRamp:
 
         reference = outputs(0.04 / 16)
         errors = [np.abs(outputs(0.04 / 2**k) - reference).max() for k in range(3)]
-        # With a kink inside a substep the error falls at second order, and
-        # unevenly: here the second halving would gain about 1x, not 2^4.
+        # Split safeties 0.4, 0.2 and 0.1 (the default) against 0.025; finer
+        # steps reach the round-off floor of about 2e-11.  With a kink inside
+        # a step the error falls at second order, and unevenly.
         assert errors[0] / errors[1] >= 2**3.5
         assert errors[1] / errors[2] >= 2**3.5
 
@@ -535,7 +578,8 @@ class TestStageTimeRamp:
     @pytest.mark.parametrize("flux, midpoint_error", [(0.0, 1.31e-7), (PI, 1.55e-7)])
     def test_more_accurate_than_midpoint_walk(self, monkeypatch, flux, midpoint_error):
         # midpoint_error: the largest deviation of the walk that froze H at
-        # substep midpoints, at the default rule, from the same reference.
+        # substep midpoints, at the default rule, from the same reference
+        # (the split walk's is 8.0e-9 at flux 0 and 7.0e-9 at flux pi).
         lat = build_lattice(1, [flux])
         sched = two_stage_ramp(lat, "A,1", 6.0)
         rates = DephasingRates.uniform(4, 0.0379)
@@ -577,6 +621,117 @@ class TestMidpointUnitaries:
         exact = (vectors * np.exp(-1j * energies * dt)) @ vectors.conj().T
         assert np.abs(u - exact).max() < 1e-13
         assert np.abs(u.conj().T @ u - np.eye(lat.num_sites)).max() < 1e-13
+
+
+def _exact_split_step(h, decay, t, dt, rho):
+    """One split step in Hilbert space, sub-step by sub-step: ``D(s/2) U D(s/2)`` for each of Yoshida's three."""
+    for c in open_system._TRIPLE_JUMP:
+        sub = c * dt
+        half = np.exp(-0.5 * sub * decay)
+        energies, vectors = np.linalg.eigh(h(t + 0.5 * sub))
+        u = (vectors * np.exp(-1j * energies * sub)) @ vectors.conj().T
+        rho = half * (u @ (half * rho) @ u.conj().T)
+        t += sub
+    return rho
+
+
+def _affine_split_step_case(rng, dim, sets):
+    """H affine in time on [start, stop], a stack of dephasing decay matrices, and a unit-norm Hermitian rho."""
+    a, b, rho = rng.normal(size=(3, dim, dim)) + 1j * rng.normal(size=(3, dim, dim))
+    a, b = a + a.conj().T, b + b.conj().T
+    decay = np.array([
+        open_system._collapse_terms(open_system.dephasing_operators(rng.uniform(0, 1, dim), dim + 1))[0][1:, 1:]
+        for _ in range(sets)
+    ])
+    start = rng.uniform(0, 30)
+    stop = start + rng.uniform(1, 10)
+
+    def hamiltonians(times):
+        return a + ((np.asarray(times)[:, None, None] - start) / (stop - start)) * b
+
+    rho = rho + rho.conj().T
+    return hamiltonians, decay, rho / np.linalg.norm(rho), start, stop
+
+
+class TestSplitStepMaps:
+    @given(
+        st.integers(2, 5),
+        st.integers(1, 3),
+        st.floats(1e-3, 1.0),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_node_maps_are_the_split_step(self, dim, sets, dt, seed):
+        # Each node map is the merged product of the three Strang sub-steps,
+        # each with its own midpoint H, applied to the flattened rho.
+        rng = np.random.default_rng(seed)
+        hamiltonians, decay, rho, start, stop = _affine_split_step_case(rng, dim, sets)
+        nodes, maps = open_system._split_step_maps(hamiltonians, decay, start, stop, dt)
+        assert maps.shape == (sets, 5, dim * dim, dim * dim)
+        for r in range(sets):
+            for node, step_map in zip(nodes, maps[r]):
+                expected = _exact_split_step(lambda t: hamiltonians([t])[0], decay[r], node, dt, rho)
+                assert np.abs((step_map @ rho.reshape(-1)).reshape(dim, dim) - expected).max() < 1e-13
+
+    @given(st.integers(2, 5), st.floats(1e-3, 10.0), st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_maps_keep_the_trace_at_any_step(self, dim, dt, seed):
+        # The unitaries keep the trace and the decay leaves the diagonal
+        # alone, so no step length breaks it: no stability limit.
+        rng = np.random.default_rng(seed)
+        hamiltonians, decay, _, start, stop = _affine_split_step_case(rng, dim, 2)
+        _, maps = open_system._split_step_maps(hamiltonians, decay, start, stop, dt)
+        trace = np.eye(dim).reshape(-1)
+        assert np.abs(trace @ maps - trace).max() < 1e-12
+
+    def test_triple_jump_weights(self):
+        # Yoshida's conditions for fourth order from a symmetric second-order
+        # step: the sub-steps span the step, and their cubes cancel.
+        c1, c0, c2 = open_system._TRIPLE_JUMP
+        assert c2 == c1
+        assert 2 * c1 + c0 == pytest.approx(1.0, abs=1e-15)
+        assert 2 * c1**3 + c0**3 == pytest.approx(0.0, abs=1e-14)
+
+    @given(
+        st.integers(1, 3),
+        st.sampled_from([0.0, PI]),
+        st.booleans(),
+        st.integers(0, 5),
+        st.floats(0.0, 1.0),
+        st.floats(1e-3, 1.0),
+        st.sampled_from([0.0, 0.0379, 9.0]),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_interpolant_is_the_split_step(self, l, flux, three, segment, where, fraction, gamma, seed):
+        # Inside a segment the split step's map is an entire function of its
+        # start; the degree-4 interpolant through its Chebyshev nodes matches
+        # the three exact sub-steps anywhere, at any step the rule allows:
+        # within 3.4e-10 in operator norm over a grid of these ramps,
+        # segments, rates, steps up to the rule's and 81 starts per segment.
+        lat = build_lattice(l, [flux] * l)
+        n = lat.num_sites
+        sched = _three_segment_ramp(lat) if three else two_stage_ramp(lat, "A,1", 30.0)
+        segment %= len(sched.segments)
+        hamiltonians = protocols._ramp_hamiltonians(lat, sched)
+        offsets = np.cumsum([0.0] + [seg.duration for seg in sched.segments])
+        norm = max(open_system.spectral_norm(h) for h in hamiltonians(offsets))
+        dt = fraction * open_system.SPLIT_STEP_FACTOR * open_system.rk4_max_step(norm, gamma)
+        rates = DephasingRates(np.linspace(0.0, gamma, n))
+        decay = open_system._collapse_terms(open_system.dephasing_operators(rates, n + 1))[0]
+        decay = np.zeros((n, n)) if decay is None else decay[1:, 1:]
+        nodes, maps = open_system._split_step_maps(
+            partial(hamiltonians, segment=segment), decay[None], offsets[segment], offsets[segment + 1], dt
+        )
+        start = offsets[segment] + where * (offsets[segment + 1] - offsets[segment] - dt)
+        weights = open_system._lagrange_weights(nodes, np.array([start]))
+        step_map = (weights @ maps[0].reshape(5, -1)).reshape(n * n, n * n)
+        rng = np.random.default_rng(seed)
+        rho = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        rho = rho + rho.conj().T
+        rho /= np.linalg.norm(rho)
+        exact = _exact_split_step(lambda t: hamiltonians(np.array([t]), segment)[0], decay, start, dt, rho)
+        assert np.abs((step_map @ rho.reshape(-1)).reshape(n, n) - exact).max() < 1e-9
 
 
 class TestGroundProjectors:
@@ -627,14 +782,19 @@ class TestRampCostRule:
     """Both sides of each ramp walk's cost rule take the same steps and agree to round-off."""
 
     @staticmethod
-    def _force(monkeypatch, name, pick):
-        """Record the picks of ``protocols.<name>``; return ``pick`` instead unless it is None."""
+    def _force(monkeypatch, name, pick, walk=None):
+        """Record the picks of ``protocols.<name>``; return ``pick`` instead unless it is None.
+
+        Given ``walk``, only that call is forced: 0 is the closed walk's, 1 the
+        dephased walk's.
+        """
         picks = []
         rule = getattr(protocols, name)
 
         def spy(*args, **kwargs):
             picks.append(rule(*args, **kwargs))
-            return picks[-1] if pick is None else pick
+            forced = pick is not None and walk in (None, len(picks) - 1)
+            return pick if forced else picks[-1]
 
         monkeypatch.setattr(protocols, name, spy)
         return picks
@@ -755,9 +915,9 @@ class TestRampCostRule:
         assert np.abs(run - reference).max() < 1.5e-8
 
     def test_dephased_ramp_memory(self):
-        # Peak traced memory of one README dephased ramp: 0.5 MiB for the
-        # dephased walk's step maps, plus the closed walk's batches (2 MiB
-        # with 16 MiB batches), which would show in peak RSS.
+        # Peak traced memory of one README dephased ramp: 0.51 MB, of which
+        # 0.43 MB for the closed walk alone (its batches would take 2 MiB
+        # with 16 MiB batches, which would show in peak RSS).
         lat = build_lattice(1, [PI])
         sched = two_stage_ramp(lat, "A,1", 30.0)
         rates = DephasingRates.uniform(4, 1.0 / (2 * PI * 4.2))
@@ -771,8 +931,8 @@ class TestRampCostRule:
         assert peak <= 2**20
 
     def test_dephased_weights_one_call_per_group(self, monkeypatch):
-        # The README dephased ramp takes 3,400 substeps in 100 gaps; their
-        # weights (136 kB) fit one BATCH_BYTES batch per group, so the walk
+        # The README dephased ramp takes 1,400 steps in 100 gaps; their
+        # weights (56 kB) fit one BATCH_BYTES batch per group, so the walk
         # makes one _lagrange_weights call per (segment, dt, count) group.  At
         # a cap of one byte every chunk (here every gap) is a batch of its own.
         lat = build_lattice(1, [PI])
@@ -832,6 +992,28 @@ class TestRampCostRule:
             adiabatic_ramps(lat, two_stage_ramp(lat, "A,1", 30.0), "A,1")
         assert picks == [pairwise]
 
+    @pytest.mark.parametrize("l, batched", [(3, True), (4, False)])
+    def test_dephased_rule_crossover(self, monkeypatch, l, batched):
+        # On the README ramp with the README's two rate sets the node maps
+        # pay up to l = 3; from l = 4 (n^6 = 4.8e6 per node map) the loop does.
+        class Picked(Exception):
+            pass
+
+        substeps = protocols._substeps
+
+        def walk(state, *args):
+            if state.ndim == 3:
+                raise Picked
+            return substeps(state, *args)
+
+        picks = self._force(monkeypatch, "_batch_pays", None)
+        monkeypatch.setattr(protocols, "_substeps", walk)
+        lat = build_lattice(l, [PI] * l)
+        rates = [DephasingRates.uniform(lat.num_sites, 1.0 / (tphi * 2 * PI * 4.2)) for tphi in (1.0, 10.0)]
+        with pytest.raises(Picked):
+            adiabatic_ramps(lat, two_stage_ramp(lat, "A,1", 30.0), "A,1", rates)
+        assert picks == [True, batched]
+
     @pytest.mark.parametrize("l, maps", [(1, True), (2, True), (3, False)])
     def test_dephased_walks_agree(self, monkeypatch, l, maps):
         lat = build_lattice(l, [0.0] * l)
@@ -842,24 +1024,27 @@ class TestRampCostRule:
         ]
         runs = {}
         for pick in (None, True, False):
-            picks = self._force(monkeypatch, "_step_map_pays", pick)
+            picks = self._force(monkeypatch, "_batch_pays", pick, walk=1)
             _, dephased = adiabatic_ramps(lat, sched, "A,1", rate_sets, n_checkpoints=11)
             runs[pick] = np.concatenate([self._outputs(run) for run in dephased])
-            assert picks == [maps]
+            assert picks == [True, maps]
             monkeypatch.undo()
         assert np.array_equal(runs[None], runs[maps])
-        assert np.abs(runs[True] - runs[False]).max() < 1e-12
+        # The loop takes the exact split steps, the batched walk their
+        # interpolants (TestSplitStepMaps): 5.4e-10, 6.8e-10 and 4.3e-10 apart.
+        assert np.abs(runs[True] - runs[False]).max() < 1e-9
 
     def test_dephased_walks_agree_across_kinks(self, monkeypatch):
-        lat, sched = TestStageTimeRamp._kinked()
+        lat, sched = TestSplitStepRamp._kinked()
         rates = [DephasingRates.uniform(4, 0.0379)]
         runs = []
         for pick in (True, False):
-            self._force(monkeypatch, "_step_map_pays", pick)
+            self._force(monkeypatch, "_batch_pays", pick, walk=1)
             _, (run,) = adiabatic_ramps(lat, sched, "A,1", rates, n_checkpoints=8)
             runs.append(self._outputs(run))
             monkeypatch.undo()
-        assert np.abs(runs[0] - runs[1]).max() < 1e-12
+        # 8.7e-12 apart: exact steps against their interpolants.
+        assert np.abs(runs[0] - runs[1]).max() < 2e-11
 
     @pytest.mark.parametrize("batched", [False, True])
     def test_chunks_match_whole_gaps(self, monkeypatch, batched):
@@ -869,7 +1054,6 @@ class TestRampCostRule:
         sched = two_stage_ramp(lat, "A,1", 6.0)
         rates = [DephasingRates.uniform(4, 0.0379)]
         monkeypatch.setattr(protocols, "_batch_pays", lambda *a, **k: batched)
-        monkeypatch.setattr(protocols, "_step_map_pays", lambda *a, **k: batched)
         runs = []
         for chunk in (open_system.SUBSTEP_CHUNK, 5):
             monkeypatch.setattr(open_system, "SUBSTEP_CHUNK", chunk)
@@ -889,7 +1073,6 @@ class TestRampCostRule:
         runs = {}
         for batched in (True, False):
             monkeypatch.setattr(protocols, "_batch_pays", lambda *a, **k: batched)
-            monkeypatch.setattr(protocols, "_step_map_pays", lambda *a, **k: batched)
             closed, (run,) = adiabatic_ramps(lat, sched, "A,1", rates, n_checkpoints=11)
             runs[batched] = np.concatenate([self._outputs(closed), self._outputs(run)])
         assert np.all(np.isfinite(runs[True]))

@@ -28,7 +28,8 @@ def test_quick_start_runs(tmp_path):
 
 
 def test_adiabatic_command_walks_each_ramp_once(tmp_path, monkeypatch):
-    # One closed walk, and one walk of the stack of every T_phi's density matrix.
+    # One closed walk, and one walk of the stack of every T_phi's density matrix
+    # (its single-excitation block: the vacuum row and column stay zero).
     walks = []
     original = protocols._substeps
 
@@ -42,4 +43,4 @@ def test_adiabatic_command_walks_each_ramp_once(tmp_path, monkeypatch):
     tphis = argv[argv.index("--dephasing-us") + 1].split(",")
     assert len(tphis) == 2
     assert main(argv) == 0
-    assert walks == [(4,), (len(tphis), 5, 5)]
+    assert walks == [(4,), (len(tphis), 4, 4)]
