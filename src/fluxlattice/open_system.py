@@ -31,9 +31,23 @@ STEP_SAFETY = 0.01
 #: The dephased ramp takes fourth-order split steps (``_split_step_maps``),
 #: which keep the trace at any length, this many times longer than
 #: ``rk4_max_step`` (safety 0.1): fewer steps than the midpoint-frozen walk at
-#: 0.01, each more accurate.  The rate stays in the rule, since the middle
-#: sub-step runs backward and amplifies coherences by ``exp(0.18 * decay * dt)``.
+#: 0.01, each more accurate.
 SPLIT_STEP_FACTOR = 10
+
+#: The rate enters the split step's rule this many times over, so a step is
+#: at most ``0.02 / rate``.  The split step's error grows with the rate
+#: through the decay's commutators with H, and its middle sub-step runs
+#: backward, amplifying coherences by ``exp(0.18 * decay * dt)``.  Weighed
+#: once, a rate above the norm of H would set steps about 400x less accurate
+#: than the H-limited ones (4e-7 against 1e-9 in final populations); weighed
+#: 5 times they match.
+SPLIT_RATE_WEIGHT = 5
+
+#: Chebyshev nodes of the split-step maps' interpolant (degree 6), which puts
+#: it within about 1e-14 of the exact map at any step the rule allows, so
+#: the batched and looped dephased walks agree to round-off; degree 4 would
+#: be 3e-10 off.
+SPLIT_NODES = 7
 
 #: Yoshida's triple jump (Phys. Lett. A 150, 262, 1990): symmetric
 #: second-order sub-steps of ``c1, c0, c1`` times the step, ``c0 < 0``,
@@ -262,13 +276,10 @@ def _rk4_map(generator: np.ndarray, dt: float) -> np.ndarray:
     return step
 
 
-#: Chebyshev points of the first kind on [-1, 1]: where the degree-4 interpolants sample.
-_CHEBYSHEV_5 = np.cos((2 * np.arange(5) + 1) * math.pi / 10)
-
-
-def _chebyshev_nodes(start: float, stop: float) -> np.ndarray:
-    """The five Chebyshev points of ``[start, stop]``."""
-    return 0.5 * (start + stop) + 0.5 * (stop - start) * _CHEBYSHEV_5
+def _chebyshev_nodes(start: float, stop: float, count: int = 5) -> np.ndarray:
+    """The ``count`` Chebyshev points of the first kind of ``[start, stop]``: where the interpolants sample."""
+    unit = np.cos((2 * np.arange(count) + 1) * math.pi / (2 * count))
+    return 0.5 * (start + stop) + 0.5 * (stop - start) * unit
 
 
 def _unitaries(h: np.ndarray, lengths: float | np.ndarray) -> np.ndarray:
@@ -313,16 +324,17 @@ def _split_step_maps(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Liouville-space maps of split steps of length ``dt`` starting in ``[start, stop]``, H affine there.
 
-    A step's map is an entire function of its start time.  Returns the five
-    Chebyshev points of ``[start, stop]`` and, for each decay matrix of the
-    stack ``decay`` (shape ``(R, n, n)``), the ``n^2 x n^2`` maps of the
-    steps starting there, shape ``(R, 5, n^2, n^2)``, acting on the row-major
-    flattened density matrix; ``_lagrange_weights`` combines them into the
-    map of any step starting in the interval.  Each sub-step unitary U enters
-    as ``_kron(U, U.conj())``, between the diagonal ``_split_decays``
-    factors; all 15 unitaries come from one ``_split_unitaries`` call.
+    A step's map is an entire function of its start time.  Returns the
+    ``SPLIT_NODES`` Chebyshev points of ``[start, stop]`` and, for each decay
+    matrix of the stack ``decay`` (shape ``(R, n, n)``), the ``n^2 x n^2``
+    maps of the steps starting there, shape ``(R, SPLIT_NODES, n^2, n^2)``,
+    acting on the row-major flattened density matrix; ``_lagrange_weights``
+    combines them into the map of any step starting in the interval.  Each
+    sub-step unitary U enters as ``_kron(U, U.conj())``, between the diagonal
+    ``_split_decays`` factors; all ``3 * SPLIT_NODES`` unitaries come from
+    one ``_split_unitaries`` call.
     """
-    nodes = _chebyshev_nodes(start, stop)
+    nodes = _chebyshev_nodes(start, stop, SPLIT_NODES)
     u = _split_unitaries(hamiltonians, nodes, dt)
     k = _kron(u, u.conj())
     outer, inner = (d.reshape(len(decay), 1, 1, -1) for d in _split_decays(decay, dt))
@@ -381,20 +393,6 @@ def _batch_pays(
         return False
     batched = setup_products + n_steps * (step_products + CALL_COST)
     return batched < n_steps * (loop_calls * CALL_COST + loop_products)
-
-
-def _step_map_pays(dim: int, n_general: int, n_steps: int, n_maps: int) -> bool:
-    """Whether ``n_maps`` RK4 step maps plus ``n_steps`` products with them beat ``n_steps`` RK4 steps.
-
-    ``_batch_pays`` with the counts of both walks.  One ``_rk4_step`` makes
-    ``37 + 36 * n_general`` calls and ``4 * (2 + 4 * n_general)`` products of
-    ``dim x dim`` matrices; a map costs three products of ``dim^2 x dim^2``
-    matrices, then one matrix-vector product per substep.
-    """
-    n = dim * dim
-    return _batch_pays(
-        n_steps, 37 + 36 * n_general, 4 * (2 + 4 * n_general) * dim**3, n * n, n_maps * 3 * n**3, 16 * n * n
-    )
 
 
 def spectral_norm(operator: HermitianOperator | np.ndarray) -> float:
@@ -530,7 +528,7 @@ def lindblad_evolve(
     same grid and agree to round-off.  Building a map costs about ``dim^6``
     multiply-adds, while a step costs mostly Python and numpy call overhead,
     so the map only pays for small ``dim``, many substeps or many
-    non-diagonal collapse operators.  ``_step_map_pays`` weighs the two from
+    non-diagonal collapse operators.  ``_batch_pays`` weighs the two from
     ``dim``, the number of non-diagonal operators, the substep count and the
     number of distinct substep lengths, and refuses any map larger than
     ``STEP_MAP_MAX_BYTES`` so memory stays bounded at every lattice size.
@@ -563,7 +561,14 @@ def lindblad_evolve(
 
     _, counts, lengths = _substep_grid(t, step)
     n_maps = len(set(lengths[counts > 0].tolist()))
-    if _step_map_pays(rho0.dim, len(collapse[1]), int(counts.sum()), n_maps):
+    # One _rk4_step makes 37 + 36 g numpy calls and 4 (2 + 4 g) products of
+    # dim x dim matrices, g the number of non-diagonal collapse operators.  A
+    # map costs three products of its n x n matrices (n = dim^2), then one
+    # matrix-vector product per substep.
+    dim, general, n = rho0.dim, len(collapse[1]), rho0.dim**2
+    if _batch_pays(
+        int(counts.sum()), 37 + 36 * general, 4 * (2 + 4 * general) * dim**3, n * n, n_maps * 3 * n**3, 16 * n * n
+    ):
         generator = _liouvillian(h, collapse)
         maps: dict[float, np.ndarray] = {}
 

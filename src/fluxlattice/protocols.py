@@ -39,6 +39,8 @@ from .dynamics import (
 from .open_system import (
     CALL_COST,
     DephasingRates,
+    SPLIT_NODES,
+    SPLIT_RATE_WEIGHT,
     SPLIT_STEP_FACTOR,
     SUBSTEP_CHUNK,
     _batch_pays,
@@ -619,8 +621,9 @@ def adiabatic_ramps(
     split steps (``_split_step_maps``: the exact elementwise decay between
     the midpoint unitaries of Yoshida's three Strang sub-steps, fourth order
     in time and trace-preserving at any step) at ``SPLIT_STEP_FACTOR`` times
-    the largest rate's step rule (each set's own while every rate is below
-    the norm of H), with every segment boundary on a step edge.
+    the step rule of the largest rate, weighed ``SPLIT_RATE_WEIGHT`` times
+    (each set's own while every such rate is below the norm of H), with every
+    segment boundary on a step edge.
     Returns the closed result and one result per rate set, whose fidelities
     are against the closed ground populations.
 
@@ -630,19 +633,18 @@ def adiabatic_ramps(
     no result row.  Both go through ``_substeps`` a chunk of at most
     ``SUBSTEP_CHUNK`` substeps at a time, and one cost rule (``_batch_pays``)
     picks how each takes a chunk: one Python loop turn per substep, or a few
-    batched products.  Batched, each walk takes a substep's matrix from a
-    degree-4 interpolant in its start time, through five exact samples per
-    segment and substep length: the closed walk's unitary
-    (``_midpoint_unitaries``, within about 1e-14, so no eigendecomposition
-    per substep) and the dephased walk's Liouville-space map
-    (``_split_step_maps``, within about 3e-10).  One ``_batcher`` forms the
-    chunks' interpolation weights ahead of the walk, stacked across the
-    chunks that share a segment, substep length and count, at most
-    ``BATCH_BYTES`` at a time; the closed walk also multiplies each chunk's
-    unitaries into its propagator there (``_ordered_product``), so a chunk
-    costs it one product with the state.  Both choices take the same steps;
-    the closed walks agree to round-off, the dephased ones to the
-    interpolant's error.  The closed walk batches at every size the memory
+    batched products.  Batched, each walk takes a substep's matrix from an
+    interpolant in its start time, through exact samples at Chebyshev points
+    of its segment, per segment and substep length: the closed walk's
+    unitary (``_midpoint_unitaries``, five points, within about 1e-14, so no
+    eigendecomposition per substep) and the dephased walk's Liouville-space
+    map (``_split_step_maps``, ``SPLIT_NODES`` points, within about 1e-14).
+    One ``_batcher`` forms the chunks' interpolation weights ahead of the
+    walk, stacked across the chunks that share a segment, substep length and
+    count, at most ``BATCH_BYTES`` at a time; the closed walk also
+    multiplies each chunk's unitaries into its propagator there
+    (``_ordered_product``), so a chunk costs it one product with the state.  Both choices take the same steps
+    and agree to round-off.  The closed walk batches at every size the memory
     cap admits, the dephased one on small lattices, and no choice depends on
     the number of rate sets.  The checkpoints are diagnosed after both walks,
     from one stacked ``eigh`` of their Hamiltonians (``_ground_projectors``).
@@ -744,7 +746,7 @@ def adiabatic_ramps(
         sets = len(rate_sets)
         stack = np.repeat(np.outer(psi0, psi0)[None], sets, 0)
         max_rate = max(float(rates.values.max(initial=0.0)) for rates in rate_sets)
-        step = SPLIT_STEP_FACTOR * rk4_max_step(norm_bound, max_rate)
+        step = SPLIT_STEP_FACTOR * rk4_max_step(norm_bound, SPLIT_RATE_WEIGHT * max_rate)
 
         # Every gap lies inside one segment, where H is affine in time.  The
         # loop forms a chunk's sub-step unitaries from one stacked eigh, then
@@ -753,18 +755,20 @@ def adiabatic_ramps(
         # the chunk's work, each LAPACK call charged as a call), 3 * 4.5n^3
         # for the eigh, 3n^3 to form the unitaries and 6n^3 + 4n^2 to step.
         # Batched, a step's n^2 x n^2 map is an entire function of its start,
-        # so the batcher combines a chunk's maps from five exact node maps per
-        # segment and step length (``_split_step_maps``, two n^6 products
-        # each) with Lagrange weights, 5n^4 per step, and each step is one
-        # matrix-vector product of n^4.  Those large products run about 5x
-        # faster per multiply-add than the loop's small ones (timed on the
-        # README ramp, l = 1-4), and are charged so; the loop pays from l = 4
-        # on the README ramp.
+        # so the batcher combines a chunk's maps from SPLIT_NODES exact node
+        # maps per segment and step length (``_split_step_maps``, two n^6
+        # products each) with Lagrange weights, SPLIT_NODES n^4 per step, and
+        # each step is one matrix-vector product of n^4.  Those large
+        # products run about 3x faster per multiply-add than the loop's small
+        # ones, so both batched terms, per step and per node set, are charged
+        # at a third.  Fit to both branches timed on the README ramp shape
+        # (durations 6-100, l = 2-5, one and two rate sets): the loop pays
+        # from l = 3, where one set times about even and two favour the loop.
         starts, counts, lengths, segments, n_maps = plan(step)
-        held = 5 + min(SUBSTEP_CHUNK, int(counts.max()))
+        held = SPLIT_NODES + min(SUBSTEP_CHUNK, int(counts.max()))
         if _batch_pays(
-            int(counts.sum()), 20, 22.5 * n**3 + 4 * n * n, 2 * n**4,
-            n_maps * 2 * n**6, 16 * n**4 * held,
+            int(counts.sum()), 20, 22.5 * n**3 + 4 * n * n, (SPLIT_NODES + 1) * n**4 / 3,
+            n_maps * SPLIT_NODES * 2 * n**6 / 3, 16 * n**4 * held,
         ):
 
             @cache
@@ -772,13 +776,13 @@ def adiabatic_ramps(
                 nodes, maps = _split_step_maps(
                     partial(hamiltonians, segment=segment), decay, offsets[segment], offsets[segment + 1], dt
                 )
-                return nodes, maps.reshape(sets, 5, n**4)
+                return nodes, maps.reshape(sets, SPLIT_NODES, n**4)
 
             def weights(segment: int, dt: float, times: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
                 nodes, maps = dephased_nodes(segment, dt)
-                return [(w, maps) for w in _lagrange_weights(nodes, times.ravel()).reshape(*times.shape, 5)]
+                return [(w, maps) for w in _lagrange_weights(nodes, times.ravel()).reshape(*times.shape, SPLIT_NODES)]
 
-            chunk_weights = _batcher(starts, counts, lengths, segments, BATCH_BYTES // 40, weights)
+            chunk_weights = _batcher(starts, counts, lengths, segments, BATCH_BYTES // (8 * SPLIT_NODES), weights)
 
             def lindblad(rho: np.ndarray, start: float, index: np.ndarray, dt: float) -> np.ndarray:
                 w, maps = chunk_weights(start, index[0])

@@ -269,14 +269,7 @@ class TestStepMap:
         [(2, 0.004, 2.0, True), (1, 0.0, 2.0, True), (4, 0.0, 0.25 * PI, False), (6, 0.0, 2.0, False)],
     )
     def test_evolution_matches_rk4_loop(self, monkeypatch, l, relaxation, t_max, uses_map):
-        picks = []
-        rule = open_system._step_map_pays
-
-        def spy(*args):
-            picks.append(rule(*args))
-            return picks[-1]
-
-        monkeypatch.setattr(open_system, "_step_map_pays", spy)
+        picks = self._picks(monkeypatch)
         lat = build_lattice(l, [PI] * l)
         h = with_vacuum(hamiltonian_single_excitation(lat))
         rates = DephasingRates.uniform(lat.num_sites, 0.01)
@@ -292,16 +285,51 @@ class TestStepMap:
         states = np.array([dm.matrix for dm in run.states])
         assert np.abs(states - reference).max() < 1e-12
 
-    def test_rule(self):
-        pays = open_system._step_map_pays
-        # The benchmark's device run: l=2 with T1 on every site.
-        assert pays(8, 7, 2520, 1)
-        # Dephasing only at l=6: the map build outweighs the cheap steps.
-        assert not pays(20, 0, 2520, 1)
-        # Past the size cap no step count makes a map: l=11 and l=30.
-        for dim in (35, 92):
-            assert 16 * dim**4 > open_system.STEP_MAP_MAX_BYTES
-            assert not pays(dim, dim - 1, 10**12, 1)
+    @staticmethod
+    def _picks(monkeypatch):
+        """Record the cost rule's picks in ``lindblad_evolve``."""
+        picks = []
+        rule = open_system._batch_pays
+
+        def spy(*args):
+            picks.append(rule(*args))
+            return picks[-1]
+
+        monkeypatch.setattr(open_system, "_batch_pays", spy)
+        return picks
+
+    def test_rule(self, monkeypatch):
+        class Picked(Exception):
+            pass
+
+        def walk(*args):
+            raise Picked
+
+        picks = self._picks(monkeypatch)
+        monkeypatch.setattr(open_system, "_substeps", walk)
+        cases = [
+            # The benchmark's device run: l=2 with T1 on every site.
+            (2, True, 2520),
+            # Dephasing only at l=6: the map build outweighs the cheap steps.
+            (6, False, 2520),
+            # Past the size cap no step count the budget admits makes a map.
+            (11, True, open_system.SUBSTEP_BUDGET),
+            (30, True, open_system.SUBSTEP_BUDGET),
+        ]
+        for l, relaxation, n_steps in cases:
+            lat = build_lattice(l, [PI] * l)
+            dim = lat.num_sites + 1
+            with pytest.raises(Picked):
+                lindblad_evolve(
+                    with_vacuum(hamiltonian_single_excitation(lat)),
+                    DephasingRates.uniform(lat.num_sites, 0.01),
+                    DensityMatrix.single_excitation(lat, "A,1"),
+                    [0.0, float(n_steps)],
+                    extra_collapse=_relaxation_operators(dim, 0.01) if relaxation else [],
+                    max_step=1.0,
+                )
+        assert picks == [True, False, False, False]
+        assert 16 * 35**4 > open_system.STEP_MAP_MAX_BYTES  # l = 11: 35 states
 
     def test_one_map_per_distinct_substep(self, monkeypatch):
         builds = {"_liouvillian": [], "_rk4_map": []}
@@ -334,7 +362,7 @@ class TestStepMap:
 
     @pytest.mark.parametrize("uses_map", [True, False])
     def test_divergence_raises_on_both_paths(self, monkeypatch, uses_map):
-        monkeypatch.setattr(open_system, "_step_map_pays", lambda *a: uses_map)
+        monkeypatch.setattr(open_system, "_batch_pays", lambda *a: uses_map)
         lat = build_lattice(1, [PI])
         with pytest.raises(NumericalError, match="trace drifted"):
             lindblad_evolve(

@@ -562,7 +562,7 @@ class TestSplitStepRamp:
         reference = outputs(0.04 / 16)
         errors = [np.abs(outputs(0.04 / 2**k) - reference).max() for k in range(3)]
         # Split safeties 0.4, 0.2 and 0.1 (the default) against 0.025; finer
-        # steps reach the round-off floor of about 2e-11.  With a kink inside
+        # steps reach the round-off floor of about 1e-11.  With a kink inside
         # a step the error falls at second order, and unevenly.
         assert errors[0] / errors[1] >= 2**3.5
         assert errors[1] / errors[2] >= 2**3.5
@@ -579,7 +579,7 @@ class TestSplitStepRamp:
     def test_more_accurate_than_midpoint_walk(self, monkeypatch, flux, midpoint_error):
         # midpoint_error: the largest deviation of the walk that froze H at
         # substep midpoints, at the default rule, from the same reference
-        # (the split walk's is 8.0e-9 at flux 0 and 7.0e-9 at flux pi).
+        # (the split walk's is 8.0e-9 at flux 0 and 7.2e-9 at flux pi).
         lat = build_lattice(1, [flux])
         sched = two_stage_ramp(lat, "A,1", 6.0)
         rates = DephasingRates.uniform(4, 0.0379)
@@ -587,6 +587,19 @@ class TestSplitStepRamp:
         monkeypatch.setattr(open_system, "STEP_SAFETY", 0.001)
         reference = self._outputs(adiabatic_prepare(lat, sched, "A,1", rates, n_checkpoints=11))
         assert np.abs(run - reference).max() < midpoint_error / 10
+
+    def test_rate_limited_step_keeps_its_accuracy(self, monkeypatch):
+        # A rate of 37.9 J (T_phi = 0.001 us at J = 4.2 MHz), above the norm of
+        # H, sets the step.  Weighing the rate SPLIT_RATE_WEIGHT = 5 times
+        # keeps the walk 3.7e-10 from a run at a 10x shorter step; with the
+        # rate weighed once, as H is, it would be 2.5e-7 off.
+        lat = build_lattice(1, [0.0])
+        sched = two_stage_ramp(lat, "A,1", 3.0)
+        rates = DephasingRates.uniform(4, 1.0 / (0.001 * 2 * PI * 4.2))
+        run = self._outputs(adiabatic_prepare(lat, sched, "A,1", rates, n_checkpoints=11))
+        monkeypatch.setattr(open_system, "STEP_SAFETY", 0.001)
+        reference = self._outputs(adiabatic_prepare(lat, sched, "A,1", rates, n_checkpoints=11))
+        assert np.abs(run - reference).max() < 1e-9
 
 
 class TestMidpointUnitaries:
@@ -667,7 +680,7 @@ class TestSplitStepMaps:
         rng = np.random.default_rng(seed)
         hamiltonians, decay, rho, start, stop = _affine_split_step_case(rng, dim, sets)
         nodes, maps = open_system._split_step_maps(hamiltonians, decay, start, stop, dt)
-        assert maps.shape == (sets, 5, dim * dim, dim * dim)
+        assert maps.shape == (sets, open_system.SPLIT_NODES, dim * dim, dim * dim)
         for r in range(sets):
             for node, step_map in zip(nodes, maps[r]):
                 expected = _exact_split_step(lambda t: hamiltonians([t])[0], decay[r], node, dt, rho)
@@ -705,10 +718,11 @@ class TestSplitStepMaps:
     @settings(max_examples=40, deadline=None)
     def test_interpolant_is_the_split_step(self, l, flux, three, segment, where, fraction, gamma, seed):
         # Inside a segment the split step's map is an entire function of its
-        # start; the degree-4 interpolant through its Chebyshev nodes matches
+        # start; the degree-6 interpolant through its Chebyshev nodes matches
         # the three exact sub-steps anywhere, at any step the rule allows:
-        # within 3.4e-10 in operator norm over a grid of these ramps,
-        # segments, rates, steps up to the rule's and 81 starts per segment.
+        # within 1.4e-14 in operator norm over a grid of these ramps, segments,
+        # rates, steps up to the rule's and 81 starts per segment (degree 4
+        # would be 3.4e-10 off).
         lat = build_lattice(l, [flux] * l)
         n = lat.num_sites
         sched = _three_segment_ramp(lat) if three else two_stage_ramp(lat, "A,1", 30.0)
@@ -716,7 +730,9 @@ class TestSplitStepMaps:
         hamiltonians = protocols._ramp_hamiltonians(lat, sched)
         offsets = np.cumsum([0.0] + [seg.duration for seg in sched.segments])
         norm = max(open_system.spectral_norm(h) for h in hamiltonians(offsets))
-        dt = fraction * open_system.SPLIT_STEP_FACTOR * open_system.rk4_max_step(norm, gamma)
+        dt = fraction * open_system.SPLIT_STEP_FACTOR * open_system.rk4_max_step(
+            norm, open_system.SPLIT_RATE_WEIGHT * gamma
+        )
         rates = DephasingRates(np.linspace(0.0, gamma, n))
         decay = open_system._collapse_terms(open_system.dephasing_operators(rates, n + 1))[0]
         decay = np.zeros((n, n)) if decay is None else decay[1:, 1:]
@@ -725,13 +741,13 @@ class TestSplitStepMaps:
         )
         start = offsets[segment] + where * (offsets[segment + 1] - offsets[segment] - dt)
         weights = open_system._lagrange_weights(nodes, np.array([start]))
-        step_map = (weights @ maps[0].reshape(5, -1)).reshape(n * n, n * n)
+        step_map = (weights @ maps[0].reshape(nodes.size, -1)).reshape(n * n, n * n)
         rng = np.random.default_rng(seed)
         rho = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
         rho = rho + rho.conj().T
         rho /= np.linalg.norm(rho)
         exact = _exact_split_step(lambda t: hamiltonians(np.array([t]), segment)[0], decay, start, dt, rho)
-        assert np.abs((step_map @ rho.reshape(-1)).reshape(n, n) - exact).max() < 1e-9
+        assert np.abs((step_map @ rho.reshape(-1)).reshape(n, n) - exact).max() < 1e-13
 
 
 class TestGroundProjectors:
@@ -915,7 +931,7 @@ class TestRampCostRule:
         assert np.abs(run - reference).max() < 1.5e-8
 
     def test_dephased_ramp_memory(self):
-        # Peak traced memory of one README dephased ramp: 0.51 MB, of which
+        # Peak traced memory of one README dephased ramp: 0.67 MB, of which
         # 0.43 MB for the closed walk alone (its batches would take 2 MiB
         # with 16 MiB batches, which would show in peak RSS).
         lat = build_lattice(1, [PI])
@@ -932,7 +948,7 @@ class TestRampCostRule:
 
     def test_dephased_weights_one_call_per_group(self, monkeypatch):
         # The README dephased ramp takes 1,400 steps in 100 gaps; their
-        # weights (56 kB) fit one BATCH_BYTES batch per group, so the walk
+        # weights (78 kB) fit one BATCH_BYTES batch per group, so the walk
         # makes one _lagrange_weights call per (segment, dt, count) group.  At
         # a cap of one byte every chunk (here every gap) is a batch of its own.
         lat = build_lattice(1, [PI])
@@ -992,10 +1008,11 @@ class TestRampCostRule:
             adiabatic_ramps(lat, two_stage_ramp(lat, "A,1", 30.0), "A,1")
         assert picks == [pairwise]
 
-    @pytest.mark.parametrize("l, batched", [(3, True), (4, False)])
+    @pytest.mark.parametrize("l, batched", [(2, True), (3, False)])
     def test_dephased_rule_crossover(self, monkeypatch, l, batched):
         # On the README ramp with the README's two rate sets the node maps
-        # pay up to l = 3; from l = 4 (n^6 = 4.8e6 per node map) the loop does.
+        # pay up to l = 2; from l = 3 (n^6 = 1e6 per node map) the loop does:
+        # 72 ms against 103 ms batched (62 against 66 ms with one set).
         class Picked(Exception):
             pass
 
@@ -1031,8 +1048,8 @@ class TestRampCostRule:
             monkeypatch.undo()
         assert np.array_equal(runs[None], runs[maps])
         # The loop takes the exact split steps, the batched walk their
-        # interpolants (TestSplitStepMaps): 5.4e-10, 6.8e-10 and 4.3e-10 apart.
-        assert np.abs(runs[True] - runs[False]).max() < 1e-9
+        # interpolants (TestSplitStepMaps): 7.0e-14, 1.3e-13 and 8.6e-14 apart.
+        assert np.abs(runs[True] - runs[False]).max() < 1e-12
 
     def test_dephased_walks_agree_across_kinks(self, monkeypatch):
         lat, sched = TestSplitStepRamp._kinked()
@@ -1043,8 +1060,8 @@ class TestRampCostRule:
             _, (run,) = adiabatic_ramps(lat, sched, "A,1", rates, n_checkpoints=8)
             runs.append(self._outputs(run))
             monkeypatch.undo()
-        # 8.7e-12 apart: exact steps against their interpolants.
-        assert np.abs(runs[0] - runs[1]).max() < 2e-11
+        # 4.6e-13 apart: exact steps against their interpolants.
+        assert np.abs(runs[0] - runs[1]).max() < 1e-12
 
     @pytest.mark.parametrize("batched", [False, True])
     def test_chunks_match_whole_gaps(self, monkeypatch, batched):
