@@ -3,8 +3,16 @@
 Output is data first (CSV plus JSON mirrors with metadata); plotting is left
 to external tools.  Every run writes a manifest listing each output file with
 its content hash, and identical configuration plus seed reproduces CSV files
-byte for byte.  Frequencies named ``*_MHz``/``*_GHz`` are cyclic (value over
-2 pi); everything else is expressed in units of the coupling J.
+byte for byte.  A run writes all of its files or none: they are kept in
+memory until the command has finished, so a run refused or failed at any
+point leaves no ``--outdir`` behind (a failed ``verify`` comparison is a
+finished run, which writes its report and exits 3).  Frequencies named
+``*_MHz``/``*_GHz`` are cyclic (value over 2 pi); everything else is
+expressed in units of the coupling J.
+
+Each option is declared once, in ``OPTIONS``: the parser is built from that
+table, and a value given on the command line and the same value in an
+``adiabatic --config`` file are read through the same ``Kind``.
 """
 
 from __future__ import annotations
@@ -16,10 +24,10 @@ import sys
 import time
 import warnings
 from dataclasses import replace
-from functools import cache, partial
+from functools import cache
 from importlib import resources
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Any, Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -28,9 +36,9 @@ from .errors import ConfigError, NumericalError
 from .lattice import (
     PI,
     LatticeConfig,
+    SiteId,
     _real,
     build_lattice,
-    check_j_mhz,
     config_field,
     csv_text,
     hamiltonian_single_excitation,
@@ -70,7 +78,7 @@ from .device import (
     crosstalk_fit,
     g_eff,
     load_device,
-    simulate_compensation_data,
+    synthetic_crosstalk,
     three_mode_vacuum_rabi,
 )
 
@@ -107,17 +115,17 @@ def parse_delta_token(token: str) -> float:
     return _scaled_number(token, "sqrt2", SQRT2)
 
 
-#: Most points a ``--points`` option or a range's count may ask for, checked
-#: before any grid is built.
+#: Most points a ``--points`` or ``--nk`` option or a range's count may ask
+#: for, checked before any grid is built.
 MAX_POINTS = 10**6
 
-
-def _check_count(name: str, count: int) -> None:
-    if not 1 <= count <= MAX_POINTS:
-        raise ConfigError(f"{name} must be between 1 and the limit of {MAX_POINTS}, got {count}")
+#: Most plaquettes ``--l`` may ask for; a closed run at this size and two
+#: time points peaks at about 0.7 GB.
+MAX_PLAQUETTES = 1000
 
 
 def parse_range(text: str) -> np.ndarray:
+    """``start:stop:count`` as a grid: a finite span (so finite ends) and 1 to ``MAX_POINTS`` points."""
     parts = text.split(":")
     if len(parts) != 3:
         raise ConfigError(f"expected start:stop:count, got {text!r}")
@@ -125,14 +133,17 @@ def parse_range(text: str) -> np.ndarray:
         start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError:
         raise ConfigError(f"expected numbers in start:stop:count, got {text!r}") from None
-    _check_count("range count", count)
-    if not (math.isfinite(start) and math.isfinite(stop)):
-        raise ConfigError(f"range start and stop must be finite, got {text!r}")
+    if not (math.isfinite(stop - start) and 1 <= count <= MAX_POINTS):
+        raise ConfigError(f"expected a finite span and 1 to {MAX_POINTS} points, got {text!r}")
     return np.linspace(start, stop, count)
 
 
 def _slug(token: str) -> str:
     return token.strip().replace(".", "p").replace("-", "m")
+
+
+def _tphi_columns(tphis: Sequence[float]) -> list[str]:
+    return [f"tphi_{tphi:g}us" for tphi in tphis]
 
 
 def write_csv(ctx: RunContext, name: str, header: Sequence[str], rows: np.ndarray) -> None:
@@ -148,37 +159,33 @@ def _sha256(data: bytes) -> str:
 
 
 class RunContext:
-    """Writes a command's output files, then the run manifest that lists them.
+    """A command's output files, written with the run manifest that lists them.
 
-    The output directory is made at the first write, so a run refused before
-    it writes anything leaves no directory behind.
+    ``write`` only keeps a file's bytes; ``finish`` makes the output directory
+    and writes every file, then the manifest.  So a run that stops before
+    ``finish`` leaves no directory behind.
     """
 
-    def __init__(self, command: str, args: argparse.Namespace):
-        self.command = command
+    def __init__(self, args: argparse.Namespace, seed: int):
+        self.command = args.command
         self.outdir = Path(args.outdir)
-        self.seed = args.seed
-        self.args = {
-            k: v for k, v in vars(args).items() if k not in ("func",) and v is not None
-        }
+        self.seed = seed
+        # The option texts as given, or their default texts.
+        self.args = {k: v for k, v in vars(args).items() if k != "func" and v is not None}
         self.outputs: list[tuple[str, bytes]] = []
         self.t0 = time.perf_counter()
 
     def write(self, name: str, text: str) -> None:
-        """Write one output file, keeping its bytes for the manifest."""
-        data = text.encode()
-        if not self.outputs:
-            self.outdir.mkdir(parents=True, exist_ok=True)
-        (self.outdir / name).write_bytes(data)
-        self.outputs.append((name, data))
+        """Keep one output file's bytes until ``finish``."""
+        self.outputs.append((name, text.encode()))
 
-    def finish(self, extra: Mapping | None = None) -> int:
+    def finish(self) -> int:
         manifest = {
             "schema": 1,
             "tool": "fluxlattice",
             "version": __version__,
             "command": self.command,
-            "args": {k: str(v) for k, v in self.args.items()},
+            "args": self.args,
             "seed": self.seed,
             "python": sys.version.split()[0],
             "numpy": np.__version__,
@@ -188,27 +195,19 @@ class RunContext:
                 for name, data in self.outputs
             ],
         }
-        if extra:
-            manifest.update(extra)
         write_json(self, "run_manifest.json", manifest)
+        self.outdir.mkdir(parents=True, exist_ok=True)
+        for name, data in self.outputs:
+            (self.outdir / name).write_bytes(data)
         return 0
 
 
-def _resolve_lattice(args) -> LatticeConfig:
-    if getattr(args, "lattice", None):
-        return load_lattice(args.lattice)
-    l = getattr(args, "l", None)
-    if l is None:
+def _resolve_lattice(opts) -> LatticeConfig:
+    if opts.lattice:
+        return load_lattice(opts.lattice)
+    if opts.l is None:
         raise ConfigError("give either --lattice FILE or --l/--flux")
-    flux = parse_flux(getattr(args, "flux", "pi"))
-    return LatticeConfig(
-        build_lattice(l, [flux] * l), getattr(args, "j_mhz", None), None
-    )
-
-
-def _time_grid(args) -> np.ndarray:
-    _check_count("--points", args.points)
-    return np.linspace(0.0, parse_pi_multiple(args.tmax), args.points)
+    return LatticeConfig(build_lattice(opts.l, [opts.flux] * opts.l), opts.j_mhz, None)
 
 
 def _trace_metadata(config: LatticeConfig, init: str, delta: float) -> dict:
@@ -229,59 +228,47 @@ def _write_trace(ctx: RunContext, stem: str, trace: PopulationTrace, meta: dict)
 
 
 # ---------------------------------------------------------------------------
-# Subcommands
+# Subcommands: each takes the option values and the run's RunContext
 # ---------------------------------------------------------------------------
 
 
-def cmd_dynamics(args) -> int:
-    ctx = RunContext("dynamics", args)
-    config = _resolve_lattice(args)
+def cmd_dynamics(opts, ctx: RunContext) -> int:
+    config = _resolve_lattice(opts)
     lattice = config.lattice
-    delta = parse_delta_token(args.delta_antisym) if args.delta_antisym else 0.0
+    delta = opts.delta_antisym or 0.0
     if delta:
         lattice = lattice.with_detunings(antisymmetric_detunings(lattice.l, delta))
-    times = _time_grid(args)
+    times = np.linspace(0.0, opts.tmax, opts.points)
     if config.dephasing_over_J:
         trace = lindblad_evolve(
             with_vacuum(hamiltonian_single_excitation(lattice)),
             DephasingRates.from_map(lattice, config.dephasing_over_J),
-            DensityMatrix.single_excitation(lattice, args.init),
+            DensityMatrix.single_excitation(lattice, opts.init),
             times,
             site_labels=site_labels(lattice.l),
         ).trace
     else:
-        trace = evolve_lattice(lattice, args.init, times)
-    _write_trace(ctx, "dynamics", trace, _trace_metadata(config, args.init, delta))
+        trace = evolve_lattice(lattice, opts.init, times)
+    _write_trace(ctx, "dynamics", trace, _trace_metadata(config, opts.init, delta))
     return ctx.finish()
 
 
-def cmd_detuning_sweep(args) -> int:
-    ctx = RunContext("detuning-sweep", args)
-    fluxes = [0.0, PI] if args.flux == "both" else [parse_flux(args.flux)]
-    tokens = [t for t in args.delta.split(",") if t]
-    if not tokens:
-        raise ConfigError(f"--delta needs at least one detuning, got {args.delta!r}")
-    stems = [_slug(t) for t in tokens]
-    if len(set(stems)) < len(stems):
-        raise ConfigError(f"--delta tokens must be distinct in their file names, got {stems}")
-    deltas = [(t, parse_delta_token(t)) for t in tokens]
-    times = _time_grid(args)
-    for flux in fluxes:
-        for token, value in deltas:
+def cmd_detuning_sweep(opts, ctx: RunContext) -> int:
+    times = np.linspace(0.0, opts.tmax, opts.points)
+    for flux in opts.flux:
+        for token, value in opts.delta:
             tag = "pi" if flux == PI else "0"
             stem = f"sweep_phi{tag}_delta{_slug(token)}"
-            lattice = build_lattice(args.l, [flux] * args.l, antisymmetric_detunings(args.l, value))
-            trace = evolve_lattice(lattice, args.init, times)
-            config = LatticeConfig(lattice, args.j_mhz, None)
-            _write_trace(ctx, stem, trace, _trace_metadata(config, args.init, value))
+            lattice = build_lattice(opts.l, [flux] * opts.l, antisymmetric_detunings(opts.l, value))
+            trace = evolve_lattice(lattice, opts.init, times)
+            config = LatticeConfig(lattice, opts.j_mhz, None)
+            _write_trace(ctx, stem, trace, _trace_metadata(config, opts.init, value))
     return ctx.finish()
 
 
-def cmd_spectroscopy(args) -> int:
-    ctx = RunContext("spectroscopy", args)
-    config = _resolve_lattice(args)
-    duration = parse_pi_multiple(args.duration)
-    spec_config = SpectroscopyConfig(args.drive, args.omega, parse_range(args.delta_range), duration)
+def cmd_spectroscopy(opts, ctx: RunContext) -> int:
+    config = _resolve_lattice(opts)
+    spec_config = SpectroscopyConfig(opts.drive, opts.omega, opts.delta_range, opts.duration)
     result = spectroscopy(config.lattice, spec_config)
     write_csv(ctx, "spectroscopy.csv", *result.csv_table())
     write_json(
@@ -289,9 +276,9 @@ def cmd_spectroscopy(args) -> int:
         "spectroscopy.json",
         {
             "schema": 1,
-            "drive_site": args.drive,
-            "drive_amplitude_over_J": args.omega,
-            "duration_J": duration,
+            "drive_site": opts.drive,
+            "drive_amplitude_over_J": opts.omega,
+            "duration_J": opts.duration,
             "peaks_over_J": list(result.detected_peaks),
             "lattice": lattice_to_dict(config),
         },
@@ -299,44 +286,15 @@ def cmd_spectroscopy(args) -> int:
     return ctx.finish()
 
 
-def cmd_adiabatic(args) -> int:
-    ctx = RunContext("adiabatic", args)
-    conf: dict = {}
-    if args.config:
-        conf = read_config_file(args.config, "adiabatic config")
-        if not isinstance(conf, dict):
-            raise ConfigError(f"adiabatic config {args.config} must hold a JSON object")
-    field = partial(config_field, "adiabatic config", conf)
-    l = args.l if args.l is not None else field("l", int, 1)
-    flux = parse_flux(args.flux) if args.flux else field("flux", parse_flux, PI)
-    init = args.init or field("init", str, "A,1")
-    duration = args.duration if args.duration is not None else field("duration_over_J", float, 30.0)
-    d0 = args.initial_detuning if args.initial_detuning is not None else field(
-        "initial_detuning_over_J", float, -4.0
-    )
-    j_mhz = args.j_mhz if args.j_mhz is not None else field("J_MHz", lambda v: check_j_mhz(float(v)), None)
-    if args.dephasing_us:
-        try:
-            tphis = [float(t) for t in args.dephasing_us.split(",") if t]
-        except ValueError:
-            raise ConfigError(f"--dephasing-us takes comma-separated numbers, got {args.dephasing_us!r}") from None
-    else:
-        tphis = field(
-            "dephasing_us", lambda v: [float(t) for t in v] if isinstance(v, list) else [float(v)], []
-        )
-    if any(not t > 0 for t in tphis):
-        raise ConfigError(f"dephasing times must be positive, got {tphis}")
-    columns = [f"tphi_{tphi:g}us" for tphi in tphis]
-    if len(set(columns)) < len(columns):
-        raise ConfigError(f"dephasing times must be distinct in their CSV column names, got {columns}")
+def cmd_adiabatic(opts, ctx: RunContext) -> int:
+    l, flux, init, tphis, j_mhz = opts.l, opts.flux, opts.init, opts.dephasing_us, opts.j_mhz
     if tphis and not j_mhz:
         raise ConfigError("dephasing in microseconds needs --j-mhz to fix the time unit")
-
     lattice = build_lattice(l, [flux] * l)
-    if args.schedule:
-        schedule = schedule_from_json(read_config_file(args.schedule, "schedule file"))
+    if opts.schedule:
+        schedule = schedule_from_json(read_config_file(opts.schedule, "schedule file"))
     else:
-        schedule = two_stage_ramp(lattice, init, duration, d0)
+        schedule = two_stage_ramp(lattice, init, opts.duration, opts.initial_detuning)
     gammas = [1.0 / (tphi * 2 * PI * j_mhz) for tphi in tphis]
     rate_sets = [DephasingRates.uniform(lattice.num_sites, gamma) for gamma in gammas]
     closed, dephased = adiabatic_ramps(lattice, schedule, init, rate_sets)
@@ -365,24 +323,21 @@ def cmd_adiabatic(args) -> int:
         ],
     }
     fid_columns = {"closed": closed.gs_fidelity}
-    fid_columns.update((column, run.gs_fidelity) for column, run in zip(columns, dephased))
+    fid_columns.update((column, run.gs_fidelity) for column, run in zip(_tphi_columns(tphis), dephased))
     write_json(ctx, "adiabatic.json", report)
     rows = np.column_stack([closed.times, *fid_columns.values()])
     write_csv(ctx, "ramp_fidelity.csv", ["Jt", *fid_columns.keys()], rows)
     return ctx.finish()
 
 
-def cmd_bands(args) -> int:
-    ctx = RunContext("bands", args)
-    if args.model == "rhombic":
-        flux = parse_flux(args.flux)
-        model = rhombic_bloch_model(1.0, flux)
-        tag = "rhombic_phi" + ("pi" if flux == PI else "0")
+def cmd_bands(opts, ctx: RunContext) -> int:
+    if opts.model == "rhombic":
+        model = rhombic_bloch_model(1.0, opts.flux)
+        tag = "rhombic_phi" + ("pi" if opts.flux == PI else "0")
     else:
-        delta = args.delta_over_sqrt2j * SQRT2
-        model = trimer_bloch_model(1.0, delta)
-        tag = f"trimer_delta{_slug(str(args.delta_over_sqrt2j))}sqrt2"
-    bs = band_structure(model, args.nk)
+        model = trimer_bloch_model(1.0, opts.delta_over_sqrt2j * SQRT2)
+        tag = f"trimer_delta{_slug(str(opts.delta_over_sqrt2j))}sqrt2"
+    bs = band_structure(model, opts.nk)
     write_csv(
         ctx,
         f"bands_{tag}.csv",
@@ -394,7 +349,7 @@ def cmd_bands(args) -> int:
         "bands.json",
         {
             "schema": 1,
-            "model": args.model,
+            "model": opts.model,
             "parameters": dict(model.parameters),
             "bandwidths_over_J": bs.bandwidths().tolist(),
         },
@@ -402,35 +357,33 @@ def cmd_bands(args) -> int:
     return ctx.finish()
 
 
-def cmd_zak(args) -> int:
-    ctx = RunContext("zak", args)
+def cmd_zak(opts, ctx: RunContext) -> int:
     points = []
-    for factor in parse_range(args.delta_range):
-        result = zak_phase(trimer_bloch_model(1.0, factor * SQRT2), args.band, args.nk)
+    for factor in opts.delta_range:
+        result = zak_phase(trimer_bloch_model(1.0, factor * SQRT2), opts.band, opts.nk)
         points.append(
             {
                 "delta_over_sqrt2J": factor,
-                "band": args.band,
+                "band": opts.band,
                 "zak_raw": result.raw,
                 "zak_snapped": result.snapped,
                 "min_gap_over_J": result.min_gap,
             }
         )
-    write_json(ctx, "zak.json", {"schema": 1, "n_k": args.nk, "points": points})
+    write_json(ctx, "zak.json", {"schema": 1, "n_k": opts.nk, "points": points})
     return ctx.finish()
 
 
-def cmd_coupler_calibrate(args) -> int:
-    ctx = RunContext("coupler-calibrate", args)
-    device = load_device(args.device or data_path("sample_device.json"))
-    grid = parse_range(args.sweep) if args.sweep else np.linspace(*device.sweep_window)
+def cmd_coupler_calibrate(opts, ctx: RunContext) -> int:
+    device = load_device(opts.device or data_path("sample_device.json"))
+    grid = opts.sweep if opts.sweep is not None else np.linspace(*device.sweep_window)
     rows = []
     for omega_c in grid:
         spec = replace(device.coupler, omega_c=float(omega_c))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             formula = g_eff(spec)
-            extraction = three_mode_vacuum_rabi(spec, args.levels)
+            extraction = three_mode_vacuum_rabi(spec, opts.levels)
         rows.append([omega_c, formula * 1e3, extraction.value * 1e3, extraction.sign])
     data = np.array(rows)
     off = coupler_off_frequency(device.coupler, (grid[0], grid[-1]))
@@ -463,43 +416,14 @@ def _parse_response_csv(text: str) -> dict[tuple[str, str], list[tuple[float, fl
     return groups
 
 
-#: Most synthetic response points ``crosstalk-fit`` simulates, lines * (lines - 1)
-#: * points; 100 lines at the default 25 points make 247,500.
-SYNTHETIC_MAX_RESPONSES = 10**6
-
-
-def cmd_crosstalk_fit(args) -> int:
-    ctx = RunContext("crosstalk-fit", args)
-    if ctx.seed < 0:
-        raise ConfigError(f"--seed must be nonnegative, got {ctx.seed}")
-    rng = np.random.default_rng(ctx.seed)
+def cmd_crosstalk_fit(opts, ctx: RunContext) -> int:
+    rng = np.random.default_rng(opts.seed)
     truth = None
-    if args.responses:
-        groups = read_config_file(args.responses, "response file", _parse_response_csv)
+    if opts.responses:
+        groups = read_config_file(opts.responses, "response file", _parse_response_csv)
         labels = sorted({k for pair in groups for k in pair})
     else:
-        if args.lines < 2 or args.points < 2:
-            raise ConfigError("synthetic crosstalk needs at least 2 --lines and 2 --points")
-        if not 0 <= args.noise < math.inf:
-            raise ConfigError(f"--noise must be finite and nonnegative, got {args.noise}")
-        n = args.lines
-        size = n * (n - 1) * args.points
-        if size > SYNTHETIC_MAX_RESPONSES:
-            raise ConfigError(
-                f"synthetic crosstalk on {n} lines with {args.points} points per pair needs {size} "
-                f"response points, above the limit of {SYNTHETIC_MAX_RESPONSES}"
-            )
-        labels = [f"Z{i + 1}" for i in range(n)]
-        truth = rng.normal(6e-4, 1e-4, size=(n, n))
-        np.fill_diagonal(truth, 1.0)
-        source_values = np.linspace(-1.0, 1.0, args.points)
-        groups = {}
-        for i in range(n):
-            for j in range(n):
-                if i == j:
-                    continue
-                data = simulate_compensation_data(truth[i, j], source_values, args.noise, rng)
-                groups[(labels[j], labels[i])] = [tuple(row) for row in data]
+        labels, truth, groups = synthetic_crosstalk(opts.lines, opts.points, opts.noise, rng)
     index = {label: i for i, label in enumerate(labels)}
     matrix = np.eye(len(labels))
     for (source, target), points in groups.items():
@@ -563,40 +487,200 @@ def compare_against_reference(trace: PopulationTrace, metadata: Mapping, oracle:
     }
 
 
-def cmd_verify(args) -> int:
-    if not 0 < args.tolerance < math.inf:  # also rejects NaN
-        raise ConfigError(f"--tolerance must be finite and positive, got {args.tolerance}")
-    ctx = RunContext("verify", args)
-    doc = read_config_file(args.trace, "trace file")
+def cmd_verify(opts, ctx: RunContext) -> int:
+    doc = read_config_file(opts.trace, "trace file")
     trace = PopulationTrace.from_json_dict(doc)
-    report = compare_against_reference(
-        trace, doc.get("metadata", {}), args.oracle, args.tolerance
-    )
+    report = compare_against_reference(trace, doc.get("metadata", {}), opts.oracle, opts.tolerance)
     write_json(ctx, "verify_report.json", report)
+    # A failed comparison is a finished run: its report is written, then it exits 3.
     ctx.finish()
     if not report["passed"]:
         raise NumericalError(
-            f"trace deviates from the {args.oracle} oracle by {report['max_deviation']:.3e} "
-            f"(tolerance {args.tolerance:g})"
+            f"trace deviates from the {opts.oracle} oracle by {report['max_deviation']:.3e} "
+            f"(tolerance {opts.tolerance:g})"
         )
     return 0
 
 
 # ---------------------------------------------------------------------------
-# Argument parsing
+# Option kinds and the option table
 # ---------------------------------------------------------------------------
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--outdir", default="out", help="output directory")
-    sub.add_argument("--seed", type=int, default=0, help="seed for synthetic-noise fits")
+class Kind(NamedTuple):
+    """The values an option takes.
+
+    ``parse`` reads command-line text and ``load`` an ``adiabatic --config``
+    field (None: no config field has this kind); either raises ``TypeError``
+    or ``ValueError`` on a value of the wrong form.  ``ok`` says whether a
+    value is in range, and ``what`` describes the values in error messages.
+    """
+
+    what: str
+    parse: Callable[[str], Any]
+    ok: Callable[[Any], bool] = lambda value: True
+    load: Callable[[Any], Any] | None = None
 
 
-def _add_lattice_source(sub: argparse.ArgumentParser, default_l: int | None = None) -> None:
-    sub.add_argument("--lattice", help="lattice definition JSON file")
-    sub.add_argument("--l", type=int, default=default_l, help="number of plaquettes")
-    sub.add_argument("--flux", default="pi", help="uniform plaquette flux: 0 or pi")
-    sub.add_argument("--j-mhz", type=float, default=None, help="coupling J/2pi in MHz")
+def _number(value: Any) -> float:
+    """A config-file number; a bool or a string is not one."""
+    return float(_real(value))
+
+
+def _integer(value: Any) -> int:
+    """A config-file integer; an integral float such as ``2.0`` is one."""
+    number = _real(value)
+    if isinstance(number, float) and not number.is_integer():
+        raise ValueError("expected an integer")
+    return int(number)
+
+
+def _count(low: int, high: float = math.inf) -> Kind:
+    what = f"an integer from {low} to {high}" if high < math.inf else f"an integer of at least {low}"
+    return Kind(what, int, lambda n: low <= n <= high, _integer)
+
+
+def _site(label: Any) -> str:
+    """A site label as given, once it parses."""
+    if not isinstance(label, str):
+        raise TypeError("expected a site label")
+    SiteId.parse(label)
+    return label
+
+
+FINITE = Kind("a finite number", float, math.isfinite, _number)
+POSITIVE = Kind("a finite positive number", float, lambda v: 0 < v < math.inf, _number)
+NONNEGATIVE = Kind("a finite nonnegative number", float, lambda v: 0 <= v < math.inf, _number)
+SEED = _count(0)
+PI_MULTIPLE = Kind("a finite number or multiple of pi, such as 4pi", parse_pi_multiple, math.isfinite)
+DELTA = Kind("a finite detuning in J, such as 2sqrt2", parse_delta_token, math.isfinite)
+RANGE = Kind(f"start:stop:count with a finite span and 1 to {MAX_POINTS} points", parse_range)
+FLUX = Kind("0 or pi", parse_flux, load=lambda v: parse_flux(v if isinstance(v, str) else _real(v)))
+SITE = Kind("a site label such as A,1", _site, load=_site)
+#: ``detuning-sweep --flux``: one flux, or both.
+FLUXES = Kind("0, pi or both", lambda text: [0.0, PI] if text == "both" else [parse_flux(text)])
+#: ``detuning-sweep --delta``: each token names its own output files.
+DELTAS = Kind(
+    "a comma list of detunings in J whose file names differ, such as 0,sqrt2,10",
+    lambda text: [(token, parse_delta_token(token)) for token in text.split(",") if token],
+    lambda pairs: 0 < len({_slug(token) for token, _ in pairs}) == len(pairs),
+)
+#: Dephasing times in microseconds; an infinite one does not dephase, and
+#: each names its own ``ramp_fidelity.csv`` column.
+TPHIS = Kind(
+    "positive dephasing times in microseconds with distinct CSV columns, such as 1,10",
+    lambda text: [float(t) for t in text.split(",") if t],
+    lambda tphis: all(t > 0 for t in tphis) and len(set(_tphi_columns(tphis))) == len(tphis),
+    lambda v: [_number(t) for t in (v if isinstance(v, list) else [v])],
+)
+
+
+class Option(NamedTuple):
+    """One command-line option.
+
+    ``defaults`` names the commands that take it, each with its default text
+    (None: no default).  An option with a ``config`` field, given neither on
+    the command line nor by default, falls back to that ``adiabatic --config``
+    field, and then to the field's default value.  ``kind`` None keeps the
+    text as given; ``settings`` go to ``add_argument`` as they are.
+    """
+
+    flag: str
+    kind: Kind | None
+    help: str | None
+    defaults: Mapping[str, str | None]
+    config: tuple[str, Any] | None = None
+    settings: Mapping[str, Any] = {}
+
+
+#: Each subcommand's function and help, in the order ``--help`` lists them.
+COMMANDS = {
+    "dynamics": (cmd_dynamics, "population dynamics, with dephasing if the lattice file declares it"),
+    "detuning-sweep": (cmd_detuning_sweep, "traces over a list of anti-symmetric detunings"),
+    "spectroscopy": (cmd_spectroscopy, "single-excitation eigenenergy scan"),
+    "adiabatic": (cmd_adiabatic, "adiabatic ground-state preparation"),
+    "bands": (cmd_bands, "Bloch band structure"),
+    "zak": (cmd_zak, "Wilson-loop Zak phase of the trimer bands"),
+    "coupler-calibrate": (cmd_coupler_calibrate, "tunable-coupler sweep and off point"),
+    "crosstalk-fit": (cmd_crosstalk_fit, "fit flux-line crosstalk elements"),
+    "verify": (cmd_verify, "compare a stored trace against an oracle"),
+}
+
+#: Commands that take ``--l`` and ``--j-mhz``, none of them with a default.
+_LATTICE = dict.fromkeys(("dynamics", "detuning-sweep", "spectroscopy", "adiabatic"))
+
+OPTIONS = (
+    Option("--lattice", None, "lattice definition JSON file", dict.fromkeys(("dynamics", "spectroscopy"))),
+    Option("--config", None, "JSON file with run parameters", {"adiabatic": None}),
+    Option("--trace", None, "trace JSON produced by dynamics/detuning-sweep", {"verify": None}, settings={"required": True}),
+    Option("--device", None, "device JSON (defaults to the shipped sample)", {"coupler-calibrate": None}),
+    Option("--responses", None, "CSV of source,target,source_zpa,target_zpa", {"crosstalk-fit": None}),
+    Option("--l", _count(1, MAX_PLAQUETTES), "number of plaquettes", {**_LATTICE, "detuning-sweep": "2", "spectroscopy": "1"}, ("l", 1)),
+    Option("--flux", FLUX, "uniform plaquette flux: 0 or pi", dict.fromkeys(("dynamics", "spectroscopy", "bands"), "pi") | {"adiabatic": None}, ("flux", PI)),
+    Option("--flux", FLUXES, "0, pi, or both", {"detuning-sweep": "both"}),
+    Option("--j-mhz", POSITIVE, "coupling J/2pi in MHz", _LATTICE, ("J_MHz", None)),
+    Option("--init", SITE, "initially excited site, e.g. A,2", {"dynamics": "A,2", "detuning-sweep": "A,1", "adiabatic": None}, ("init", "A,1")),
+    Option("--tmax", PI_MULTIPLE, "final Jt (accepts e.g. 4pi)", dict.fromkeys(("dynamics", "detuning-sweep"), "4pi")),
+    Option("--points", _count(1, MAX_POINTS), "number of time points", dict.fromkeys(("dynamics", "detuning-sweep"), "401")),
+    Option("--delta-antisym", DELTA, "anti-symmetric detuning in J (e.g. sqrt2)", {"dynamics": None}),
+    Option("--delta", DELTAS, "comma list in units of J", {"detuning-sweep": "0,sqrt2,10"}),
+    Option("--drive", SITE, "driven site", {"spectroscopy": "A,1"}),
+    Option("--omega", NONNEGATIVE, "drive amplitude in J", {"spectroscopy": "0.05"}),
+    Option("--duration", PI_MULTIPLE, "pulse duration in 1/J", {"spectroscopy": "20"}),
+    Option("--delta-range", RANGE, "grid start:stop:count", {"spectroscopy": "-3:3:201", "zak": "0.2:2.0:7"}),
+    Option("--duration", NONNEGATIVE, "total ramp length in 1/J", {"adiabatic": None}, ("duration_over_J", 30.0)),
+    Option("--schedule", None, "JSON array of ramp segments (overrides --duration)", {"adiabatic": None}),
+    Option("--initial-detuning", FINITE, "starting detuning of the init site, in J (< -3)", {"adiabatic": None}, ("initial_detuning_over_J", -4.0)),
+    Option("--dephasing-us", TPHIS, "comma list of dephasing times in microseconds", {"adiabatic": None}, ("dephasing_us", ())),
+    Option("--model", None, None, {"bands": "rhombic"}, settings={"choices": ("rhombic", "trimer")}),
+    Option("--delta-over-sqrt2j", NONNEGATIVE, "trimer inter-cell coupling in sqrt(2) J", {"bands": "0.5"}),
+    Option("--nk", _count(1, MAX_POINTS), "number of momentum points", dict.fromkeys(("bands", "zak"), "512")),
+    Option("--band", _count(0), "band index", {"zak": "0"}),
+    Option("--sweep", RANGE, "coupler frequency grid start:stop:count in GHz", {"coupler-calibrate": None}),
+    Option("--levels", _count(2), "bosonic truncation per mode", {"coupler-calibrate": "3"}),
+    Option("--lines", _count(2, MAX_POINTS), "synthetic mode: number of lines", {"crosstalk-fit": "7"}),
+    Option("--points", _count(2, MAX_POINTS), "synthetic mode: points per pair", {"crosstalk-fit": "25"}),
+    Option("--noise", NONNEGATIVE, "synthetic mode: zpa noise sigma", {"crosstalk-fit": "1e-05"}),
+    Option("--oracle", None, None, {"verify": None}, settings={"choices": ("analytic_l1", "effective_model"), "required": True}),
+    Option("--tolerance", POSITIVE, None, {"verify": "1e-08"}),
+    Option("--outdir", None, "output directory", dict.fromkeys(COMMANDS, "out")),
+    Option("--seed", SEED, "seed for synthetic-noise fits", dict.fromkeys(COMMANDS, "0")),
+)
+
+
+def _convert(read: Callable[[Any], Any], kind: Kind, raw: Any, where: str) -> Any:
+    try:
+        value = read(raw)
+        if kind.ok(value):
+            return value
+    except (TypeError, ValueError):
+        pass
+    raise ConfigError(f"{where} must be {kind.what}, got {raw!r}")
+
+
+def _read(args: argparse.Namespace) -> argparse.Namespace:
+    """The command's option values, each read through its option's kind."""
+    path = getattr(args, "config", None)
+    conf = read_config_file(path, "adiabatic config") if path else {}
+    if not isinstance(conf, dict):
+        raise ConfigError(f"adiabatic config {path} must hold a JSON object")
+    values = argparse.Namespace()
+    for option in OPTIONS:
+        if args.command not in option.defaults:
+            continue
+        dest, kind = option.flag[2:].replace("-", "_"), option.kind
+        text = getattr(args, dest)
+        if text is not None:
+            value = text if kind is None else _convert(kind.parse, kind, text, option.flag)
+        elif option.config is None or "config" not in args:
+            value = None
+        elif option.config[0] in conf:
+            key = option.config[0]
+            value = _convert(kind.load, kind, conf[key], f"adiabatic config field {key!r}")
+        else:
+            value = option.config[1]
+        setattr(values, dest, value)
+    return values
 
 
 @cache
@@ -609,95 +693,24 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     subs = parser.add_subparsers(dest="command", required=True)
-
-    p = subs.add_parser("dynamics", help="population dynamics, with dephasing if the lattice file declares it")
-    _add_lattice_source(p)
-    p.add_argument("--init", default="A,2", help="initially excited site, e.g. A,2")
-    p.add_argument("--tmax", default="4pi", help="final Jt (accepts e.g. 4pi)")
-    p.add_argument("--points", type=int, default=401)
-    p.add_argument("--delta-antisym", default=None, help="anti-symmetric detuning in J (e.g. sqrt2)")
-    _add_common(p)
-    p.set_defaults(func=cmd_dynamics)
-
-    p = subs.add_parser("detuning-sweep", help="traces over a list of anti-symmetric detunings")
-    p.add_argument("--l", type=int, default=2)
-    p.add_argument("--flux", default="both", help="0, pi, or both")
-    p.add_argument("--delta", default="0,sqrt2,10", help="comma list in units of J")
-    p.add_argument("--init", default="A,1")
-    p.add_argument("--tmax", default="4pi")
-    p.add_argument("--points", type=int, default=401)
-    p.add_argument("--j-mhz", type=float, default=None)
-    _add_common(p)
-    p.set_defaults(func=cmd_detuning_sweep)
-
-    p = subs.add_parser("spectroscopy", help="single-excitation eigenenergy scan")
-    _add_lattice_source(p, default_l=1)
-    p.add_argument("--drive", default="A,1")
-    p.add_argument("--omega", type=float, default=0.05, help="drive amplitude in J")
-    p.add_argument("--duration", default="20", help="pulse duration in 1/J")
-    p.add_argument("--delta-range", default="-3:3:201", help="drive detuning grid start:stop:count in J")
-    _add_common(p)
-    p.set_defaults(func=cmd_spectroscopy)
-
-    p = subs.add_parser("adiabatic", help="adiabatic ground-state preparation")
-    p.add_argument("--config", default=None, help="JSON file with run parameters")
-    p.add_argument("--l", type=int, default=None)
-    p.add_argument("--flux", default=None)
-    p.add_argument("--init", default=None)
-    p.add_argument("--duration", type=float, default=None, help="total ramp length in 1/J")
-    p.add_argument("--schedule", default=None, help="JSON array of ramp segments (overrides --duration)")
-    p.add_argument("--initial-detuning", type=float, default=None, help="starting detuning of the init site, in J (< -3)")
-    p.add_argument("--j-mhz", type=float, default=None)
-    p.add_argument("--dephasing-us", default=None, help="comma list of dephasing times in microseconds")
-    _add_common(p)
-    p.set_defaults(func=cmd_adiabatic)
-
-    p = subs.add_parser("bands", help="Bloch band structure")
-    p.add_argument("--model", choices=("rhombic", "trimer"), default="rhombic")
-    p.add_argument("--flux", default="pi")
-    p.add_argument("--delta-over-sqrt2j", type=float, default=0.5, help="trimer inter-cell coupling in sqrt(2) J")
-    p.add_argument("--nk", type=int, default=512)
-    _add_common(p)
-    p.set_defaults(func=cmd_bands)
-
-    p = subs.add_parser("zak", help="Wilson-loop Zak phase of the trimer bands")
-    p.add_argument("--delta-range", default="0.2:2.0:7", help="inter-cell couplings in sqrt(2) J")
-    p.add_argument("--band", type=int, default=0)
-    p.add_argument("--nk", type=int, default=512)
-    _add_common(p)
-    p.set_defaults(func=cmd_zak)
-
-    p = subs.add_parser("coupler-calibrate", help="tunable-coupler sweep and off point")
-    p.add_argument("--device", default=None, help="device JSON (defaults to the shipped sample)")
-    p.add_argument("--sweep", default=None, help="coupler frequency grid start:stop:count in GHz")
-    p.add_argument("--levels", type=int, default=3, help="bosonic truncation per mode")
-    _add_common(p)
-    p.set_defaults(func=cmd_coupler_calibrate)
-
-    p = subs.add_parser("crosstalk-fit", help="fit flux-line crosstalk elements")
-    p.add_argument("--responses", default=None, help="CSV of source,target,source_zpa,target_zpa")
-    p.add_argument("--lines", type=int, default=7, help="synthetic mode: number of lines")
-    p.add_argument("--points", type=int, default=25, help="synthetic mode: points per pair")
-    p.add_argument("--noise", type=float, default=1e-5, help="synthetic mode: zpa noise sigma")
-    _add_common(p)
-    p.set_defaults(func=cmd_crosstalk_fit)
-
-    p = subs.add_parser("verify", help="compare a stored trace against an oracle")
-    p.add_argument("--trace", required=True, help="trace JSON produced by dynamics/detuning-sweep")
-    p.add_argument("--oracle", choices=("analytic_l1", "effective_model"), required=True)
-    p.add_argument("--tolerance", type=float, default=1e-8)
-    _add_common(p)
-    p.set_defaults(func=cmd_verify)
-
+    for command, (func, help) in COMMANDS.items():
+        sub = subs.add_parser(command, help=help)
+        for option in OPTIONS:
+            if command in option.defaults:
+                sub.add_argument(option.flag, default=option.defaults[command], help=option.help, **option.settings)
+        sub.set_defaults(func=func)
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
+    """Run one subcommand and return its exit code: 0, 2 (refused input) or 3 (numerical failure)."""
     try:
-        args = parser.parse_args(argv)
-        check_j_mhz(getattr(args, "j_mhz", None))
-        return args.func(args)
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # --help, --version, or a command line argparse refuses (2)
+        return exc.code
+    try:
+        opts = _read(args)
+        return args.func(opts, RunContext(args, opts.seed))
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

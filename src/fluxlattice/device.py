@@ -289,6 +289,41 @@ def simulate_compensation_data(
     return np.column_stack([source, target])
 
 
+#: Most response points ``synthetic_crosstalk`` simulates, lines * (lines - 1)
+#: * points; 100 lines at 25 points make 247,500.
+SYNTHETIC_MAX_RESPONSES = 10**6
+
+
+def synthetic_crosstalk(
+    lines: int, points: int, noise_sigma: float, rng: np.random.Generator
+) -> tuple[list[str], np.ndarray, dict[tuple[str, str], list[tuple[float, float]]]]:
+    """A random crosstalk matrix on lines ``Z1 .. Zn`` and its compensation data.
+
+    Off-diagonal elements are drawn from N(6e-4, 1e-4) and the diagonal is 1.
+    Each ordered pair of lines gets ``points`` source amplitudes on [-1, 1]
+    with responses from ``simulate_compensation_data``.  Returns the labels,
+    the matrix, and the responses keyed by (source, target) label, in the
+    form ``crosstalk_fit`` takes.
+    """
+    size = lines * (lines - 1) * points
+    if size > SYNTHETIC_MAX_RESPONSES:
+        raise ConfigError(
+            f"synthetic crosstalk on {lines} lines with {points} points per pair needs {size} "
+            f"response points, above the limit of {SYNTHETIC_MAX_RESPONSES}"
+        )
+    labels = [f"Z{i + 1}" for i in range(lines)]
+    truth = rng.normal(6e-4, 1e-4, size=(lines, lines))
+    np.fill_diagonal(truth, 1.0)
+    source = np.linspace(-1.0, 1.0, points)
+    groups = {}
+    for i in range(lines):
+        for j in range(lines):
+            if i != j:
+                data = simulate_compensation_data(truth[i, j], source, noise_sigma, rng)
+                groups[(labels[j], labels[i])] = [tuple(row) for row in data]
+    return labels, truth, groups
+
+
 # ---------------------------------------------------------------------------
 # Device definition files (JSON, schema 1)
 # ---------------------------------------------------------------------------

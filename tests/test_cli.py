@@ -3,13 +3,19 @@ import hashlib
 import json
 import math
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_readme import quick_start_commands
 
+from fluxlattice import cli
 from fluxlattice.cli import (
+    MAX_PLAQUETTES,
+    MAX_POINTS,
+    OPTIONS,
     build_parser,
     compare_against_reference,
     data_path,
@@ -386,6 +392,9 @@ class TestVerifyCommand:
             ]
         )
         assert code == 3
+        # A failed comparison is a finished run: its report is written.
+        report = json.loads((tmp_path / "v" / "verify_report.json").read_text())
+        assert report["passed"] is False and report["max_deviation"] > report["tolerance"]
 
     def test_shape_mismatch_rejected(self):
         trace = PopulationTrace(np.array([0.0]), np.array([[1.0, 0.0, 0.0, 0.0]]))
@@ -410,6 +419,12 @@ def _sample_device_with(**fields):
         (["adiabatic", "--config"], '{"l": "x"}'),
         (["adiabatic", "--config"], '{"duration_over_J": "abc"}'),
         (["adiabatic", "--config"], '{"duration_over_J": 3, "J_MHz": -4.2}'),
+        # Config fields are read like the command line and lattice files: a
+        # count takes no fraction or bool, a number no bool or string.
+        (["adiabatic", "--config"], '{"l": 2.7}'),
+        (["adiabatic", "--config"], '{"l": true}'),
+        (["adiabatic", "--config"], '{"duration_over_J": true}'),
+        (["adiabatic", "--config"], '{"duration_over_J": "3"}'),
         (["adiabatic", "--duration", "1", "--j-mhz", "4.2", "--config"], '{"dephasing_us": [1, 1.0]}'),
         (["dynamics", "--lattice"], '{"l": 1, "fluxes": ["pi"], "J_MHz": "abc"}'),
         (["dynamics", "--lattice"], '{"l": 1, "fluxes": ["pi"], "detunings": {"A,1": "x"}}'),
@@ -461,6 +476,10 @@ def _sample_device_with(**fields):
         "config-l-not-int",
         "config-duration-not-number",
         "config-j-mhz-negative",
+        "config-l-fraction",
+        "config-l-bool",
+        "config-duration-bool",
+        "config-duration-string",
         "config-dephasing-repeated",
         "lattice-j-mhz-string",
         "lattice-detuning-string",
@@ -516,6 +535,8 @@ def passing_trace(tmp_path_factory):
         ["adiabatic", "--initial-detuning", "nan"],
         ["zak", "--delta-range", "nan:1:3"],
         ["coupler-calibrate", "--sweep", "0:inf:3"],
+        # Finite ends whose span overflows.
+        ["coupler-calibrate", "--sweep=-1e308:1e308:5"],
         ["dynamics", "--l", "1", "--points", "-1"],
         ["detuning-sweep", "--points", "-1"],
         ["crosstalk-fit", "--lines", "-1"],
@@ -550,6 +571,16 @@ def passing_trace(tmp_path_factory):
         # A trace that passes at the default tolerance.
         ["verify", "--trace", PASSING_TRACE, "--oracle", "effective_model", "--tolerance", "-1"],
         ["verify", "--trace", PASSING_TRACE, "--oracle", "effective_model", "--tolerance", "nan"],
+        # Above the --nk (MAX_POINTS) and --l (MAX_PLAQUETTES) ceilings:
+        # refused before any array is built.
+        ["bands", "--nk", "1000000000000"],
+        ["dynamics", "--l", "100000", "--points", "2"],
+        # Refused on the command line, by argparse or by the option's kind;
+        # main returns 2 and does not raise SystemExit.
+        ["dynamics", "--l", "1", "--points", "abc"],
+        ["dynamics", "--l", "1", "--no-such-option", "1"],
+        ["verify", "--oracle", "analytic_l1"],
+        ["bands", "--model", "cubic"],
     ],
     ids=[
         "tmax",
@@ -563,6 +594,7 @@ def passing_trace(tmp_path_factory):
         "adiabatic-initial-detuning-nan",
         "zak-range-nan",
         "coupler-sweep-inf",
+        "coupler-sweep-span-overflows",
         "dynamics-points-negative",
         "sweep-points-negative",
         "crosstalk-lines-negative",
@@ -592,6 +624,12 @@ def passing_trace(tmp_path_factory):
         "adiabatic-substep-budget",
         "verify-tolerance-negative",
         "verify-tolerance-nan",
+        "bands-nk-too-many",
+        "dynamics-l-too-many",
+        "points-not-a-number",
+        "unknown-option",
+        "verify-trace-missing",
+        "bands-model-unknown",
     ],
 )
 def test_bad_argument_exits_2(tmp_path, request, argv):
@@ -636,6 +674,105 @@ def test_refused_run_leaves_no_directory(tmp_path, argv):
     out = tmp_path / "out"
     assert main([*argv, "--outdir", str(out)]) == 2
     assert not out.exists()
+
+
+def test_refusal_names_the_option(tmp_path, capsys):
+    assert main(["dynamics", "--l", "-1", "--outdir", str(tmp_path / "out")]) == 2
+    assert f"--l must be an integer from 1 to {MAX_PLAQUETTES}, got '-1'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["--version"], ["dynamics", "--help"]], ids=["version", "help"])
+def test_argparse_exit_code_is_returned(argv):
+    assert main(argv) == 0
+
+
+def test_failure_after_a_write_leaves_no_directory(tmp_path, monkeypatch):
+    # crosstalk-fit has formed crosstalk_matrix.csv when the probe is corrected.
+    def fail(*args):
+        raise cli.NumericalError("injected")
+
+    monkeypatch.setattr(cli, "crosstalk_correct", fail)
+    out = tmp_path / "out"
+    assert main(["crosstalk-fit", "--outdir", str(out)]) == 3
+    assert not out.exists()
+
+
+def test_config_fields_read_like_arguments(tmp_path):
+    sample = data_path("adiabatic_sample.json")
+    argv = [
+        "--l", "1", "--flux", "pi", "--j-mhz", "4.2", "--init", "A,1", "--duration", "120",
+        "--initial-detuning", "-4", "--dephasing-us", "1",
+    ]
+    assert main(["adiabatic", "--config", str(sample), "--outdir", str(tmp_path / "config")]) == 0
+    assert main(["adiabatic", *argv, "--outdir", str(tmp_path / "argv")]) == 0
+    for name in ("adiabatic.json", "ramp_fidelity.csv"):
+        assert (tmp_path / "config" / name).read_bytes() == (tmp_path / "argv" / name).read_bytes()
+
+
+#: Values the generated command lines give one option: malformed, non-finite,
+#: negative, near the float maximum, past each count ceiling, and bad site
+#: labels, fluxes, ranges, lists, seeds and paths, with a few valid ones.
+ODD_VALUES = [
+    "nan", "inf", "-inf", "-1", "0", "-0.0", "1", "2.5", "abc", "",
+    "1.7976931348623157e308", "-1.7976931348623157e308", "1e-300",
+    str(MAX_POINTS + 1), str(MAX_PLAQUETTES + 1), "1000000000000", "99999999999999999999999",
+    "Q,1", "A,0", "A,x", "up,999", "A,1", "tau", "pi/2", "2pi", "both",
+    "0:1:0", "nan:1:3", "0:inf:3", "1:2:x", "0:1", f"0:1:{MAX_POINTS + 1}", "-1e308:1e308:5", "0.2:2:3",
+    "1,1.0", "1,,10", ",", "missing.json", ".",
+]
+
+
+@pytest.fixture(scope="module")
+def readme_argv(passing_trace):
+    """Each subcommand's README argv, without ``--outdir``; verify reads ``passing_trace``."""
+    argv = {}
+    for command in quick_start_commands():
+        i = command.index("--outdir")
+        command = [str(passing_trace) if a == "out/dynamics.json" else a for a in command[:i] + command[i + 2:]]
+        argv[command[0]] = command
+    return argv
+
+
+def _assert_clean_exit(argv, command):
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        code = main([*argv, f"--outdir={out}"])
+        assert code in {0, 2, 3}
+        if command == "verify" and code == 3:
+            # A failed comparison is a finished run whose verdict is failure.
+            assert json.loads((out / "verify_report.json").read_text())["passed"] is False
+        elif code:
+            assert not out.exists()
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_generated_arguments_exit_cleanly(readme_argv, data):
+    command = data.draw(st.sampled_from(sorted(readme_argv)))
+    flags = sorted({o.flag for o in OPTIONS if command in o.defaults and o.flag != "--outdir"})
+    flag = data.draw(st.sampled_from(flags))
+    # "--flag=value" stops argparse reading "-1" as an option; the last value given wins.
+    _assert_clean_exit([*readme_argv[command], f"{flag}={data.draw(st.sampled_from(ODD_VALUES))}"], command)
+
+
+SAMPLE_CONFIG = json.loads(data_path("adiabatic_sample.json").read_text())
+
+LEAVES = st.one_of(
+    st.text(max_size=4),
+    st.lists(st.sampled_from([1.0, 10.0, -1.0, 0.0, math.nan, math.inf, "x", None]), max_size=3),
+    st.none(),
+    st.dictionaries(st.sampled_from(["l", "A,1", "x"]), st.sampled_from([1, "x", None]), max_size=2),
+    st.just(math.nan),
+)
+
+
+@given(key=st.sampled_from(sorted(SAMPLE_CONFIG)), leaf=LEAVES)
+@settings(max_examples=40, deadline=None)
+def test_generated_config_exits_cleanly(key, leaf):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps({**SAMPLE_CONFIG, key: leaf}))
+        _assert_clean_exit(["adiabatic", f"--config={path}"], "adiabatic")
 
 
 def test_coupler_block_is_the_same_at_every_truncation(tmp_path):
