@@ -16,7 +16,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, NumericalError
 from .lattice import (
     PI,
     HermitianOperator,
@@ -170,7 +170,13 @@ def evolve_amplitudes(
     psi0: StateVector | np.ndarray,
     times: Sequence[float],
 ) -> np.ndarray:
-    """Amplitudes ``psi(t) = exp(-i H t) psi0`` as a [time x dim] array."""
+    """Amplitudes ``psi(t) = exp(-i H t) psi0`` as a [time x dim] array.
+
+    Raises
+    ------
+    NumericalError : if an amplitude is not finite, as when ``t`` times an
+        energy overflows.
+    """
     h = _as_matrix(operator)
     psi = _as_vector(psi0)
     if h.shape[0] != psi.shape[0]:
@@ -179,7 +185,10 @@ def evolve_amplitudes(
     energies, vectors = np.linalg.eigh(h)
     coeff = vectors.conj().T @ psi
     phases = np.exp(-1j * np.outer(t, energies))
-    return (phases * coeff) @ vectors.T
+    amplitudes = (phases * coeff) @ vectors.T
+    if not np.all(np.isfinite(amplitudes)):
+        raise NumericalError("propagated amplitudes are not finite: a time or an energy overflows")
+    return amplitudes
 
 
 def evolve_unitary(

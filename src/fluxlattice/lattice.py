@@ -354,6 +354,8 @@ class HermitianOperator:
         if np.abs(m - m.conj().T).max() > HERMITICITY_TOL * scale:
             raise ConfigError("matrix is not Hermitian within tolerance")
         m = 0.5 * (m + m.conj().T)
+        if not np.all(np.isfinite(m.view(float))):
+            raise ConfigError("operator entries overflow when symmetrized")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 

@@ -7,6 +7,8 @@ Integration is fixed-step, deterministic and reproducible across platforms,
 with the step chosen so the local error stays far below the test tolerances:
 RK4 for ``lindblad_evolve``, and for the adiabatic ramp, whose collapse
 operators are all diagonal, a fourth-order split step (``_split_step_maps``).
+Both ramp walks live here, on one sub-stepping loop (``_substeps``): the
+closed one (``_closed_walk``) and the dephased one (``_split_walk``).
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cache, partial
 from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -68,6 +71,15 @@ CALL_COST = 1600
 #: Most substeps ``_substeps`` hands ``advance`` in one call, so per-call
 #: arrays stay at most this many substeps' worth whatever the step.
 SUBSTEP_CHUNK = 256
+
+#: Most bytes one batch of a ramp walk's ``_batcher`` forms at once: substep
+#: unitaries (16 n^2 each) for the closed walk and Lagrange weights
+#: (8 ``SPLIT_NODES`` each) for the batched dephased one.  A chunk that alone
+#: needs more is formed by itself, so at any lattice size a batch holds at
+#: most the larger of this and one chunk.  On the README dephased ramp
+#: (l = 1) 256 KiB batches run as fast as 16 MiB ones, and add 0.2 MB of peak
+#: RSS where 16 MiB batches added 9.8 MB and 1 MiB ones 2.7 MB.
+BATCH_BYTES = 256 * 2**10
 
 #: Most substeps one walk may take (about a minute of the slowest stepping);
 #: a longer walk is refused as invalid configuration before any step is taken.
@@ -458,8 +470,8 @@ def _substeps(
     times the whole gap would, while ``advance`` batches per-substep work
     (building or diagonalizing the Hamiltonians, forming step maps or
     unitaries) over a bounded number of substeps.  H may be frozen at each
-    midpoint (the closed ramp), fixed (``lindblad_evolve``), or frozen at the
-    midpoints of a split step's three sub-steps (the dephased ramp).  Yields
+    midpoint (``_closed_walk``), fixed (``lindblad_evolve``), or frozen at
+    the midpoints of a split step's three sub-steps (``_split_walk``).  Yields
     ``(index, time, state)`` at every checkpoint.  A density matrix, or a
     stack of them along the first axis, has every trace checked there first.
 
@@ -481,6 +493,193 @@ def _substeps(
                     f"(step {step:.3e}); reduce the step"
                 )
         yield i, target, state
+
+
+def _ordered_product(u: np.ndarray) -> np.ndarray:
+    """Product of each stack ``u[b]`` of matrices along its first axis, later ones on the left.
+
+    Pairwise halving: about one matrix product per matrix, in a few stacked
+    numpy calls.
+    """
+    earlier = None  # the product of the matrices peeled off the front
+    while u.shape[1] > 1:
+        if u.shape[1] % 2:
+            earlier = u[:, 0] if earlier is None else u[:, 0] @ earlier
+            u = u[:, 1:]
+        u = u[:, 1::2] @ u[:, 0::2]
+    return u[:, 0] if earlier is None else u[:, 0] @ earlier
+
+
+def _batcher(
+    starts: np.ndarray, counts: np.ndarray, lengths: np.ndarray, segments: np.ndarray,
+    room: int, form: Callable[[int, float, np.ndarray], Sequence],
+) -> Callable[[float, int], object]:
+    """``take(start, first)``: what ``form`` made for the chunk at (gap start, first substep).
+
+    The gaps are ``_substep_grid``'s, each inside the schedule segment of
+    ``segments``; their ``_chunks`` are grouped by segment, substep length
+    and substep count.  When the walk reaches a chunk not yet formed, that
+    chunk and the next ones of its group, at most ``room`` substeps together
+    (at least one chunk), are formed by one call ``form(segment, dt, times)``
+    that returns one value per row of ``times``, the chunks' substep start
+    times.  A value is dropped once taken.
+    """
+    groups: dict[tuple[int, float, int], list[tuple[float, int]]] = {}
+    place: dict[tuple[float, int], tuple[tuple[int, float, int], int]] = {}
+    for start, n_sub, dt, segment in zip(starts.tolist(), counts.tolist(), lengths.tolist(), segments.tolist()):
+        for first, stop in _chunks(n_sub):
+            members = groups.setdefault((segment, dt, stop - first), [])
+            place[start, first] = (segment, dt, stop - first), len(members)
+            members.append((start, first))
+    held: dict[tuple[float, int], object] = {}
+
+    def take(start: float, first: int) -> object:
+        if (start, first) not in held:
+            key, i = place[start, first]
+            segment, dt, count = key
+            batch = groups[key][i:i + max(1, room // count)]
+            gap_starts, firsts = (np.array(column) for column in zip(*batch))
+            times = gap_starts[:, None] + (firsts[:, None] + np.arange(count)) * dt
+            held.update(zip(batch, form(segment, dt, times)))
+        return held.pop((start, first))
+
+    return take
+
+
+def _plan(
+    grid: np.ndarray, offsets: np.ndarray, step: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
+    """``_substep_grid`` of a ramp walk at ``step``, each gap's segment, and the number of (segment, dt) pairs.
+
+    ``offsets`` are the segment boundaries, from 0 to the ramp's end.
+    """
+    starts, counts, lengths = _substep_grid(grid, step)
+    segments = np.searchsorted(offsets[1:-1], starts, side="right")
+    walked = counts > 0
+    return starts, counts, lengths, segments, len(set(zip(segments[walked].tolist(), lengths[walked].tolist())))
+
+
+def _closed_walk(
+    hamiltonians: Callable[..., np.ndarray], offsets: np.ndarray, grid: np.ndarray, norm_bound: float,
+    psi0: np.ndarray,
+) -> np.ndarray:
+    """The state vector at every point of ``grid``, walked from ``psi0`` with H frozen at each substep's midpoint.
+
+    ``hamiltonians(times, segment=None)`` is the ramp's H at each time
+    (given ``segment``, that segment's line), affine on each segment between
+    the ``offsets``; every gap of ``grid`` lies inside one segment, and
+    ``norm_bound`` bounds the norm of H on the ramp.  The substeps follow
+    ``rk4_max_step``.  A substep is the exact unitary of one Hamiltonian, an
+    entire function of its start time inside its segment, so each is taken
+    from the degree-4 interpolant through five exact node unitaries per
+    segment and substep length (``_midpoint_unitaries``), within about 1e-14
+    and without an ``eigh`` per substep.  ``_batcher`` stacks the chunks of
+    every gap with the same segment, substep length and count (nine groups of
+    the 100 gaps on the README ramp), at most ``BATCH_BYTES`` of unitaries at
+    a time and at least one chunk, and multiplies each chunk's unitaries into
+    its propagator by pairwise halving (``_ordered_product``), so a chunk
+    costs one product with the state.
+    """
+    n = psi0.size
+    step = rk4_max_step(norm_bound, 0.0)
+    starts, counts, lengths, segments, _ = _plan(grid, offsets, step)
+
+    @cache
+    def closed_nodes(segment: int, dt: float) -> tuple[np.ndarray, np.ndarray]:
+        nodes, maps = _midpoint_unitaries(
+            partial(hamiltonians, segment=segment), offsets[segment], offsets[segment + 1], dt
+        )
+        return nodes, maps.reshape(5, n * n)
+
+    def propagators(segment: int, dt: float, times: np.ndarray) -> np.ndarray:
+        nodes, maps = closed_nodes(segment, dt)
+        return _ordered_product((_lagrange_weights(nodes, times.ravel()) @ maps).reshape(*times.shape, n, n))
+
+    chunk_propagator = _batcher(starts, counts, lengths, segments, BATCH_BYTES // (16 * n * n), propagators)
+
+    def unitary(psi: np.ndarray, start: float, index: np.ndarray, dt: float) -> np.ndarray:
+        return chunk_propagator(start, index[0]) @ psi
+
+    return np.array([psi for _, _, psi in _substeps(psi0, grid, step, unitary)])
+
+
+def _split_walk(
+    hamiltonians: Callable[..., np.ndarray], offsets: np.ndarray, grid: np.ndarray, norm_bound: float,
+    max_rate: float, decay: np.ndarray, stack: np.ndarray,
+) -> np.ndarray:
+    """The stack of density matrices at every point of ``grid``, walked from ``stack`` by split steps.
+
+    ``hamiltonians``, ``offsets``, ``grid`` and ``norm_bound`` are as for
+    ``_closed_walk``.  ``decay`` holds one elementwise decay matrix per
+    density matrix of ``stack`` (shape ``(R, n, n)``), and ``max_rate`` is
+    the largest rate behind them.  Each step is ``_split_step_maps``' (the
+    exact elementwise decay between the midpoint unitaries of Yoshida's three
+    Strang sub-steps), ``SPLIT_STEP_FACTOR`` times the step rule of
+    ``max_rate`` weighed ``SPLIT_RATE_WEIGHT`` times.  ``_batch_pays`` picks
+    how the walk takes a chunk: one Python loop turn per step, or steps
+    whose Liouville-space maps come from the interpolant through
+    ``SPLIT_NODES`` exact node maps per segment and step length, combined by
+    Lagrange weights that ``_batcher`` forms ahead of the walk.  Both take
+    the same steps and agree to round-off.
+    """
+    sets, n = decay.shape[:2]
+    step = SPLIT_STEP_FACTOR * rk4_max_step(norm_bound, SPLIT_RATE_WEIGHT * max_rate)
+
+    # Every gap lies inside one segment, where H is affine in time.  The
+    # loop forms a chunk's sub-step unitaries from one stacked eigh, then
+    # takes each step as U rho U^H per sub-step between the four decays:
+    # about 20 numpy calls per step (10 to step, the rest its share of
+    # the chunk's work, each LAPACK call charged as a call), 3 * 4.5n^3
+    # for the eigh, 3n^3 to form the unitaries and 6n^3 + 4n^2 to step.
+    # Batched, a step's n^2 x n^2 map is an entire function of its start,
+    # so the batcher combines a chunk's maps from SPLIT_NODES exact node
+    # maps per segment and step length (``_split_step_maps``, two n^6
+    # products each) with Lagrange weights, SPLIT_NODES n^4 per step, and
+    # each step is one matrix-vector product of n^4.  Those large
+    # products run about 3x faster per multiply-add than the loop's small
+    # ones, so both batched terms, per step and per node set, are charged
+    # at a third.  Fit to both branches timed on the README ramp shape
+    # (durations 6-100, l = 2-5, one and two rate sets): the loop pays
+    # from l = 3, where one set times about even and two favour the loop.
+    starts, counts, lengths, segments, n_maps = _plan(grid, offsets, step)
+    held = SPLIT_NODES + min(SUBSTEP_CHUNK, int(counts.max()))
+    if _batch_pays(
+        int(counts.sum()), 20, 22.5 * n**3 + 4 * n * n, (SPLIT_NODES + 1) * n**4 / 3,
+        n_maps * SPLIT_NODES * 2 * n**6 / 3, 16 * n**4 * held,
+    ):
+
+        @cache
+        def dephased_nodes(segment: int, dt: float) -> tuple[np.ndarray, np.ndarray]:
+            nodes, maps = _split_step_maps(
+                partial(hamiltonians, segment=segment), decay, offsets[segment], offsets[segment + 1], dt
+            )
+            return nodes, maps.reshape(sets, SPLIT_NODES, n**4)
+
+        def weights(segment: int, dt: float, times: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+            nodes, maps = dephased_nodes(segment, dt)
+            return [(w, maps) for w in _lagrange_weights(nodes, times.ravel()).reshape(*times.shape, SPLIT_NODES)]
+
+        chunk_weights = _batcher(starts, counts, lengths, segments, BATCH_BYTES // (8 * SPLIT_NODES), weights)
+
+        def lindblad(rho: np.ndarray, start: float, index: np.ndarray, dt: float) -> np.ndarray:
+            w, maps = chunk_weights(start, index[0])
+            step_maps = (w @ maps).reshape(sets, -1, n * n, n * n)
+            vec = rho.reshape(sets, n * n, 1)
+            for k in range(index.size):
+                vec = step_maps[:, k] @ vec
+            return vec.reshape(rho.shape)
+
+    else:
+
+        def lindblad(rho: np.ndarray, start: float, index: np.ndarray, dt: float) -> np.ndarray:
+            outer, inner = _split_decays(decay, dt)
+            u = _split_unitaries(hamiltonians, start + index * dt, dt)
+            for (u1, u2, u3), (v1, v2, v3) in zip(u, u.conj().swapaxes(-1, -2)):
+                rho = inner * (u1 @ (outer * rho) @ v1)
+                rho = outer * (u3 @ (inner * (u2 @ rho @ v2)) @ v3)
+            return rho
+
+    return np.array([rhos for _, _, rhos in _substeps(stack, grid, step, lindblad)])
 
 
 @dataclass(frozen=True, eq=False)

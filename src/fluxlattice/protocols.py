@@ -9,13 +9,13 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from functools import cache, partial
+from functools import partial
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, NumericalError
 from .lattice import (
     PI,
     RhombicLattice,
@@ -37,39 +37,18 @@ from .dynamics import (
     evolve_unitary,
 )
 from .open_system import (
-    CALL_COST,
     DephasingRates,
-    SPLIT_NODES,
-    SPLIT_RATE_WEIGHT,
-    SPLIT_STEP_FACTOR,
-    SUBSTEP_CHUNK,
-    _batch_pays,
     _bhattacharyya,
-    _chunks,
+    _closed_walk,
     _collapse_terms,
     _embed_vacuum,
-    _lagrange_weights,
-    _midpoint_unitaries,
-    _split_decays,
-    _split_step_maps,
-    _split_unitaries,
-    _substep_grid,
-    _substeps,
+    _split_walk,
     dephasing_operators,
     fidelity,
-    rk4_max_step,
 )
 
 #: Flat-order permutation of the analytic single-plaquette basis (A1, up1, A2, dn1).
 _RING_TO_FLAT = (0, 1, 3, 2)
-
-#: Most bytes one batch of a ramp walk's ``_batcher`` forms at once: substep
-#: unitaries (16 n^2 each) for the closed walk, Lagrange weights (40 each) for
-#: the dephased one; a chunk that alone needs more is formed by itself.  On
-#: the README dephased ramp (l = 1) 256 KiB batches run as fast as 16 MiB
-#: ones, and add 0.2 MB of peak RSS where 16 MiB batches added 9.8 MB and
-#: 1 MiB ones 2.7 MB.
-BATCH_BYTES = 256 * 2**10
 
 
 def analytic_plaquette_populations(
@@ -210,6 +189,11 @@ def spectroscopy(lattice: RhombicLattice, config: SpectroscopyConfig) -> Spectro
     single-excitation population is averaged over the last quarter of the
     evolution to suppress Rabi fringes.  Detected peaks are local maxima above
     three times the median background, refined by parabolic interpolation.
+
+    Raises
+    ------
+    NumericalError : if the response is not finite, as when the drive
+        amplitude overflows the propagation.
     """
     if any(v != 0.0 for v in lattice.detunings.values()):
         raise ConfigError("spectroscopy requires all lattice detunings at zero")
@@ -238,6 +222,8 @@ def spectroscopy(lattice: RhombicLattice, config: SpectroscopyConfig) -> Spectro
     for i, (e, v) in enumerate(zip(energies, vectors)):
         vacuum = ((np.exp(-1j * np.outer(t_samples, e)) * v[0].conj()) @ v.T)[:, 0]
         response[i] = float(np.mean(1.0 - np.abs(vacuum) ** 2))
+    if not np.all(np.isfinite(response)):
+        raise NumericalError("spectroscopy response is not finite: a drive amplitude, detuning or time overflows")
 
     if config.min_peak_separation is not None:
         radius, leak_fraction = config.min_peak_separation, 1.0
@@ -554,57 +540,6 @@ def _ramp_hamiltonians(
     return hamiltonians
 
 
-def _ordered_product(u: np.ndarray) -> np.ndarray:
-    """Product of each stack ``u[b]`` of matrices along its first axis, later ones on the left.
-
-    Pairwise halving: about one matrix product per matrix, in a few stacked
-    numpy calls.
-    """
-    earlier = None  # the product of the matrices peeled off the front
-    while u.shape[1] > 1:
-        if u.shape[1] % 2:
-            earlier = u[:, 0] if earlier is None else u[:, 0] @ earlier
-            u = u[:, 1:]
-        u = u[:, 1::2] @ u[:, 0::2]
-    return u[:, 0] if earlier is None else u[:, 0] @ earlier
-
-
-def _batcher(
-    starts: np.ndarray, counts: np.ndarray, lengths: np.ndarray, segments: np.ndarray,
-    room: int, form: Callable[[int, float, np.ndarray], Sequence],
-) -> Callable[[float, int], object]:
-    """``take(start, first)``: what ``form`` made for the chunk at (gap start, first substep).
-
-    The gaps are ``_substep_grid``'s, each inside the schedule segment of
-    ``segments``; their ``_chunks`` are grouped by segment, substep length
-    and substep count.  When the walk reaches a chunk not yet formed, that
-    chunk and the next ones of its group, at most ``room`` substeps together
-    (at least one chunk), are formed by one call ``form(segment, dt, times)``
-    that returns one value per row of ``times``, the chunks' substep start
-    times.  A value is dropped once taken.
-    """
-    groups: dict[tuple[int, float, int], list[tuple[float, int]]] = {}
-    place: dict[tuple[float, int], tuple[tuple[int, float, int], int]] = {}
-    for start, n_sub, dt, segment in zip(starts.tolist(), counts.tolist(), lengths.tolist(), segments.tolist()):
-        for first, stop in _chunks(n_sub):
-            members = groups.setdefault((segment, dt, stop - first), [])
-            place[start, first] = (segment, dt, stop - first), len(members)
-            members.append((start, first))
-    held: dict[tuple[float, int], object] = {}
-
-    def take(start: float, first: int) -> object:
-        if (start, first) not in held:
-            key, i = place[start, first]
-            segment, dt, count = key
-            batch = groups[key][i:i + max(1, room // count)]
-            gap_starts, firsts = (np.array(column) for column in zip(*batch))
-            times = gap_starts[:, None] + (firsts[:, None] + np.arange(count)) * dt
-            held.update(zip(batch, form(segment, dt, times)))
-        return held.pop((start, first))
-
-    return take
-
-
 def adiabatic_ramps(
     lattice_final: RhombicLattice, schedule: RampSchedule, init_site: SiteId | str,
     rate_sets: Sequence[DephasingRates] = (), *, n_checkpoints: int = 101,
@@ -614,39 +549,23 @@ def adiabatic_ramps(
     The state starts as a bare excitation on ``init_site`` (the ground state
     of the decoupled, detuned configuration within the single-excitation
     sector) and is propagated exactly with the Hamiltonian frozen at the
-    midpoint of each short substep.  Along the ramp the overlap with the
-    instantaneous ground eigenspace is recorded; a gap below 1e-6 J triggers a
-    level-crossing warning.  One density matrix per rate set follows, all in
-    one stack and without the vacuum, whose row and column stay zero, by
-    split steps (``_split_step_maps``: the exact elementwise decay between
-    the midpoint unitaries of Yoshida's three Strang sub-steps, fourth order
-    in time and trace-preserving at any step) at ``SPLIT_STEP_FACTOR`` times
-    the step rule of the largest rate, weighed ``SPLIT_RATE_WEIGHT`` times
-    (each set's own while every such rate is below the norm of H), with every
-    segment boundary on a step edge.
-    Returns the closed result and one result per rate set, whose fidelities
-    are against the closed ground populations.
+    midpoint of each short substep (``open_system._closed_walk``).  Along the
+    ramp the overlap with the instantaneous ground eigenspace is recorded; a
+    gap below 1e-6 J triggers a level-crossing warning.  One density matrix
+    per rate set follows, all in one stack and without the vacuum, whose row
+    and column stay zero, by fourth-order, trace-preserving split steps
+    (``open_system._split_walk``) at the step rule of the largest rate (each
+    set's own while every rate is below the norm of H).  Returns the closed
+    result and one result per rate set, whose fidelities are against the
+    closed ground populations.
 
     Both walks step on one grid, the checkpoints plus every segment boundary
     inside the ramp (a kink inside a substep would cost either walk its
     order), so every walked gap lies inside one segment; the boundaries yield
-    no result row.  Both go through ``_substeps`` a chunk of at most
-    ``SUBSTEP_CHUNK`` substeps at a time, and one cost rule (``_batch_pays``)
-    picks how each takes a chunk: one Python loop turn per substep, or a few
-    batched products.  Batched, each walk takes a substep's matrix from an
-    interpolant in its start time, through exact samples at Chebyshev points
-    of its segment, per segment and substep length: the closed walk's
-    unitary (``_midpoint_unitaries``, five points, within about 1e-14, so no
-    eigendecomposition per substep) and the dephased walk's Liouville-space
-    map (``_split_step_maps``, ``SPLIT_NODES`` points, within about 1e-14).
-    One ``_batcher`` forms the chunks' interpolation weights ahead of the
-    walk, stacked across the chunks that share a segment, substep length and
-    count, at most ``BATCH_BYTES`` at a time; the closed walk also
-    multiplies each chunk's unitaries into its propagator there
-    (``_ordered_product``), so a chunk costs it one product with the state.  Both choices take the same steps
-    and agree to round-off.  The closed walk batches at every size the memory
-    cap admits, the dephased one on small lattices, and no choice depends on
-    the number of rate sets.  The checkpoints are diagnosed after both walks,
+    no result row.  The closed walk batches at every lattice size, its memory
+    bounded by ``open_system.BATCH_BYTES`` and one chunk; a cost rule picks
+    for the dephased walk, which batches on small lattices, and no choice
+    depends on the number of rate sets.  The checkpoints are diagnosed after both walks,
     from one stacked ``eigh`` of their Hamiltonians (``_ground_projectors``).
 
     Raises
@@ -677,135 +596,22 @@ def adiabatic_ramps(
     )))
     rows = np.searchsorted(grid, checkpoints)
 
-    def plan(step: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
-        """``_substep_grid`` of a walk at ``step``, each gap's segment, and the number of (segment, dt) pairs."""
-        starts, counts, lengths = _substep_grid(grid, step)
-        segments = np.searchsorted(offsets[1:-1], starts, side="right")
-        walked = counts > 0
-        return starts, counts, lengths, segments, len(set(zip(segments[walked].tolist(), lengths[walked].tolist())))
-
-    # Closed: H frozen at each substep's midpoint, so a substep is the exact
-    # unitary of one Hamiltonian.  The loop diagonalizes a chunk's
-    # Hamiltonians in one stacked eigh and applies each unitary to psi in
-    # turn.  Per substep that is 4 numpy calls and 2n^2 + n multiply-adds,
-    # plus one LAPACK call (charged as a numpy call) of about 4.5n^3 (the
-    # 9n^3 flops Golub & Van Loan count for eigenvalues and eigenvectors).
-    # Batched, a substep's unitary is an entire function of its start time
-    # inside its gap's segment, so the batcher takes a batch's unitaries from
-    # one product of Lagrange weights with five exact node unitaries per
-    # segment and substep length (``_midpoint_unitaries``), 5n^2 per substep,
-    # and multiplies each chunk's by pairwise halving, about n^3 per substep.
-    # A batch stacks the chunks of every gap with the same segment, substep
-    # length and count (nine groups of the 100 gaps on the README ramp), so
-    # the per-gap numpy calls become a few per batch, and each chunk is then
-    # one product with psi.  With no eigh per substep this pays at every size
-    # the memory cap admits (up to n = 88, l = 29, on the README ramp).
-    closed_step = rk4_max_step(norm_bound, 0.0)
-    starts, counts, lengths, segments, n_maps = plan(closed_step)
-    longest = min(SUBSTEP_CHUNK, int(counts.max()))
-    pairwise = _batch_pays(
-        int(counts.sum()), 5, 2 * n * n + n + 4.5 * n**3, 5 * n * n + n**3,
-        n_maps * 5 * (CALL_COST + 5.5 * n**3), 16 * n * n * longest,
-    )
-    if pairwise:
-
-        @cache
-        def closed_nodes(segment: int, dt: float) -> tuple[np.ndarray, np.ndarray]:
-            nodes, maps = _midpoint_unitaries(
-                partial(hamiltonians, segment=segment), offsets[segment], offsets[segment + 1], dt
-            )
-            return nodes, maps.reshape(5, n * n)
-
-        def propagators(segment: int, dt: float, times: np.ndarray) -> np.ndarray:
-            nodes, maps = closed_nodes(segment, dt)
-            return _ordered_product((_lagrange_weights(nodes, times.ravel()) @ maps).reshape(*times.shape, n, n))
-
-        chunk_propagator = _batcher(starts, counts, lengths, segments, BATCH_BYTES // (16 * n * n), propagators)
-
-        def unitary(psi: np.ndarray, start: float, index: np.ndarray, dt: float) -> np.ndarray:
-            return chunk_propagator(start, index[0]) @ psi
-
-    else:
-
-        def unitary(psi: np.ndarray, start: float, index: np.ndarray, dt: float) -> np.ndarray:
-            energies, vectors = np.linalg.eigh(hamiltonians(start + (index + 0.5) * dt))
-            for phase, v in zip(np.exp(-1j * energies * dt), vectors):
-                psi = v @ (phase * (v.conj().T @ psi))
-            return psi
-
     psi0 = np.zeros(n, dtype=complex)
     psi0[lattice_final.site_index(site)] = 1.0
     # The state at every checkpoint, one stack per walk: closed, then each rate set.
-    walks = [np.array([psi for _, _, psi in _substeps(psi0, grid, closed_step, unitary)])[rows]]
+    walks = [_closed_walk(hamiltonians, offsets, grid, norm_bound, psi0)[rows]]
     if rate_sets:
         # One (R, L, L) decay stack without the vacuum, whose row and column
         # of the density matrix stay zero; a set without nonzero rates decays
         # nowhere.
         decays = [_collapse_terms(dephasing_operators(rates, n + 1))[0] for rates in rate_sets]
         decay = np.array([np.zeros((n, n)) if d is None else d[1:, 1:] for d in decays])
-        sets = len(rate_sets)
-        stack = np.repeat(np.outer(psi0, psi0)[None], sets, 0)
+        stack = np.repeat(np.outer(psi0, psi0)[None], len(rate_sets), 0)
         max_rate = max(float(rates.values.max(initial=0.0)) for rates in rate_sets)
-        step = SPLIT_STEP_FACTOR * rk4_max_step(norm_bound, SPLIT_RATE_WEIGHT * max_rate)
-
-        # Every gap lies inside one segment, where H is affine in time.  The
-        # loop forms a chunk's sub-step unitaries from one stacked eigh, then
-        # takes each step as U rho U^H per sub-step between the four decays:
-        # about 20 numpy calls per step (10 to step, the rest its share of
-        # the chunk's work, each LAPACK call charged as a call), 3 * 4.5n^3
-        # for the eigh, 3n^3 to form the unitaries and 6n^3 + 4n^2 to step.
-        # Batched, a step's n^2 x n^2 map is an entire function of its start,
-        # so the batcher combines a chunk's maps from SPLIT_NODES exact node
-        # maps per segment and step length (``_split_step_maps``, two n^6
-        # products each) with Lagrange weights, SPLIT_NODES n^4 per step, and
-        # each step is one matrix-vector product of n^4.  Those large
-        # products run about 3x faster per multiply-add than the loop's small
-        # ones, so both batched terms, per step and per node set, are charged
-        # at a third.  Fit to both branches timed on the README ramp shape
-        # (durations 6-100, l = 2-5, one and two rate sets): the loop pays
-        # from l = 3, where one set times about even and two favour the loop.
-        starts, counts, lengths, segments, n_maps = plan(step)
-        held = SPLIT_NODES + min(SUBSTEP_CHUNK, int(counts.max()))
-        if _batch_pays(
-            int(counts.sum()), 20, 22.5 * n**3 + 4 * n * n, (SPLIT_NODES + 1) * n**4 / 3,
-            n_maps * SPLIT_NODES * 2 * n**6 / 3, 16 * n**4 * held,
-        ):
-
-            @cache
-            def dephased_nodes(segment: int, dt: float) -> tuple[np.ndarray, np.ndarray]:
-                nodes, maps = _split_step_maps(
-                    partial(hamiltonians, segment=segment), decay, offsets[segment], offsets[segment + 1], dt
-                )
-                return nodes, maps.reshape(sets, SPLIT_NODES, n**4)
-
-            def weights(segment: int, dt: float, times: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-                nodes, maps = dephased_nodes(segment, dt)
-                return [(w, maps) for w in _lagrange_weights(nodes, times.ravel()).reshape(*times.shape, SPLIT_NODES)]
-
-            chunk_weights = _batcher(starts, counts, lengths, segments, BATCH_BYTES // (8 * SPLIT_NODES), weights)
-
-            def lindblad(rho: np.ndarray, start: float, index: np.ndarray, dt: float) -> np.ndarray:
-                w, maps = chunk_weights(start, index[0])
-                step_maps = (w @ maps).reshape(sets, -1, n * n, n * n)
-                vec = rho.reshape(sets, n * n, 1)
-                for k in range(index.size):
-                    vec = step_maps[:, k] @ vec
-                return vec.reshape(rho.shape)
-
-        else:
-
-            def lindblad(rho: np.ndarray, start: float, index: np.ndarray, dt: float) -> np.ndarray:
-                outer, inner = _split_decays(decay, dt)
-                u = _split_unitaries(hamiltonians, start + index * dt, dt)
-                for (u1, u2, u3), (v1, v2, v3) in zip(u, u.conj().swapaxes(-1, -2)):
-                    rho = inner * (u1 @ (outer * rho) @ v1)
-                    rho = outer * (u3 @ (inner * (u2 @ rho @ v2)) @ v3)
-                return rho
-
+        rhos = _split_walk(hamiltonians, offsets, grid, norm_bound, max_rate, decay, stack)[rows]
         # The vacuum row and column back in, one contiguous stack per set, so
         # a set's weights take the same arithmetic however many sets were
         # walked with it.
-        rhos = np.array([rhos for _, _, rhos in _substeps(stack, grid, step, lindblad)])[rows]
         walks.extend(_embed_vacuum(rhos.swapaxes(0, 1)))
 
     projectors, gaps = _ground_projectors(hamiltonians(checkpoints))

@@ -581,6 +581,8 @@ def passing_trace(tmp_path_factory):
         ["dynamics", "--l", "1", "--no-such-option", "1"],
         ["verify", "--oracle", "analytic_l1"],
         ["bands", "--model", "cubic"],
+        # Finite, but the Hamiltonian's symmetrization overflows.
+        ["dynamics", "--l", "2", "--delta-antisym", "1.7e308"],
     ],
     ids=[
         "tmax",
@@ -630,6 +632,7 @@ def passing_trace(tmp_path_factory):
         "unknown-option",
         "verify-trace-missing",
         "bands-model-unknown",
+        "dynamics-delta-antisym-overflows",
     ],
 )
 def test_bad_argument_exits_2(tmp_path, request, argv):
@@ -645,11 +648,15 @@ def test_bad_argument_exits_2(tmp_path, request, argv):
     [
         # Finite and nonnegative, but the synthetic responses overflow.
         ["crosstalk-fit", "--noise", "1e308"],
+        # Finite, but time times energy overflows and the amplitudes are NaN.
+        ["dynamics", "--l", "2", "--tmax", "1.7e308"],
+        ["spectroscopy", "--l", "1", "--omega", "1.7e308"],
     ],
-    ids=["crosstalk-noise-overflow"],
+    ids=["crosstalk-noise-overflow", "dynamics-tmax-overflows", "spectroscopy-omega-overflows"],
 )
 def test_infeasible_argument_exits_3(tmp_path, argv):
     assert main([*argv, "--outdir", str(tmp_path / "out")]) == 3
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("tphi, count", [("1e-7", "5.68e+08"), ("1e-300", "5.68e+301")])
@@ -743,6 +750,11 @@ def _assert_clean_exit(argv, command):
             assert json.loads((out / "verify_report.json").read_text())["passed"] is False
         elif code:
             assert not out.exists()
+        else:
+            # A run that succeeds writes only finite numbers.
+            for path in out.glob("*.csv"):
+                cells = {cell.strip().lower() for cell in path.read_text().replace("\n", ",").split(",")}
+                assert not cells & {"nan", "inf", "-inf"}, path.name
 
 
 @given(data=st.data())

@@ -371,12 +371,13 @@ class TestAdiabaticPreparation:
             RampSegment(10.0, 1.0, 1.0, {"A,1": -4.0}, {"A,1": 0.0}),
         ))
         norms = []
+        original = open_system.rk4_max_step
 
         def rule(h_norm, max_rate):
             norms.append(h_norm)
-            return open_system.rk4_max_step(h_norm, max_rate)
+            return original(h_norm, max_rate)
 
-        monkeypatch.setattr(protocols, "rk4_max_step", rule)
+        monkeypatch.setattr(open_system, "rk4_max_step", rule)
         adiabatic_ramps(lat, sched, "A,1", n_checkpoints=11)
         offsets = np.cumsum([0.0] + [seg.duration for seg in sched.segments])
         times = np.concatenate([np.linspace(0.0, sched.total_duration, 4001), offsets])
@@ -446,9 +447,9 @@ class TestAdiabaticPreparation:
             pass
 
         monkeypatch.setattr(open_system, "STEP_SAFETY", 10.0)
-        monkeypatch.setattr(protocols, "_batch_pays", lambda *a, **k: batched)
+        monkeypatch.setattr(open_system, "_batch_pays", lambda *a, **k: batched)
         drifts = []
-        substeps = protocols._substeps
+        substeps = open_system._substeps
 
         def spy(state, *args):
             for i, time, walked in substeps(state, *args):
@@ -458,7 +459,7 @@ class TestAdiabaticPreparation:
             if state.ndim == 3:
                 raise Walked
 
-        monkeypatch.setattr(protocols, "_substeps", spy)
+        monkeypatch.setattr(open_system, "_substeps", spy)
         lat = build_lattice(1, [PI])
         sched = two_stage_ramp(lat, "A,1", 30.0, -4.0)
         rate_sets = [DephasingRates.uniform(4, gamma) for gamma in gammas]
@@ -472,7 +473,7 @@ class TestAdiabaticPreparation:
     def test_bad_trace_raises(self, monkeypatch, gammas, corrupt):
         # ``_substeps`` checks every density-matrix trace at each checkpoint;
         # a walk that lost its trace, or every bit of it, is refused.
-        substeps = protocols._substeps
+        substeps = open_system._substeps
 
         def corrupting(state, grid, step, advance):
             def bad(rho, *args):
@@ -481,7 +482,7 @@ class TestAdiabaticPreparation:
 
             return substeps(state, grid, step, bad)
 
-        monkeypatch.setattr(protocols, "_substeps", corrupting)
+        monkeypatch.setattr(open_system, "_substeps", corrupting)
         lat = build_lattice(1, [PI])
         rate_sets = [DephasingRates.uniform(4, gamma) for gamma in gammas]
         with pytest.raises(NumericalError, match="trace drifted"):
@@ -528,14 +529,25 @@ class TestAdiabaticPreparation:
         assert abs(slow_run.population_fidelity - alone.population_fidelity) < 1e-7
 
 
-def _three_segment_ramp(lat):
+def _three_segment_ramp(lat, duration=30.0):
     """Couplings up, then the initial-site detuning back to zero in two legs of unequal slope."""
-    site, j = lat.sites[0], lat.J
+    site, j, scale = lat.sites[0], lat.J, duration / 30.0
     return RampSchedule((
-        RampSegment(10.3, 0.0, j, {site: -4.0 * j}, {site: -4.0 * j}),
-        RampSegment(9.4, j, j, {site: -4.0 * j}, {site: -1.5 * j}),
-        RampSegment(10.3, j, j, {site: -1.5 * j}, {site: 0.0}),
+        RampSegment(10.3 * scale, 0.0, j, {site: -4.0 * j}, {site: -4.0 * j}),
+        RampSegment(9.4 * scale, j, j, {site: -4.0 * j}, {site: -1.5 * j}),
+        RampSegment(10.3 * scale, j, j, {site: -1.5 * j}, {site: 0.0}),
     ))
+
+
+def _reference_closed_walk(hamiltonians, offsets, grid, norm_bound, psi):
+    """``open_system._closed_walk`` substep by substep: the exact ``exp(-i dt H(t + dt/2))`` of each, on its grid."""
+    states = []
+    for start, count, dt in zip(*open_system._substep_grid(grid, open_system.rk4_max_step(norm_bound, 0.0))):
+        energies, vectors = np.linalg.eigh(hamiltonians(start + (np.arange(count) + 0.5) * dt))
+        for phase, v in zip(np.exp(-1j * energies * dt), vectors):
+            psi = v @ (phase * (v.conj().T @ psi))
+        states.append(psi)
+    return np.array(states)
 
 
 class TestSplitStepRamp:
@@ -634,6 +646,33 @@ class TestMidpointUnitaries:
         exact = (vectors * np.exp(-1j * energies * dt)) @ vectors.conj().T
         assert np.abs(u - exact).max() < 1e-13
         assert np.abs(u.conj().T @ u - np.eye(lat.num_sites)).max() < 1e-13
+
+
+class TestClosedWalk:
+    @given(
+        st.integers(1, 3),
+        st.sampled_from([0.0, PI]),
+        st.booleans(),
+        st.floats(0.1, 6.0),
+        st.integers(2, 101),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_matches_the_reference_walk(self, l, flux, three, duration, n_checkpoints):
+        # Interpolated unitaries multiplied chunk by chunk against exact ones
+        # taken one at a time, on the ramp's grid: the checkpoints plus the
+        # segment boundaries, which mostly fall inside checkpoint gaps.
+        lat = build_lattice(l, [flux] * l)
+        sched = _three_segment_ramp(lat, duration) if three else two_stage_ramp(lat, "A,1", duration)
+        hamiltonians = protocols._ramp_hamiltonians(lat, sched)
+        offsets = np.cumsum([0.0] + [seg.duration for seg in sched.segments])
+        norm_bound = float(np.abs(np.linalg.eigvalsh(hamiltonians(offsets))).max())
+        grid = np.unique(np.concatenate([np.linspace(0.0, offsets[-1], n_checkpoints), offsets[1:-1]]))
+        psi0 = np.zeros(lat.num_sites, dtype=complex)
+        psi0[lat.site_index(lat.sites[0])] = 1.0
+        walked = open_system._closed_walk(hamiltonians, offsets, grid, norm_bound, psi0)
+        assert walked.shape == (grid.size, lat.num_sites)
+        reference = _reference_closed_walk(hamiltonians, offsets, grid, norm_bound, psi0)
+        assert np.abs(walked - reference).max() < 1e-12
 
 
 def _exact_split_step(h, decay, t, dt, rho):
@@ -795,24 +834,20 @@ class TestGroundProjectors:
 
 
 class TestRampCostRule:
-    """Both sides of each ramp walk's cost rule take the same steps and agree to round-off."""
+    """The closed walk agrees with exact unitaries taken one at a time; both sides
+    of the dephased walk's cost rule take the same steps and agree to round-off."""
 
     @staticmethod
-    def _force(monkeypatch, name, pick, walk=None):
-        """Record the picks of ``protocols.<name>``; return ``pick`` instead unless it is None.
-
-        Given ``walk``, only that call is forced: 0 is the closed walk's, 1 the
-        dephased walk's.
-        """
+    def _force(monkeypatch, name, pick):
+        """Record the picks of ``open_system.<name>``; return ``pick`` instead unless it is None."""
         picks = []
-        rule = getattr(protocols, name)
+        rule = getattr(open_system, name)
 
         def spy(*args, **kwargs):
             picks.append(rule(*args, **kwargs))
-            forced = pick is not None and walk in (None, len(picks) - 1)
-            return pick if forced else picks[-1]
+            return picks[-1] if pick is None else pick
 
-        monkeypatch.setattr(protocols, name, spy)
+        monkeypatch.setattr(open_system, name, spy)
         return picks
 
     @staticmethod
@@ -822,47 +857,50 @@ class TestRampCostRule:
             [run.final_gs_overlap, run.population_fidelity, run.population_fidelity_raw],
         ])
 
-    @pytest.mark.parametrize("l, pairwise", [(1, True), (4, True), (5, True)])
-    def test_closed_walks_agree(self, monkeypatch, l, pairwise):
-        # Interpolated unitaries and pairwise products pay at every size the
-        # memory cap admits (test_closed_rule_crossover).
+    @pytest.mark.parametrize("l", [1, 4, 5])
+    def test_closed_walks_agree(self, monkeypatch, l):
+        # The closed walk interpolates its unitaries at every lattice size and
+        # asks no cost rule (test_closed_walk_ignores_the_step_map_cap).
         lat = build_lattice(l, [PI] * l)
         sched = two_stage_ramp(lat, "A,1", 6.0)
-        runs = {}
-        for pick in (None, True, False):
-            picks = self._force(monkeypatch, "_batch_pays", pick)
-            runs[pick] = self._outputs(adiabatic_ramps(lat, sched, "A,1", n_checkpoints=11)[0])
-            assert picks == [pairwise]
-            monkeypatch.undo()
-        assert np.array_equal(runs[None], runs[pairwise])
-        assert np.abs(runs[True] - runs[False]).max() < 1e-12
+        picks = self._force(monkeypatch, "_batch_pays", None)
+        walked = self._outputs(adiabatic_ramps(lat, sched, "A,1", n_checkpoints=11)[0])
+        assert picks == []
+        monkeypatch.setattr(protocols, "_closed_walk", _reference_closed_walk)
+        reference = self._outputs(adiabatic_ramps(lat, sched, "A,1", n_checkpoints=11)[0])
+        assert np.abs(walked - reference).max() < 1e-12
 
     @pytest.mark.parametrize("l", [1, 4, 5])
     def test_closed_walks_agree_with_a_boundary_inside_a_gap(self, monkeypatch, l):
         # At 100 checkpoints the segment boundary (Jt = 3) falls inside a gap;
-        # both closed walks step on it, and it adds no result row.
+        # the closed walk and the reference walk step on it, and it adds no
+        # result row.
         lat = build_lattice(l, [PI] * l)
         sched = two_stage_ramp(lat, "A,1", 6.0)
         grids = []
-        substeps = protocols._substeps
+        substeps = open_system._substeps
 
         def spy(state, grid, *args):
             grids.append(grid)
             return substeps(state, grid, *args)
 
-        monkeypatch.setattr(protocols, "_substeps", spy)
+        def reference(hamiltonians, offsets, grid, *args):
+            grids.append(grid)
+            return _reference_closed_walk(hamiltonians, offsets, grid, *args)
+
+        monkeypatch.setattr(open_system, "_substeps", spy)
         checkpoints = np.linspace(0.0, 6.0, 100)
         assert 3.0 not in checkpoints
-        runs = {}
-        for pick in (True, False):
-            self._force(monkeypatch, "_batch_pays", pick)
+        runs = []
+        for walk in (open_system._closed_walk, reference):
+            monkeypatch.setattr(protocols, "_closed_walk", walk)
             closed = adiabatic_ramps(lat, sched, "A,1", n_checkpoints=100)[0]
             assert np.array_equal(closed.times, checkpoints)
-            runs[pick] = self._outputs(closed)
+            runs.append(self._outputs(closed))
         assert len(grids) == 2
         for grid in grids:
             assert np.array_equal(grid, np.sort(np.append(checkpoints, 3.0)))
-        assert np.abs(runs[True] - runs[False]).max() < 1e-11
+        assert np.abs(runs[0] - runs[1]).max() < 1e-11
 
     @pytest.mark.parametrize("n_checkpoints", [101, 100])
     @pytest.mark.parametrize("l", [1, 2, 3, 4])
@@ -873,16 +911,16 @@ class TestRampCostRule:
         lat = build_lattice(l, [PI] * l)
         sched = two_stage_ramp(lat, "A,1", 30.0)
         batches = []
-        weights = protocols._lagrange_weights
+        weights = open_system._lagrange_weights
 
         def counting(*args):
             batches[-1] += 1
             return weights(*args)
 
-        monkeypatch.setattr(protocols, "_lagrange_weights", counting)
+        monkeypatch.setattr(open_system, "_lagrange_weights", counting)
         runs = []
-        for cap in (protocols.BATCH_BYTES, 1):
-            monkeypatch.setattr(protocols, "BATCH_BYTES", cap)
+        for cap in (open_system.BATCH_BYTES, 1):
+            monkeypatch.setattr(open_system, "BATCH_BYTES", cap)
             batches.append(0)
             runs.append(self._outputs(adiabatic_ramps(lat, sched, "A,1", n_checkpoints=n_checkpoints)[0]))
         # One chunk per gap: 100 gaps, or 99 and one more where Jt = 15 cuts one in two.
@@ -896,27 +934,28 @@ class TestRampCostRule:
         # chunks of one group.
         lat = build_lattice(1, [PI])
         sched = two_stage_ramp(lat, "A,1", 100.0)
-        products = protocols._ordered_product
+        products = open_system._ordered_product
         batches = []
 
         def spy(u):
             batches.append(u.shape[:2])
             return products(u)
 
-        monkeypatch.setattr(protocols, "_ordered_product", spy)
+        monkeypatch.setattr(open_system, "_ordered_product", spy)
+        walks = {"walk": open_system._closed_walk, "reference": _reference_closed_walk}
         runs, rows = {}, {}
-        for pick, chunk in ((True, open_system.SUBSTEP_CHUNK), (True, 1024), (False, 1024)):
-            self._force(monkeypatch, "_batch_pays", pick)
+        for name, chunk in (("walk", open_system.SUBSTEP_CHUNK), ("walk", 1024), ("reference", 1024)):
+            monkeypatch.setattr(protocols, "_closed_walk", walks[name])
             monkeypatch.setattr(open_system, "SUBSTEP_CHUNK", chunk)
             batches.clear()
-            runs[pick, chunk] = self._outputs(adiabatic_ramps(lat, sched, "A,1")[0])
-            rows[pick, chunk] = {}
+            runs[name, chunk] = self._outputs(adiabatic_ramps(lat, sched, "A,1")[0])
+            rows[name, chunk] = {}
             for size, count in batches:
-                rows[pick, chunk][count] = rows[pick, chunk].get(count, 0) + size
-        assert rows == {(True, 256): {256: 100, 189: 100}, (True, 1024): {445: 100}, (False, 1024): {}}
-        assert np.abs(runs[True, 256] - runs[True, 1024]).max() < 1e-12
-        # 44,500 interpolated substeps, each within about 1e-15 of the loop's.
-        assert np.abs(runs[True, 256] - runs[False, 1024]).max() < 1e-10
+                rows[name, chunk][count] = rows[name, chunk].get(count, 0) + size
+        assert rows == {("walk", 256): {256: 100, 189: 100}, ("walk", 1024): {445: 100}, ("reference", 1024): {}}
+        assert np.abs(runs["walk", 256] - runs["walk", 1024]).max() < 1e-12
+        # 44,500 interpolated substeps, each within about 1e-15 of the exact one.
+        assert np.abs(runs["walk", 256] - runs["reference", 1024]).max() < 1e-10
 
     def test_closed_walk_steps_on_boundaries_inside_gaps(self, monkeypatch):
         # Both boundaries of the three-segment ramp (Jt = 10.3 and 19.7) fall
@@ -955,7 +994,7 @@ class TestRampCostRule:
         sched = two_stage_ramp(lat, "A,1", 30.0)
         rates = [DephasingRates.uniform(4, 1.0 / (2 * PI * 4.2))]
         calls, forms = [0], []
-        weights, batcher = protocols._lagrange_weights, protocols._batcher
+        weights, batcher = open_system._lagrange_weights, open_system._batcher
 
         def counting(*args):
             calls[0] += 1
@@ -972,11 +1011,11 @@ class TestRampCostRule:
 
             return batcher(*grid, recording)
 
-        monkeypatch.setattr(protocols, "_lagrange_weights", counting)
-        monkeypatch.setattr(protocols, "_batcher", spy)
+        monkeypatch.setattr(open_system, "_lagrange_weights", counting)
+        monkeypatch.setattr(open_system, "_batcher", spy)
         dephased_calls, groups, runs = [], [], []
-        for cap in (protocols.BATCH_BYTES, 1):
-            monkeypatch.setattr(protocols, "BATCH_BYTES", cap)
+        for cap in (open_system.BATCH_BYTES, 1):
+            monkeypatch.setattr(open_system, "BATCH_BYTES", cap)
             counts = []
             for rate_sets in ((), rates):
                 calls[0] = 0
@@ -990,23 +1029,32 @@ class TestRampCostRule:
         assert dephased_calls == [len(groups[0]), 100] == [len(groups[0]), len(groups[1])]
         assert np.array_equal(runs[0], runs[1])
 
-    @pytest.mark.parametrize("l, pairwise", [(29, True), (30, False)])
-    def test_closed_rule_crossover(self, monkeypatch, l, pairwise):
-        # Without an eigh per substep the batched walk wins at every size, so
-        # on the README ramp only the 16 MiB cap stops it: a chunk of 136
-        # unitaries on 91 sites (l = 30) holds 18 MB.
-        class Picked(Exception):
-            pass
+    def test_closed_walk_ignores_the_step_map_cap(self, monkeypatch):
+        # The closed walk has one path, whose memory BATCH_BYTES and one chunk
+        # bound, so a STEP_MAP_MAX_BYTES of one byte adds no eigh per chunk:
+        # one per node set, plus the two of the checkpoint diagnostics.
+        lat = build_lattice(2, [0.0] * 2)
+        sched = two_stage_ramp(lat, "A,1", 30.0)
+        eigh, node_unitaries = np.linalg.eigh, open_system._midpoint_unitaries
+        calls = {}
 
-        def walk(*args):
-            raise Picked
+        def counting(name, function):
+            def count(*args, **kwargs):
+                calls[name] += 1
+                return function(*args, **kwargs)
 
-        picks = self._force(monkeypatch, "_batch_pays", None)
-        monkeypatch.setattr(protocols, "_substeps", walk)
-        lat = build_lattice(l, [PI] * l)
-        with pytest.raises(Picked):
-            adiabatic_ramps(lat, two_stage_ramp(lat, "A,1", 30.0), "A,1")
-        assert picks == [pairwise]
+            return count
+
+        monkeypatch.setattr(np.linalg, "eigh", counting("eigh", eigh))
+        monkeypatch.setattr(open_system, "_midpoint_unitaries", counting("nodes", node_unitaries))
+        counts = []
+        for cap in (open_system.STEP_MAP_MAX_BYTES, 1):
+            monkeypatch.setattr(open_system, "STEP_MAP_MAX_BYTES", cap)
+            calls.update(eigh=0, nodes=0)
+            adiabatic_ramps(lat, sched, "A,1")
+            counts.append(dict(calls))
+        assert counts[0] == counts[1]
+        assert 0 < counts[0]["eigh"] == counts[0]["nodes"] + 2 < 100
 
     @pytest.mark.parametrize("l, batched", [(2, True), (3, False)])
     def test_dephased_rule_crossover(self, monkeypatch, l, batched):
@@ -1016,7 +1064,7 @@ class TestRampCostRule:
         class Picked(Exception):
             pass
 
-        substeps = protocols._substeps
+        substeps = open_system._substeps
 
         def walk(state, *args):
             if state.ndim == 3:
@@ -1024,12 +1072,12 @@ class TestRampCostRule:
             return substeps(state, *args)
 
         picks = self._force(monkeypatch, "_batch_pays", None)
-        monkeypatch.setattr(protocols, "_substeps", walk)
+        monkeypatch.setattr(open_system, "_substeps", walk)
         lat = build_lattice(l, [PI] * l)
         rates = [DephasingRates.uniform(lat.num_sites, 1.0 / (tphi * 2 * PI * 4.2)) for tphi in (1.0, 10.0)]
         with pytest.raises(Picked):
             adiabatic_ramps(lat, two_stage_ramp(lat, "A,1", 30.0), "A,1", rates)
-        assert picks == [True, batched]
+        assert picks == [batched]
 
     @pytest.mark.parametrize("l, maps", [(1, True), (2, True), (3, False)])
     def test_dephased_walks_agree(self, monkeypatch, l, maps):
@@ -1041,10 +1089,10 @@ class TestRampCostRule:
         ]
         runs = {}
         for pick in (None, True, False):
-            picks = self._force(monkeypatch, "_batch_pays", pick, walk=1)
+            picks = self._force(monkeypatch, "_batch_pays", pick)
             _, dephased = adiabatic_ramps(lat, sched, "A,1", rate_sets, n_checkpoints=11)
             runs[pick] = np.concatenate([self._outputs(run) for run in dephased])
-            assert picks == [True, maps]
+            assert picks == [maps]
             monkeypatch.undo()
         assert np.array_equal(runs[None], runs[maps])
         # The loop takes the exact split steps, the batched walk their
@@ -1056,7 +1104,7 @@ class TestRampCostRule:
         rates = [DephasingRates.uniform(4, 0.0379)]
         runs = []
         for pick in (True, False):
-            self._force(monkeypatch, "_batch_pays", pick, walk=1)
+            self._force(monkeypatch, "_batch_pays", pick)
             _, (run,) = adiabatic_ramps(lat, sched, "A,1", rates, n_checkpoints=8)
             runs.append(self._outputs(run))
             monkeypatch.undo()
@@ -1065,21 +1113,29 @@ class TestRampCostRule:
 
     @pytest.mark.parametrize("batched", [False, True])
     def test_chunks_match_whole_gaps(self, monkeypatch, batched):
-        # Chunks see the substep times of the whole gap: the loops change no
-        # bit, and the batched walks only regroup their products.
+        # Chunks see the substep times of the whole gap: the dephased loop
+        # changes no bit, and the batched walks only regroup their products;
+        # the closed walk stays with exact unitaries taken one at a time.
         lat = build_lattice(1, [PI])
         sched = two_stage_ramp(lat, "A,1", 6.0)
         rates = [DephasingRates.uniform(4, 0.0379)]
-        monkeypatch.setattr(protocols, "_batch_pays", lambda *a, **k: batched)
-        runs = []
+        monkeypatch.setattr(open_system, "_batch_pays", lambda *a, **k: batched)
+        closed_runs, dephased_runs, own_runs = [], [], []
         for chunk in (open_system.SUBSTEP_CHUNK, 5):
             monkeypatch.setattr(open_system, "SUBSTEP_CHUNK", chunk)
             closed, (run,) = adiabatic_ramps(lat, sched, "A,1", rates, n_checkpoints=11)
-            runs.append(np.concatenate([self._outputs(closed), self._outputs(run)]))
-        if batched:
-            assert np.abs(runs[0] - runs[1]).max() < 1e-12
-        else:
-            assert np.array_equal(runs[0], runs[1])
+            closed_runs.append(self._outputs(closed))
+            dephased_runs.append(self._outputs(run))
+            # What the dephased walk's states alone give; its ground
+            # populations, and the fidelities against them, are the closed walk's.
+            own_runs.append(TestSplitStepRamp._outputs(run))
+        monkeypatch.setattr(protocols, "_closed_walk", _reference_closed_walk)
+        reference = self._outputs(adiabatic_ramps(lat, sched, "A,1", n_checkpoints=11)[0])
+        assert np.abs(closed_runs[0] - closed_runs[1]).max() < 1e-12
+        assert max(np.abs(run - reference).max() for run in closed_runs) < 1e-12
+        assert np.abs(dephased_runs[0] - dephased_runs[1]).max() < 1e-12
+        if not batched:
+            assert np.array_equal(own_runs[0], own_runs[1])
 
     def test_tiny_ramp_stays_finite(self, monkeypatch):
         # The Lagrange weights of a 1e-200 ramp multiply differences of about
@@ -1089,7 +1145,10 @@ class TestRampCostRule:
         rates = [DephasingRates.uniform(4, 0.0379)]
         runs = {}
         for batched in (True, False):
-            monkeypatch.setattr(protocols, "_batch_pays", lambda *a, **k: batched)
+            # Unbatched: the dephased loop, and exact closed unitaries one at a time.
+            monkeypatch.setattr(open_system, "_batch_pays", lambda *a, **k: batched)
+            if not batched:
+                monkeypatch.setattr(protocols, "_closed_walk", _reference_closed_walk)
             closed, (run,) = adiabatic_ramps(lat, sched, "A,1", rates, n_checkpoints=11)
             runs[batched] = np.concatenate([self._outputs(closed), self._outputs(run)])
         assert np.all(np.isfinite(runs[True]))

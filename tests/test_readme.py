@@ -4,7 +4,7 @@ import re
 import shlex
 from pathlib import Path
 
-from fluxlattice import protocols
+from fluxlattice import open_system
 from fluxlattice.cli import build_parser, main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -31,13 +31,13 @@ def test_adiabatic_command_walks_each_ramp_once(tmp_path, monkeypatch):
     # One closed walk, and one walk of the stack of every T_phi's density matrix
     # (its single-excitation block: the vacuum row and column stay zero).
     walks = []
-    original = protocols._substeps
+    original = open_system._substeps
 
     def counting(state, *args):
         walks.append(state.shape)
         return original(state, *args)
 
-    monkeypatch.setattr(protocols, "_substeps", counting)
+    monkeypatch.setattr(open_system, "_substeps", counting)
     (argv,) = [argv for argv in quick_start_commands() if argv[0] == "adiabatic"]
     argv = [str(tmp_path / a) if a == "out" else a for a in argv]
     tphis = argv[argv.index("--dephasing-us") + 1].split(",")
