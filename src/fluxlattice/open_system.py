@@ -7,8 +7,9 @@ Integration is fixed-step, deterministic and reproducible across platforms,
 with the step chosen so the local error stays far below the test tolerances:
 RK4 for ``lindblad_evolve``, and for the adiabatic ramp, whose collapse
 operators are all diagonal, a fourth-order split step (``_split_step_maps``).
-Both ramp walks live here, on one sub-stepping loop (``_substeps``): the
-closed one (``_closed_walk``) and the dephased one (``_split_walk``).
+Both ramp walks live here, on one sub-stepping loop (``_substeps``) and one
+integrator: the dephased one (``_split_walk``) and the closed one
+(``_closed_walk``), which is the same split step without decay.
 """
 
 from __future__ import annotations
@@ -27,14 +28,16 @@ from .lattice import HermitianOperator, RhombicLattice, SiteId, as_site
 
 #: h * max(norm(H), max rate) is kept at or below this.  The contract allows
 #: up to 0.05; the default runs 5x tighter so the zero-rate limit agrees with
-#: the exact unitary propagation to well under 1e-7.  ``lindblad_evolve`` and
-#: the closed ramp, whose H is fixed over each substep, step at this rule.
+#: the exact unitary propagation to well under 1e-7.  ``lindblad_evolve``,
+#: whose H is fixed, steps at this rule; both ramp walks at
+#: ``SPLIT_STEP_FACTOR`` times it.
 STEP_SAFETY = 0.01
 
-#: The dephased ramp takes fourth-order split steps (``_split_step_maps``),
-#: which keep the trace at any length, this many times longer than
-#: ``rk4_max_step`` (safety 0.1): fewer steps than the midpoint-frozen walk at
-#: 0.01, each more accurate.
+#: Both ramp walks take fourth-order split steps (``_split_step_maps``, and
+#: ``_split_step_unitaries`` without decay), which keep the trace at any
+#: length, this many times longer than ``rk4_max_step`` (safety 0.1): 1,400
+#: steps of the README ramp, whose closed walk is then within 1e-9 of a run
+#: at a tenth of the step.
 SPLIT_STEP_FACTOR = 10
 
 #: The rate enters the split step's rule this many times over, so a step is
@@ -46,10 +49,10 @@ SPLIT_STEP_FACTOR = 10
 #: 5 times they match.
 SPLIT_RATE_WEIGHT = 5
 
-#: Chebyshev nodes of the split-step maps' interpolant (degree 6), which puts
-#: it within about 1e-14 of the exact map at any step the rule allows, so
-#: the batched and looped dephased walks agree to round-off; degree 4 would
-#: be 3e-10 off.
+#: Chebyshev nodes of the split steps' interpolant (degree 6), which puts it
+#: within about 1e-14 of the exact map or unitary at any step the rule
+#: allows, so the batched and looped dephased walks agree to round-off;
+#: degree 4 would be 3e-10 off.
 SPLIT_NODES = 7
 
 #: Yoshida's triple jump (Phys. Lett. A 150, 262, 1990): symmetric
@@ -72,7 +75,7 @@ CALL_COST = 1600
 #: arrays stay at most this many substeps' worth whatever the step.
 SUBSTEP_CHUNK = 256
 
-#: Most bytes one batch of a ramp walk's ``_batcher`` forms at once: substep
+#: Most bytes one batch of a ramp walk's ``_batcher`` forms at once: step
 #: unitaries (16 n^2 each) for the closed walk and Lagrange weights
 #: (8 ``SPLIT_NODES`` each) for the batched dephased one.  A chunk that alone
 #: needs more is formed by itself, so at any lattice size a batch holds at
@@ -288,19 +291,10 @@ def _rk4_map(generator: np.ndarray, dt: float) -> np.ndarray:
     return step
 
 
-def _chebyshev_nodes(start: float, stop: float, count: int = 5) -> np.ndarray:
-    """The ``count`` Chebyshev points of the first kind of ``[start, stop]``: where the interpolants sample."""
-    unit = np.cos((2 * np.arange(count) + 1) * math.pi / (2 * count))
+def _chebyshev_nodes(start: float, stop: float) -> np.ndarray:
+    """The ``SPLIT_NODES`` Chebyshev points of the first kind of ``[start, stop]``: where the interpolants sample."""
+    unit = np.cos((2 * np.arange(SPLIT_NODES) + 1) * math.pi / (2 * SPLIT_NODES))
     return 0.5 * (start + stop) + 0.5 * (stop - start) * unit
-
-
-def _unitaries(h: np.ndarray, lengths: float | np.ndarray) -> np.ndarray:
-    """``exp(-i length H)`` of a stack of Hamiltonians, from one stacked ``eigh``.
-
-    ``lengths`` is one length for all, or a column of one per Hamiltonian.
-    """
-    energies, vectors = np.linalg.eigh(h)
-    return (vectors * np.exp(-1j * energies * lengths)[:, None, :]) @ vectors.conj().swapaxes(1, 2)
 
 
 def _split_unitaries(hamiltonians: Callable[[np.ndarray], np.ndarray], starts: np.ndarray, dt: float) -> np.ndarray:
@@ -312,8 +306,10 @@ def _split_unitaries(hamiltonians: Callable[[np.ndarray], np.ndarray], starts: n
     ``eigh`` of the ``3 len(starts)`` midpoint Hamiltonians.
     """
     midpoints = starts[:, None] + (np.cumsum(_TRIPLE_JUMP) - 0.5 * _TRIPLE_JUMP) * dt
-    u = _unitaries(hamiltonians(midpoints.ravel()), np.tile(_TRIPLE_JUMP * dt, starts.size)[:, None])
-    return u.reshape(starts.size, 3, *u.shape[1:])
+    h = hamiltonians(midpoints.ravel())
+    energies, vectors = np.linalg.eigh(h.reshape(*midpoints.shape, *h.shape[1:]))
+    phases = np.exp(-1j * energies * (_TRIPLE_JUMP * dt)[:, None])
+    return (vectors * phases[..., None, :]) @ vectors.conj().swapaxes(-1, -2)
 
 
 def _split_decays(decay: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
@@ -346,7 +342,7 @@ def _split_step_maps(
     ``_split_decays`` factors; all ``3 * SPLIT_NODES`` unitaries come from
     one ``_split_unitaries`` call.
     """
-    nodes = _chebyshev_nodes(start, stop, SPLIT_NODES)
+    nodes = _chebyshev_nodes(start, stop)
     u = _split_unitaries(hamiltonians, nodes, dt)
     k = _kron(u, u.conj())
     outer, inner = (d.reshape(len(decay), 1, 1, -1) for d in _split_decays(decay, dt))
@@ -354,23 +350,21 @@ def _split_step_maps(
     return nodes, last @ (k[:, 1] * inner) @ (k[:, 0] * outer)
 
 
-def _midpoint_unitaries(
+def _split_step_unitaries(
     hamiltonians: Callable[[np.ndarray], np.ndarray], start: float, stop: float, dt: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Unitaries ``exp(-i dt H(t + dt/2))`` of substeps whose midpoint lies in ``[start, stop]``, H affine there.
+    """``_split_step_maps`` without decay: the unitaries of closed split steps starting in ``[start, stop]``.
 
-    The exponent is affine in the substep's start time ``t``, so the unitary
-    is an entire function of ``t``.  Returns the five Chebyshev points of
-    ``[start - dt/2, stop - dt/2]`` and the exact unitaries of the substeps
-    starting there, from one stacked ``eigh``; ``_lagrange_weights`` combines
-    them into the degree-4 interpolant at any start in the interval.  Across
-    it the exponent moves by ``dt * ||H(stop) - H(start)||``, at most
-    ``2 * STEP_SAFETY = 0.02`` under the step rule, which puts the interpolant
-    within about 1e-14 of the exact unitary.  ``hamiltonians(times)`` returns
-    H at each time, stacked on the first axis.
+    Returns the ``SPLIT_NODES`` Chebyshev points of ``[start, stop]`` and the
+    unitaries ``U_3 U_2 U_1`` of the steps of length ``dt`` starting there,
+    the product of Yoshida's three midpoint sub-steps (``_split_unitaries``,
+    one stacked ``eigh``); ``_lagrange_weights`` combines them into the
+    degree-6 interpolant of any step starting in the interval, within about
+    1e-14 of the exact one at any step the rule allows.
     """
-    nodes = _chebyshev_nodes(start - 0.5 * dt, stop - 0.5 * dt)
-    return nodes, _unitaries(hamiltonians(nodes + 0.5 * dt), dt)
+    nodes = _chebyshev_nodes(start, stop)
+    u = _split_unitaries(hamiltonians, nodes, dt)
+    return nodes, u[:, 2] @ u[:, 1] @ u[:, 0]
 
 
 def _lagrange_weights(nodes: np.ndarray, times: np.ndarray) -> np.ndarray:
@@ -469,9 +463,9 @@ def _substeps(
     ``start + k * dt``; its midpoint is ``start + (k + 0.5) * dt``.  Every chunk of a gap therefore sees the
     times the whole gap would, while ``advance`` batches per-substep work
     (building or diagonalizing the Hamiltonians, forming step maps or
-    unitaries) over a bounded number of substeps.  H may be frozen at each
-    midpoint (``_closed_walk``), fixed (``lindblad_evolve``), or frozen at
-    the midpoints of a split step's three sub-steps (``_split_walk``).  Yields
+    unitaries) over a bounded number of substeps.  H may be fixed
+    (``lindblad_evolve``), or frozen at the midpoints of a split step's three
+    sub-steps (``_closed_walk`` and ``_split_walk``).  Yields
     ``(index, time, state)`` at every checkpoint.  A density matrix, or a
     stack of them along the first axis, has every trace checked there first.
 
@@ -551,11 +545,21 @@ def _plan(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
     """``_substep_grid`` of a ramp walk at ``step``, each gap's segment, and the number of (segment, dt) pairs.
 
-    ``offsets`` are the segment boundaries, from 0 to the ramp's end.
+    ``offsets`` are the segment boundaries, from 0 to the ramp's end.  Gaps of
+    one segment whose spans differ only by round-off (four ulps of the ramp's
+    end) share the shortest of their substep lengths, so a walk forms one node
+    set per segment (two on the README ramp), and a gap's substeps end
+    within that round-off of its checkpoint.
     """
     starts, counts, lengths = _substep_grid(grid, step)
     segments = np.searchsorted(offsets[1:-1], starts, side="right")
     walked = counts > 0
+    shared, first, roundoff = {}, (-1, 0.0), 4 * np.spacing(grid[-1])
+    for segment, dt, count in sorted(zip(segments[walked].tolist(), lengths[walked].tolist(), counts[walked].tolist())):
+        if segment != first[0] or (dt - first[1]) * count > roundoff:
+            first = segment, dt
+        shared[segment, dt] = first[1]
+    lengths = np.array([shared.get(key, 0.0) for key in zip(segments.tolist(), lengths.tolist())])
     return starts, counts, lengths, segments, len(set(zip(segments[walked].tolist(), lengths[walked].tolist())))
 
 
@@ -563,44 +567,39 @@ def _closed_walk(
     hamiltonians: Callable[..., np.ndarray], offsets: np.ndarray, grid: np.ndarray, norm_bound: float,
     psi0: np.ndarray,
 ) -> np.ndarray:
-    """The state vector at every point of ``grid``, walked from ``psi0`` with H frozen at each substep's midpoint.
+    """The state vector at every point of ``grid``, walked from ``psi0`` by closed split steps.
 
     ``hamiltonians(times, segment=None)`` is the ramp's H at each time
     (given ``segment``, that segment's line), affine on each segment between
     the ``offsets``; every gap of ``grid`` lies inside one segment, and
-    ``norm_bound`` bounds the norm of H on the ramp.  The substeps follow
-    ``rk4_max_step``.  A substep is the exact unitary of one Hamiltonian, an
-    entire function of its start time inside its segment, so each is taken
-    from the degree-4 interpolant through five exact node unitaries per
-    segment and substep length (``_midpoint_unitaries``), within about 1e-14
-    and without an ``eigh`` per substep.  ``_batcher`` stacks the chunks of
-    every gap with the same segment, substep length and count (nine groups of
-    the 100 gaps on the README ramp), at most ``BATCH_BYTES`` of unitaries at
-    a time and at least one chunk, and multiplies each chunk's unitaries into
-    its propagator by pairwise halving (``_ordered_product``), so a chunk
-    costs one product with the state.
+    ``norm_bound`` bounds the norm of H on the ramp.  The walk is
+    ``_split_walk`` without decay, at its step rule at zero rate: each step
+    is Yoshida's triple jump of midpoint unitaries, fourth order, an entire
+    function of its start time inside its segment, so each is taken from
+    the degree-6 interpolant through ``SPLIT_NODES`` exact node unitaries
+    per segment and step length (``_split_step_unitaries``), within about
+    1e-14 and without an ``eigh`` per step.  ``_batcher`` stacks the chunks
+    of every gap with the same segment, step length and count (two groups
+    of the 100 gaps on the README ramp), at most ``BATCH_BYTES`` of
+    unitaries at a time and at least one chunk, and multiplies each chunk's
+    unitaries into its propagator by pairwise halving
+    (``_ordered_product``), so a chunk costs one product with the state.
     """
     n = psi0.size
-    step = rk4_max_step(norm_bound, 0.0)
+    step = SPLIT_STEP_FACTOR * rk4_max_step(norm_bound, 0.0)
     starts, counts, lengths, segments, _ = _plan(grid, offsets, step)
 
     @cache
     def closed_nodes(segment: int, dt: float) -> tuple[np.ndarray, np.ndarray]:
-        nodes, maps = _midpoint_unitaries(
-            partial(hamiltonians, segment=segment), offsets[segment], offsets[segment + 1], dt
-        )
-        return nodes, maps.reshape(5, n * n)
+        return _split_step_unitaries(partial(hamiltonians, segment=segment), *offsets[segment:segment + 2], dt)
 
     def propagators(segment: int, dt: float, times: np.ndarray) -> np.ndarray:
-        nodes, maps = closed_nodes(segment, dt)
-        return _ordered_product((_lagrange_weights(nodes, times.ravel()) @ maps).reshape(*times.shape, n, n))
+        nodes, u = closed_nodes(segment, dt)
+        return _ordered_product(np.tensordot(_lagrange_weights(nodes, times.ravel()), u, 1).reshape(*times.shape, n, n))
 
     chunk_propagator = _batcher(starts, counts, lengths, segments, BATCH_BYTES // (16 * n * n), propagators)
-
-    def unitary(psi: np.ndarray, start: float, index: np.ndarray, dt: float) -> np.ndarray:
-        return chunk_propagator(start, index[0]) @ psi
-
-    return np.array([psi for _, _, psi in _substeps(psi0, grid, step, unitary)])
+    walk = _substeps(psi0, grid, step, lambda psi, start, index, dt: chunk_propagator(start, index[0]) @ psi)
+    return np.array([psi for _, _, psi in walk])
 
 
 def _split_walk(
@@ -635,25 +634,25 @@ def _split_walk(
     # so the batcher combines a chunk's maps from SPLIT_NODES exact node
     # maps per segment and step length (``_split_step_maps``, two n^6
     # products each) with Lagrange weights, SPLIT_NODES n^4 per step, and
-    # each step is one matrix-vector product of n^4.  Those large
-    # products run about 3x faster per multiply-add than the loop's small
-    # ones, so both batched terms, per step and per node set, are charged
-    # at a third.  Fit to both branches timed on the README ramp shape
-    # (durations 6-100, l = 2-5, one and two rate sets): the loop pays
-    # from l = 3, where one set times about even and two favour the loop.
+    # each step is one matrix-vector product of n^4, all of it once per
+    # rate set, while the loop steps every set in the same numpy calls.
+    # Those large products run about 3x faster per multiply-add than the
+    # loop's small ones, so both batched terms, per step and per node set,
+    # are charged at a third.  Fit to both branches timed on the README
+    # ramp shape (durations 6-100, l = 2-5, one and two rate sets; any
+    # charge from 0.31 to 0.5 picks the faster branch in all 24): the
+    # batched walk pays up to l = 2, and at l = 3 for one set from duration
+    # 30; two sets at l = 3, and every ramp from l = 4, take the loop.
     starts, counts, lengths, segments, n_maps = _plan(grid, offsets, step)
     held = SPLIT_NODES + min(SUBSTEP_CHUNK, int(counts.max()))
     if _batch_pays(
-        int(counts.sum()), 20, 22.5 * n**3 + 4 * n * n, (SPLIT_NODES + 1) * n**4 / 3,
-        n_maps * SPLIT_NODES * 2 * n**6 / 3, 16 * n**4 * held,
+        int(counts.sum()), 20, 22.5 * n**3 + 4 * n * n, sets * (SPLIT_NODES + 1) * n**4 / 3,
+        sets * n_maps * SPLIT_NODES * 2 * n**6 / 3, 16 * n**4 * held,
     ):
 
         @cache
         def dephased_nodes(segment: int, dt: float) -> tuple[np.ndarray, np.ndarray]:
-            nodes, maps = _split_step_maps(
-                partial(hamiltonians, segment=segment), decay, offsets[segment], offsets[segment + 1], dt
-            )
-            return nodes, maps.reshape(sets, SPLIT_NODES, n**4)
+            return _split_step_maps(partial(hamiltonians, segment=segment), decay, *offsets[segment:segment + 2], dt)
 
         def weights(segment: int, dt: float, times: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
             nodes, maps = dephased_nodes(segment, dt)
@@ -663,7 +662,7 @@ def _split_walk(
 
         def lindblad(rho: np.ndarray, start: float, index: np.ndarray, dt: float) -> np.ndarray:
             w, maps = chunk_weights(start, index[0])
-            step_maps = (w @ maps).reshape(sets, -1, n * n, n * n)
+            step_maps = (w @ maps.reshape(sets, SPLIT_NODES, n**4)).reshape(sets, -1, n * n, n * n)
             vec = rho.reshape(sets, n * n, 1)
             for k in range(index.size):
                 vec = step_maps[:, k] @ vec

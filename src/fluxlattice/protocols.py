@@ -548,13 +548,15 @@ def adiabatic_ramps(
 
     The state starts as a bare excitation on ``init_site`` (the ground state
     of the decoupled, detuned configuration within the single-excitation
-    sector) and is propagated exactly with the Hamiltonian frozen at the
-    midpoint of each short substep (``open_system._closed_walk``).  Along the
-    ramp the overlap with the instantaneous ground eigenspace is recorded; a
-    gap below 1e-6 J triggers a level-crossing warning.  One density matrix
-    per rate set follows, all in one stack and without the vacuum, whose row
-    and column stay zero, by fourth-order, trace-preserving split steps
-    (``open_system._split_walk``) at the step rule of the largest rate (each
+    sector) and is propagated by fourth-order split steps, Yoshida's triple
+    jump of unitaries with the Hamiltonian frozen at each sub-step's
+    midpoint (``open_system._closed_walk``).  Along the ramp the overlap with
+    the instantaneous ground eigenspace is recorded; a gap below 1e-6 J
+    triggers a level-crossing warning.  One density matrix per rate set
+    follows, all in one stack and without the vacuum, whose row and column
+    stay zero, by the same split steps with the exact elementwise decay
+    between the unitaries, which keep the trace at any step
+    (``open_system._split_walk``), at the step rule of the largest rate (each
     set's own while every rate is below the norm of H).  Returns the closed
     result and one result per rate set, whose fidelities are against the
     closed ground populations.
@@ -564,9 +566,10 @@ def adiabatic_ramps(
     order), so every walked gap lies inside one segment; the boundaries yield
     no result row.  The closed walk batches at every lattice size, its memory
     bounded by ``open_system.BATCH_BYTES`` and one chunk; a cost rule picks
-    for the dephased walk, which batches on small lattices, and no choice
-    depends on the number of rate sets.  The checkpoints are diagnosed after both walks,
-    from one stacked ``eigh`` of their Hamiltonians (``_ground_projectors``).
+    for the dephased walk, which batches on small lattices and few rate
+    sets, whose batched maps and steps are per set.  The checkpoints are
+    diagnosed after both walks, from one stacked ``eigh`` of their
+    Hamiltonians (``_ground_projectors``).
 
     Raises
     ------

@@ -403,9 +403,10 @@ class TestAdiabaticPreparation:
         sched = two_stage_ramp(lat, "A,1", 30.0)
         closed = adiabatic_prepare(lat, sched, "A,1", n_checkpoints=31)
         open_run = adiabatic_prepare(lat, sched, "A,1", DephasingRates.uniform(4, 0.0), n_checkpoints=31)
-        assert np.abs(open_run.gs_fidelity - closed.gs_fidelity).max() < 1e-7
-        assert np.abs(open_run.final_populations - closed.final_populations).max() < 1e-7
-        assert abs(open_run.final_gs_overlap - closed.final_gs_overlap) < 1e-7
+        # Without decay the split walk is the closed walk: one integrator.
+        assert np.abs(open_run.gs_fidelity - closed.gs_fidelity).max() < 1e-12
+        assert np.abs(open_run.final_populations - closed.final_populations).max() < 1e-12
+        assert abs(open_run.final_gs_overlap - closed.final_gs_overlap) < 1e-12
 
     @pytest.mark.parametrize("gamma", [0.0379, 9.0])
     @pytest.mark.parametrize("flux", [0.0, PI])
@@ -540,11 +541,20 @@ def _three_segment_ramp(lat, duration=30.0):
 
 
 def _reference_closed_walk(hamiltonians, offsets, grid, norm_bound, psi):
-    """``open_system._closed_walk`` substep by substep: the exact ``exp(-i dt H(t + dt/2))`` of each, on its grid."""
+    """``open_system._closed_walk`` step by step on its plan: Yoshida's three midpoint sub-steps, each exact."""
+    step = open_system.SPLIT_STEP_FACTOR * open_system.rk4_max_step(norm_bound, 0.0)
     states = []
-    for start, count, dt in zip(*open_system._substep_grid(grid, open_system.rk4_max_step(norm_bound, 0.0))):
-        energies, vectors = np.linalg.eigh(hamiltonians(start + (np.arange(count) + 0.5) * dt))
-        for phase, v in zip(np.exp(-1j * energies * dt), vectors):
+    for start, count, dt in zip(*open_system._plan(grid, offsets, step)[:3]):
+        midpoints, lengths = [], []
+        for k in range(count):
+            t = start + k * dt
+            for c in open_system._TRIPLE_JUMP:
+                midpoints.append(t + 0.5 * c * dt)
+                lengths.append(c * dt)
+                t += c * dt
+        # One eigh per sub-step, stacked over the gap.
+        energies, vectors = np.linalg.eigh(hamiltonians(np.array(midpoints)))
+        for phase, v in zip(np.exp(-1j * energies * np.array(lengths)[:, None]), vectors):
             psi = v @ (phase * (v.conj().T @ psi))
         states.append(psi)
     return np.array(states)
@@ -614,7 +624,7 @@ class TestSplitStepRamp:
         assert np.abs(run - reference).max() < 1e-9
 
 
-class TestMidpointUnitaries:
+class TestSplitStepUnitaries:
     @given(
         st.integers(1, 4),
         st.sampled_from([0.0, PI]),
@@ -624,10 +634,11 @@ class TestMidpointUnitaries:
         st.floats(1e-3, 1.0),
     )
     @settings(max_examples=40, deadline=None)
-    def test_interpolant_is_the_midpoint_unitary(self, l, flux, three, segment, where, fraction):
-        # Inside a segment the substep unitary exp(-i dt H(t + dt/2)) is an
-        # entire function of the start t; the degree-4 interpolant through its
-        # Chebyshev nodes matches it anywhere, at any step the rule allows.
+    def test_interpolant_is_the_triple_jump(self, l, flux, three, segment, where, fraction):
+        # Inside a segment the closed split step, Yoshida's triple jump of
+        # midpoint unitaries, is an entire function of its start t; the
+        # degree-6 interpolant through its Chebyshev nodes matches it
+        # anywhere, at any step the rule allows.
         lat = build_lattice(l, [flux] * l)
         sched = _three_segment_ramp(lat) if three else two_stage_ramp(lat, "A,1", 30.0)
         segment %= len(sched.segments)
@@ -635,15 +646,18 @@ class TestMidpointUnitaries:
         offsets = np.cumsum([0.0] + [seg.duration for seg in sched.segments])
         # H is affine on each segment, so its norm peaks at a boundary.
         norm = max(open_system.spectral_norm(h) for h in hamiltonians(offsets))
-        dt = fraction * open_system.rk4_max_step(norm, 0.0)
-        nodes, maps = open_system._midpoint_unitaries(
+        dt = fraction * open_system.SPLIT_STEP_FACTOR * open_system.rk4_max_step(norm, 0.0)
+        nodes, maps = open_system._split_step_unitaries(
             partial(hamiltonians, segment=segment), offsets[segment], offsets[segment + 1], dt
         )
-        start = offsets[segment] + where * (offsets[segment + 1] - offsets[segment]) - 0.5 * dt
+        start = offsets[segment] + where * (offsets[segment + 1] - offsets[segment] - dt)
         weights = open_system._lagrange_weights(nodes, np.array([start]))
-        u = (weights @ maps.reshape(5, -1)).reshape(maps.shape[1:])
-        energies, vectors = np.linalg.eigh(hamiltonians(np.array([start + 0.5 * dt]), segment)[0])
-        exact = (vectors * np.exp(-1j * energies * dt)) @ vectors.conj().T
+        u = (weights @ maps.reshape(nodes.size, -1)).reshape(maps.shape[1:])
+        exact, t = np.eye(lat.num_sites), start
+        for c in open_system._TRIPLE_JUMP:
+            energies, vectors = np.linalg.eigh(hamiltonians(np.array([t + 0.5 * c * dt]), segment)[0])
+            exact = (vectors * np.exp(-1j * energies * c * dt)) @ vectors.conj().T @ exact
+            t += c * dt
         assert np.abs(u - exact).max() < 1e-13
         assert np.abs(u.conj().T @ u - np.eye(lat.num_sites)).max() < 1e-13
 
@@ -673,6 +687,18 @@ class TestClosedWalk:
         assert walked.shape == (grid.size, lat.num_sites)
         reference = _reference_closed_walk(hamiltonians, offsets, grid, norm_bound, psi0)
         assert np.abs(walked - reference).max() < 1e-12
+
+    @pytest.mark.parametrize("flux", [0.0, PI])
+    def test_fourth_order_accuracy(self, monkeypatch, flux):
+        # The README ramp against a run at a tenth of the step: 5.7e-10 at
+        # flux 0 and 1.0e-9 at pi.  A second-order walk of midpoint
+        # unitaries, at ten times as many substeps, is 1.2e-8 and 2.6e-8 off.
+        lat = build_lattice(1, [flux])
+        sched = two_stage_ramp(lat, "A,1", 30.0)
+        run = TestSplitStepRamp._outputs(adiabatic_prepare(lat, sched, "A,1"))
+        monkeypatch.setattr(open_system, "STEP_SAFETY", 0.001)
+        reference = TestSplitStepRamp._outputs(adiabatic_prepare(lat, sched, "A,1"))
+        assert np.abs(run - reference).max() < 2e-9
 
 
 def _exact_split_step(h, decay, t, dt, rho):
@@ -834,7 +860,7 @@ class TestGroundProjectors:
 
 
 class TestRampCostRule:
-    """The closed walk agrees with exact unitaries taken one at a time; both sides
+    """The closed walk agrees with exact split steps taken one at a time; both sides
     of the dephased walk's cost rule take the same steps and agree to round-off."""
 
     @staticmethod
@@ -906,10 +932,11 @@ class TestRampCostRule:
     @pytest.mark.parametrize("l", [1, 2, 3, 4])
     def test_one_piece_per_batch_matches_the_default(self, monkeypatch, l, n_checkpoints):
         # A batch stacks chunks of one group up to BATCH_BYTES of unitaries
-        # (several at l <= 2; from l = 3 one chunk alone is over 256 KiB); at
-        # a cap of one byte every chunk is a batch of its own.
+        # (several at l <= 2; from l = 3 two chunks are over 256 KiB, at
+        # duration 300, whose gaps take about 135 steps); at a cap of one byte
+        # every chunk is a batch of its own.
         lat = build_lattice(l, [PI] * l)
-        sched = two_stage_ramp(lat, "A,1", 30.0)
+        sched = two_stage_ramp(lat, "A,1", 300.0)
         batches = []
         weights = open_system._lagrange_weights
 
@@ -923,17 +950,17 @@ class TestRampCostRule:
             monkeypatch.setattr(open_system, "BATCH_BYTES", cap)
             batches.append(0)
             runs.append(self._outputs(adiabatic_ramps(lat, sched, "A,1", n_checkpoints=n_checkpoints)[0]))
-        # One chunk per gap: 100 gaps, or 99 and one more where Jt = 15 cuts one in two.
+        # One chunk per gap: 100 gaps, or 99 and one more where Jt = 150 cuts one in two.
         assert batches[1] == 100
         assert batches[0] < batches[1] if l <= 2 else batches[0] == batches[1]
         assert np.abs(runs[0] - runs[1]).max() < 1e-12
 
     def test_gaps_longer_than_a_chunk(self, monkeypatch):
-        # At duration 100 each gap takes 445 substeps, two chunks (256 and
+        # At duration 1000 each gap takes 445 steps, two chunks (256 and
         # 189), which fall in two groups of one node set; every batch holds
         # chunks of one group.
         lat = build_lattice(1, [PI])
-        sched = two_stage_ramp(lat, "A,1", 100.0)
+        sched = two_stage_ramp(lat, "A,1", 1000.0)
         products = open_system._ordered_product
         batches = []
 
@@ -954,14 +981,16 @@ class TestRampCostRule:
                 rows[name, chunk][count] = rows[name, chunk].get(count, 0) + size
         assert rows == {("walk", 256): {256: 100, 189: 100}, ("walk", 1024): {445: 100}, ("reference", 1024): {}}
         assert np.abs(runs["walk", 256] - runs["walk", 1024]).max() < 1e-12
-        # 44,500 interpolated substeps, each within about 1e-15 of the exact one.
+        # 44,500 interpolated steps, each within about 1e-15 of the exact one.
         assert np.abs(runs["walk", 256] - runs["reference", 1024]).max() < 1e-10
 
     def test_closed_walk_steps_on_boundaries_inside_gaps(self, monkeypatch):
         # Both boundaries of the three-segment ramp (Jt = 10.3 and 19.7) fall
-        # inside gaps of 101 checkpoints.  A kink inside a substep would cost
-        # the closed walk its second order: with substeps across them it
-        # deviates by 3.1e-8 from a run at a tenth of the step, on edges 8.9e-9.
+        # inside gaps of 101 checkpoints.  A kink inside a step would cost
+        # the closed walk its order: on edges it deviates by 6.6e-10 from a
+        # run at a tenth of the step (a second-order midpoint walk at ten
+        # times as many substeps, by 3.1e-8 across the kinks and 8.9e-9 on
+        # edges).
         lat = build_lattice(1, [PI])
         sched = _three_segment_ramp(lat)
         run = self._outputs(adiabatic_ramps(lat, sched, "A,1")[0])
@@ -970,9 +999,8 @@ class TestRampCostRule:
         assert np.abs(run - reference).max() < 1.5e-8
 
     def test_dephased_ramp_memory(self):
-        # Peak traced memory of one README dephased ramp: 0.67 MB, of which
-        # 0.43 MB for the closed walk alone (its batches would take 2 MiB
-        # with 16 MiB batches, which would show in peak RSS).
+        # Peak traced memory of one README dephased ramp: 0.41 MB, of which
+        # 0.35 MB for the closed walk alone.
         lat = build_lattice(1, [PI])
         sched = two_stage_ramp(lat, "A,1", 30.0)
         rates = DephasingRates.uniform(4, 1.0 / (2 * PI * 4.2))
@@ -1029,13 +1057,36 @@ class TestRampCostRule:
         assert dephased_calls == [len(groups[0]), 100] == [len(groups[0]), len(groups[1])]
         assert np.array_equal(runs[0], runs[1])
 
+    def test_one_node_set_per_segment(self, monkeypatch):
+        # The README dephased ramp's 100 gaps have spans equal but for their
+        # last bits, so each walk shares one step length per segment and
+        # forms one node set for each of the two segments.
+        lat = build_lattice(1, [PI])
+        rates = [DephasingRates.uniform(4, 1.0 / (tphi * 2 * PI * 4.2)) for tphi in (1.0, 10.0)]
+        calls = {"_split_step_unitaries": [], "_split_step_maps": []}
+
+        def recording(name, node_sets):
+            def record(hamiltonians, *args):
+                calls[name].append(hamiltonians.keywords["segment"])
+                return node_sets(hamiltonians, *args)
+
+            return record
+
+        for name in calls:
+            monkeypatch.setattr(open_system, name, recording(name, getattr(open_system, name)))
+        picks = self._force(monkeypatch, "_batch_pays", None)
+        adiabatic_ramps(lat, two_stage_ramp(lat, "A,1", 30.0), "A,1", rates)
+        assert picks == [True]
+        assert calls == {"_split_step_unitaries": [0, 1], "_split_step_maps": [0, 1]}
+
     def test_closed_walk_ignores_the_step_map_cap(self, monkeypatch):
         # The closed walk has one path, whose memory BATCH_BYTES and one chunk
-        # bound, so a STEP_MAP_MAX_BYTES of one byte adds no eigh per chunk:
-        # one per node set, plus the two of the checkpoint diagnostics.
+        # bound, so a STEP_MAP_MAX_BYTES of one byte adds no eigh per chunk
+        # (one chunk of 135 steps per gap at duration 300): one per node set,
+        # plus the two of the checkpoint diagnostics.
         lat = build_lattice(2, [0.0] * 2)
-        sched = two_stage_ramp(lat, "A,1", 30.0)
-        eigh, node_unitaries = np.linalg.eigh, open_system._midpoint_unitaries
+        sched = two_stage_ramp(lat, "A,1", 300.0)
+        eigh, node_unitaries = np.linalg.eigh, open_system._split_step_unitaries
         calls = {}
 
         def counting(name, function):
@@ -1046,7 +1097,7 @@ class TestRampCostRule:
             return count
 
         monkeypatch.setattr(np.linalg, "eigh", counting("eigh", eigh))
-        monkeypatch.setattr(open_system, "_midpoint_unitaries", counting("nodes", node_unitaries))
+        monkeypatch.setattr(open_system, "_split_step_unitaries", counting("nodes", node_unitaries))
         counts = []
         for cap in (open_system.STEP_MAP_MAX_BYTES, 1):
             monkeypatch.setattr(open_system, "STEP_MAP_MAX_BYTES", cap)
@@ -1056,11 +1107,17 @@ class TestRampCostRule:
         assert counts[0] == counts[1]
         assert 0 < counts[0]["eigh"] == counts[0]["nodes"] + 2 < 100
 
-    @pytest.mark.parametrize("l, batched", [(2, True), (3, False)])
-    def test_dephased_rule_crossover(self, monkeypatch, l, batched):
-        # On the README ramp with the README's two rate sets the node maps
-        # pay up to l = 2; from l = 3 (n^6 = 1e6 per node map) the loop does:
-        # 72 ms against 103 ms batched (62 against 66 ms with one set).
+    @pytest.mark.parametrize(
+        "l, tphis, batched",
+        [(2, (1.0, 10.0), True), (3, (1.0,), True), (3, (1.0, 10.0), False), (4, (1.0,), False)],
+        ids=["l2-two-sets", "l3-one-set", "l3-two-sets", "l4-one-set"],
+    )
+    def test_dephased_rule_crossover(self, monkeypatch, l, tphis, batched):
+        # On the README ramp the node maps pay up to l = 2 with the README's
+        # two rate sets.  At l = 3 (n^6 = 1e6 per node map) the batched walk,
+        # whose maps and steps are per set, takes 22 ms against the loop's 33
+        # with one set, but 41 against 35 with two; at l = 4 the loop pays
+        # for one set too (46 against 69 ms).
         class Picked(Exception):
             pass
 
@@ -1074,7 +1131,7 @@ class TestRampCostRule:
         picks = self._force(monkeypatch, "_batch_pays", None)
         monkeypatch.setattr(open_system, "_substeps", walk)
         lat = build_lattice(l, [PI] * l)
-        rates = [DephasingRates.uniform(lat.num_sites, 1.0 / (tphi * 2 * PI * 4.2)) for tphi in (1.0, 10.0)]
+        rates = [DephasingRates.uniform(lat.num_sites, 1.0 / (tphi * 2 * PI * 4.2)) for tphi in tphis]
         with pytest.raises(Picked):
             adiabatic_ramps(lat, two_stage_ramp(lat, "A,1", 30.0), "A,1", rates)
         assert picks == [batched]
@@ -1113,9 +1170,11 @@ class TestRampCostRule:
 
     @pytest.mark.parametrize("batched", [False, True])
     def test_chunks_match_whole_gaps(self, monkeypatch, batched):
-        # Chunks see the substep times of the whole gap: the dephased loop
-        # changes no bit, and the batched walks only regroup their products;
-        # the closed walk stays with exact unitaries taken one at a time.
+        # Chunks see the step times of the whole gap: each gap takes 27 steps
+        # of both walks, one chunk at SUBSTEP_CHUNK and six at 5.  The
+        # dephased loop changes no bit, the batched walks only regroup their
+        # products, and the closed walk stays with exact split steps taken one
+        # at a time.
         lat = build_lattice(1, [PI])
         sched = two_stage_ramp(lat, "A,1", 6.0)
         rates = [DephasingRates.uniform(4, 0.0379)]
@@ -1145,7 +1204,7 @@ class TestRampCostRule:
         rates = [DephasingRates.uniform(4, 0.0379)]
         runs = {}
         for batched in (True, False):
-            # Unbatched: the dephased loop, and exact closed unitaries one at a time.
+            # Unbatched: the dephased loop, and exact closed split steps one at a time.
             monkeypatch.setattr(open_system, "_batch_pays", lambda *a, **k: batched)
             if not batched:
                 monkeypatch.setattr(protocols, "_closed_walk", _reference_closed_walk)
