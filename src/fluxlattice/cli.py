@@ -119,8 +119,10 @@ def parse_delta_token(token: str) -> float:
 #: for, checked before any grid is built.
 MAX_POINTS = 10**6
 
-#: Most plaquettes ``--l`` may ask for; a closed run at this size and two
-#: time points peaks at about 0.7 GB.
+#: Most plaquettes ``--l`` may ask for.  A closed ``dynamics`` run at this
+#: size and two time points peaks at about 0.7 GB; other commands need more
+#: (a ramp's node set alone holds about 113 matrices of n x n complex
+#: entries at once, 16 GB at this size), and no command is refused for it.
 MAX_PLAQUETTES = 1000
 
 

@@ -9,7 +9,15 @@ RK4 for ``lindblad_evolve``, and for the adiabatic ramp, whose collapse
 operators are all diagonal, a fourth-order split step (``_split_step_maps``).
 Both ramp walks live here, on one sub-stepping loop (``_substeps``) and one
 integrator: the dephased one (``_split_walk``) and the closed one
-(``_closed_walk``), which is the same split step without decay.
+(``_closed_walk``), which is the same split step without decay.  Inside a
+ramp segment H is affine in time, so a step, and a chunk of steps, is an
+entire function of its start.  Both walks take each step from an
+interpolant through ``SPLIT_NODES`` node steps, and a group of many short
+chunks (more than ``CHUNK_NODES``, each of at most a few dozen steps on the
+README ramp) as one propagator a chunk, interpolated in the chunk's start
+through ``CHUNK_NODES`` node propagators while that interpolant has
+converged (``_batcher``).  Any other chunk is multiplied out from its steps
+(closed) or taken one step map at a time (dephased).
 """
 
 from __future__ import annotations
@@ -17,8 +25,8 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import cache, partial
-from typing import Callable, Iterator, Mapping, Sequence
+from functools import partial
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -55,6 +63,23 @@ SPLIT_RATE_WEIGHT = 5
 #: degree 4 would be 3e-10 off.
 SPLIT_NODES = 7
 
+#: Chebyshev nodes of a chunk propagator's interpolant in the chunk's start
+#: (degree 14; Trefethen, Approximation Theory and Approximation Practice,
+#: SIAM 2013), per group of chunks of one segment, step length and count.  A
+#: group of at most this many chunks never tries it: its node propagators
+#: would cost as much as the chunks themselves.
+CHUNK_NODES = 15
+
+#: A group's chunk interpolant is taken when its last two Chebyshev
+#: coefficients are at most this, relative to its largest node entry, for
+#: every stack entry.  The interpolant's error is about 1% of its tail:
+#: 3e-15 at a tail of 3.7e-13, 9.5e-13 per chunk at 2.4e-10.  Converged
+#: tails sit at 2e-15 on the README ramp, from l = 1 to 20; its segment of
+#: the detuning ramp stops converging at about duration 60, whose chunks run
+#: 27 steps, and the coupling ramp between 27 and 60 steps (dephased) or 60
+#: and 120 (closed).
+CHUNK_TAIL = 1e-13
+
 #: Yoshida's triple jump (Phys. Lett. A 150, 262, 1990): symmetric
 #: second-order sub-steps of ``c1, c0, c1`` times the step, ``c0 < 0``,
 #: compose to fourth order.
@@ -75,13 +100,18 @@ CALL_COST = 1600
 #: arrays stay at most this many substeps' worth whatever the step.
 SUBSTEP_CHUNK = 256
 
-#: Most bytes one batch of a ramp walk's ``_batcher`` forms at once: step
-#: unitaries (16 n^2 each) for the closed walk and Lagrange weights
-#: (8 ``SPLIT_NODES`` each) for the batched dephased one.  A chunk that alone
-#: needs more is formed by itself, so at any lattice size a batch holds at
-#: most the larger of this and one chunk.  On the README dephased ramp
-#: (l = 1) 256 KiB batches run as fast as 16 MiB ones, and add 0.2 MB of peak
-#: RSS where 16 MiB batches added 9.8 MB and 1 MiB ones 2.7 MB.
+#: Most bytes of matrices, per rate set, one piece of a ramp walk's
+#: ``_batcher`` work holds: interpolated steps multiplied into a propagator
+#: (``_ordered_products``), or a batch of chunk propagators, or of a
+#: stepped chunk's Lagrange weights (8 ``SPLIT_NODES`` bytes a step).  A
+#: step of either walk (16 n^2 bytes closed, 16 n^4 per set dephased) that
+#: alone needs more is formed by itself, so at any lattice size a piece
+#: holds at most the larger of this and one step.  A stepped dephased chunk
+#: forms all its step maps at once, as ``_split_walk``'s cost rule allows
+#: (``STEP_MAP_MAX_BYTES``).  On the README dephased ramp (l = 1, 4 KiB a
+#: step map) a group's 15 node propagators take four pieces at 256 KiB, and
+#: the op runs 0.14 ms (5%) slower than at 16 MiB, in one, while its traced
+#: peak stays within 1 MiB (0.55 MB).
 BATCH_BYTES = 256 * 2**10
 
 #: Most substeps one walk may take (about a minute of the slowest stepping);
@@ -291,10 +321,29 @@ def _rk4_map(generator: np.ndarray, dt: float) -> np.ndarray:
     return step
 
 
-def _chebyshev_nodes(start: float, stop: float) -> np.ndarray:
-    """The ``SPLIT_NODES`` Chebyshev points of the first kind of ``[start, stop]``: where the interpolants sample."""
-    unit = np.cos((2 * np.arange(SPLIT_NODES) + 1) * math.pi / (2 * SPLIT_NODES))
-    return 0.5 * (start + stop) + 0.5 * (stop - start) * unit
+def _chebyshev_angles(count: int) -> np.ndarray:
+    """The angles ``theta_j`` of the ``count`` Chebyshev points of the first kind, ``cos(theta_j)`` on [-1, 1]."""
+    return (2 * np.arange(count) + 1) * math.pi / (2 * count)
+
+
+def _chebyshev_nodes(start: float, stop: float, count: int = SPLIT_NODES) -> np.ndarray:
+    """The ``count`` Chebyshev points of the first kind of ``[start, stop]``: where the interpolants sample."""
+    return 0.5 * (start + stop) + 0.5 * (stop - start) * np.cos(_chebyshev_angles(count))
+
+
+def _chebyshev_tail(values: np.ndarray) -> np.ndarray:
+    """How far from converged the interpolant through ``values`` at ``_chebyshev_nodes`` is, per stack entry.
+
+    ``values`` has shape ``(R, N, ...)``: for each of R stack entries, one
+    array per node.  The coefficient of ``T_k`` is
+    ``2 / N sum_j values[:, j] cos(k theta_j)``.  Returns, for each entry,
+    the largest magnitude of the last two coefficients over the largest of
+    the values: at round-off once the interpolant has converged.
+    """
+    count = values.shape[1]
+    cosines = np.cos(np.arange(count - 2, count)[:, None] * _chebyshev_angles(count))
+    flat = values.reshape(len(values), count, -1)
+    return np.abs((2 / count) * cosines @ flat).max(axis=(1, 2)) / np.abs(flat).max(axis=(1, 2))
 
 
 def _split_unitaries(hamiltonians: Callable[[np.ndarray], np.ndarray], starts: np.ndarray, dt: float) -> np.ndarray:
@@ -401,6 +450,23 @@ def _batch_pays(
     return batched < n_steps * (loop_calls * CALL_COST + loop_products)
 
 
+def _interpolant_pays(count: int, chunks: int, sets: int, n: int) -> bool:
+    """Whether ``chunks`` dephased chunks of ``count`` steps take less time through their chunk interpolant than stepped.
+
+    Costs are counted as in ``_batch_pays``, for ``sets`` rate sets of n
+    states.  A stepped chunk costs, per step, a call and a map of
+    (``SPLIT_NODES`` + 1) n^4 per set.  Interpolated, the group first
+    multiplies ``CHUNK_NODES`` node propagators of ``count`` n^6 products
+    per set, then each chunk costs a call and (``CHUNK_NODES`` + 1) n^4 per
+    set; products of n^2 x n^2 maps are charged at a third, as in
+    ``_split_walk``.  With one or two sets and 14 or 134 steps a chunk this
+    pays from 10 to 16 chunks a group at l = 1 (the README ramp has 50), 75
+    to 95 at l = 2 and 180 to 212 at l = 3.
+    """
+    stepped = chunks * count * (CALL_COST + sets * (SPLIT_NODES + 1) * n**4 / 3)
+    return sets * CHUNK_NODES * count * n**6 / 3 + chunks * (CALL_COST + sets * (CHUNK_NODES + 1) * n**4 / 3) < stepped
+
+
 def spectral_norm(operator: HermitianOperator | np.ndarray) -> float:
     h = operator.matrix if isinstance(operator, HermitianOperator) else np.asarray(operator)
     if h.size == 0:
@@ -490,51 +556,166 @@ def _substeps(
 
 
 def _ordered_product(u: np.ndarray) -> np.ndarray:
-    """Product of each stack ``u[b]`` of matrices along its first axis, later ones on the left.
+    """Product of the matrices along axis -3 of ``u``, later ones on the left, for every index of the leading axes.
 
     Pairwise halving: about one matrix product per matrix, in a few stacked
-    numpy calls.
+    numpy calls, each a product of single matrices, so a stack entry's
+    result does not depend on the others.
     """
     earlier = None  # the product of the matrices peeled off the front
-    while u.shape[1] > 1:
-        if u.shape[1] % 2:
-            earlier = u[:, 0] if earlier is None else u[:, 0] @ earlier
-            u = u[:, 1:]
-        u = u[:, 1::2] @ u[:, 0::2]
-    return u[:, 0] if earlier is None else u[:, 0] @ earlier
+    while u.shape[-3] > 1:
+        if u.shape[-3] % 2:
+            earlier = u[..., 0, :, :] if earlier is None else u[..., 0, :, :] @ earlier
+            u = u[..., 1:, :, :]
+        u = u[..., 1::2, :, :] @ u[..., 0::2, :, :]
+    return u[..., 0, :, :] if earlier is None else u[..., 0, :, :] @ earlier
+
+
+def _combine(weights: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """``sum_j weights[..., j] values[:, j]``: the values (shape ``(R, N, a, b)``) the ``_lagrange_weights`` give.
+
+    Shape ``(R,) + weights.shape[:-1] + (a, b)``, from one matrix product
+    per stack entry, so an entry's result does not depend on the others.
+    """
+    r, k, a, b = values.shape
+    return (weights.reshape(-1, k) @ values.reshape(r, k, a * b)).reshape((r,) + weights.shape[:-1] + (a, b))
+
+
+def _ordered_products(nodes: np.ndarray, values: np.ndarray, times: np.ndarray, room: int) -> np.ndarray:
+    """The propagator of each row of ``times``: the product of the steps starting there, later ones on the left.
+
+    Each step is interpolated (``_combine``) from its node ``values``
+    (shape ``(R, N, a, b)``); the result has shape
+    ``(R, len(times), a, b)``.  The steps are formed and multiplied
+    (``_ordered_product``) in pieces of at most ``room`` of them per stack
+    entry, and at least one: whole rows while a row fits, else runs of one
+    row.
+    """
+    rows, count = times.shape
+    height, width = max(1, room // count), max(1, min(count, room))
+    out = np.empty((len(values), rows) + values.shape[2:], dtype=complex)
+    for r in range(0, rows, height):
+        weights = _lagrange_weights(nodes, times[r:r + height].ravel()).reshape(-1, count, len(nodes))
+        product = None
+        for c in range(0, count, width):
+            piece = _ordered_product(_combine(weights[:, c:c + width], values))
+            product = piece if product is None else piece @ product
+        out[:, r:r + height] = product
+    return out
+
+
+def _chunk_groups(
+    starts: np.ndarray, counts: np.ndarray, lengths: np.ndarray, segments: np.ndarray,
+) -> dict[tuple[int, float, int], list[tuple[float, int]]]:
+    """The ``_chunks`` of ``_substep_grid``'s gaps, as (gap start, first substep), by (segment, substep length, count).
+
+    Each gap lies inside the schedule segment of ``segments``; a group's
+    chunks are in time order.
+    """
+    groups: dict[tuple[int, float, int], list[tuple[float, int]]] = {}
+    for start, n_sub, dt, segment in zip(starts.tolist(), counts.tolist(), lengths.tolist(), segments.tolist()):
+        for first, stop in _chunks(n_sub):
+            groups.setdefault((segment, dt, stop - first), []).append((start, first))
+    return groups
+
+
+def _chunk_interpolant(
+    nodes: np.ndarray, values: np.ndarray, chunk_starts: Sequence[float], count: int, dt: float, room: int,
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """The ``CHUNK_NODES`` Chebyshev points of ``chunk_starts``' interval and the chunk propagators there, if they converge.
+
+    A propagator is the ordered product of ``count`` steps of length ``dt``
+    (``_ordered_products`` of the step ``values`` at ``nodes``, shape
+    ``(R, N, a, b)``; the result has shape ``(R, CHUNK_NODES, a, b)``).  It
+    is multiplied ``CHUNK_NODES`` steps at a time, and refused (None) at the
+    first prefix where an entry's ``_chebyshev_tail`` exceeds
+    ``CHUNK_TAIL``: the tail grows with the prefix, so a refused interpolant
+    costs at most ``CHUNK_NODES`` steps past the length at which it stopped
+    converging.  The pieces depend on ``count`` alone while a row of them
+    fits ``room``, so a ``room`` that changes only how many rows a piece
+    holds multiplies every propagator in the same order.
+    """
+    chunk_nodes = _chebyshev_nodes(min(chunk_starts), max(chunk_starts), CHUNK_NODES)
+    propagators, first = None, 0
+    while first < count:
+        stop = min(count, first + CHUNK_NODES)
+        piece = _ordered_products(nodes, values, chunk_nodes[:, None] + np.arange(first, stop) * dt, room)
+        propagators = piece if propagators is None else piece @ propagators
+        if not _chebyshev_tail(propagators).max() <= CHUNK_TAIL:  # also refuses NaN
+            return None
+        first = stop
+    return chunk_nodes, propagators
+
+
+def _steps(weights: np.ndarray, values: np.ndarray) -> Iterator[np.ndarray]:
+    """The steps whose ``_lagrange_weights`` from node ``values`` are ``weights``, in order, shape ``(R, a, b)`` each.
+
+    All are formed when the first is taken, and dropped with the iterator.
+    """
+    yield from _combine(weights, values).swapaxes(0, 1)
 
 
 def _batcher(
-    starts: np.ndarray, counts: np.ndarray, lengths: np.ndarray, segments: np.ndarray,
-    room: int, form: Callable[[int, float, np.ndarray], Sequence],
-) -> Callable[[float, int], object]:
-    """``take(start, first)``: what ``form`` made for the chunk at (gap start, first substep).
+    groups: dict[tuple[int, float, int], list[tuple[float, int]]],
+    step_nodes: Callable[[int, float], tuple[np.ndarray, np.ndarray]],
+    interpolates: Callable[[int, int], bool],
+    stepping: bool,
+) -> Callable[[float, int], Iterable[np.ndarray]]:
+    """``take(start, first)``: the matrices, shape ``(R, a, b)``, that take a state through the chunk at (gap start, first substep).
 
-    The gaps are ``_substep_grid``'s, each inside the schedule segment of
-    ``segments``; their ``_chunks`` are grouped by segment, substep length
-    and substep count.  When the walk reaches a chunk not yet formed, that
-    chunk and the next ones of its group, at most ``room`` substeps together
-    (at least one chunk), are formed by one call ``form(segment, dt, times)``
-    that returns one value per row of ``times``, the chunks' substep start
-    times.  A value is dropped once taken.
+    ``groups`` are ``_chunk_groups``'.  ``step_nodes(segment, dt)`` gives
+    Chebyshev points of a segment and, for each of R stack entries, the
+    step of length ``dt`` starting at each point (shape ``(R, N, a, b)``),
+    whose ``_lagrange_weights`` give any step of the segment; it is called
+    once per (segment, dt).  On a segment H is affine in time, so a chunk's
+    propagator is an entire function of the chunk's start, as a step is.  A
+    group of more than ``CHUNK_NODES`` chunks of ``count`` steps for which
+    ``interpolates(count, chunks)`` holds tries ``_chunk_interpolant``; if
+    that converges for every entry, a chunk is the one Lagrange combination
+    of its node propagators.  Any other chunk is its interpolated steps in
+    time order if ``stepping``, else their ordered product
+    (``_ordered_products``).  A stack entry's result therefore depends on
+    the others only where one entry's interpolant is refused.  Work is
+    formed when the walk reaches it: a group's node propagators on its
+    first chunk, then that chunk and the next ones of its group, in pieces
+    of at most ``BATCH_BYTES`` per stack entry (at least one matrix), each
+    dropped once taken; a stepped chunk's Lagrange weights are batched
+    alike, and its step maps formed when it is taken.
     """
-    groups: dict[tuple[int, float, int], list[tuple[float, int]]] = {}
-    place: dict[tuple[float, int], tuple[tuple[int, float, int], int]] = {}
-    for start, n_sub, dt, segment in zip(starts.tolist(), counts.tolist(), lengths.tolist(), segments.tolist()):
-        for first, stop in _chunks(n_sub):
-            members = groups.setdefault((segment, dt, stop - first), [])
-            place[start, first] = (segment, dt, stop - first), len(members)
-            members.append((start, first))
-    held: dict[tuple[float, int], object] = {}
+    place = {member: (key, i) for key, members in groups.items() for i, member in enumerate(members)}
+    node_sets: dict[tuple[int, float], tuple[np.ndarray, np.ndarray]] = {}
+    interpolants: dict[tuple[int, float, int], tuple[np.ndarray, np.ndarray] | None] = {}
+    held: dict[tuple[float, int], Iterable[np.ndarray]] = {}
 
-    def take(start: float, first: int) -> object:
+    def take(start: float, first: int) -> Iterable[np.ndarray]:
         if (start, first) not in held:
             key, i = place[start, first]
             segment, dt, count = key
-            batch = groups[key][i:i + max(1, room // count)]
+            if (segment, dt) not in node_sets:
+                node_sets[segment, dt] = step_nodes(segment, dt)
+            nodes, values = node_sets[segment, dt]
+            room = max(1, BATCH_BYTES // values[0, 0].nbytes)
+            members = groups[key]
+            if key not in interpolants:
+                interpolants[key] = None
+                if len(members) > CHUNK_NODES and interpolates(count, len(members)):
+                    chunk_starts = [s + f * dt for s, f in members]
+                    interpolants[key] = _chunk_interpolant(nodes, values, chunk_starts, count, dt, room)
+            interpolant = interpolants[key]
+            stepped = interpolant is None and stepping
+            batch = members[i:i + (max(1, BATCH_BYTES // (8 * nodes.size * count)) if stepped else room)]
+            if i + len(batch) == len(members):
+                del interpolants[key]
             gap_starts, firsts = (np.array(column) for column in zip(*batch))
             times = gap_starts[:, None] + (firsts[:, None] + np.arange(count)) * dt
-            held.update(zip(batch, form(segment, dt, times)))
+            if interpolant is not None:
+                formed = _combine(_lagrange_weights(interpolant[0], times[:, 0]), interpolant[1]).swapaxes(0, 1)
+            elif stepped:
+                weights = _lagrange_weights(nodes, times.ravel()).reshape(len(batch), count, nodes.size)
+                formed = [_steps(w, values) for w in weights]
+            else:
+                formed = _ordered_products(nodes, values, times, room).swapaxes(0, 1)
+            held.update(zip(batch, formed if stepped else ([propagator] for propagator in formed)))
         return held.pop((start, first))
 
     return take
@@ -578,28 +759,31 @@ def _closed_walk(
     function of its start time inside its segment, so each is taken from
     the degree-6 interpolant through ``SPLIT_NODES`` exact node unitaries
     per segment and step length (``_split_step_unitaries``), within about
-    1e-14 and without an ``eigh`` per step.  ``_batcher`` stacks the chunks
-    of every gap with the same segment, step length and count (two groups
-    of the 100 gaps on the README ramp), at most ``BATCH_BYTES`` of
-    unitaries at a time and at least one chunk, and multiplies each chunk's
-    unitaries into its propagator by pairwise halving
-    (``_ordered_product``), so a chunk costs one product with the state.
+    1e-14 and without an ``eigh`` per step.  Each chunk comes from
+    ``_batcher`` as one propagator: in a group of more than ``CHUNK_NODES``
+    chunks, whose node propagators cost no more than that many chunks'
+    products, the Lagrange combination of those while they converge (the
+    README ramp's two groups of 50 chunks of 14 steps); otherwise the
+    ordered product of the chunk's steps (each group of 50 chunks of 134
+    steps at duration 300, whose interpolant is refused after 30 to 75), in
+    pieces of at most ``BATCH_BYTES``.  A chunk costs one product with the
+    state.
     """
-    n = psi0.size
     step = SPLIT_STEP_FACTOR * rk4_max_step(norm_bound, 0.0)
     starts, counts, lengths, segments, _ = _plan(grid, offsets, step)
 
-    @cache
     def closed_nodes(segment: int, dt: float) -> tuple[np.ndarray, np.ndarray]:
-        return _split_step_unitaries(partial(hamiltonians, segment=segment), *offsets[segment:segment + 2], dt)
+        nodes, u = _split_step_unitaries(partial(hamiltonians, segment=segment), *offsets[segment:segment + 2], dt)
+        return nodes, u[None]
 
-    def propagators(segment: int, dt: float, times: np.ndarray) -> np.ndarray:
-        nodes, u = closed_nodes(segment, dt)
-        return _ordered_product(np.tensordot(_lagrange_weights(nodes, times.ravel()), u, 1).reshape(*times.shape, n, n))
+    chunk = _batcher(_chunk_groups(starts, counts, lengths, segments), closed_nodes, lambda count, chunks: True, False)
 
-    chunk_propagator = _batcher(starts, counts, lengths, segments, BATCH_BYTES // (16 * n * n), propagators)
-    walk = _substeps(psi0, grid, step, lambda psi, start, index, dt: chunk_propagator(start, index[0]) @ psi)
-    return np.array([psi for _, _, psi in walk])
+    def advance(psi: np.ndarray, start: float, index: np.ndarray, dt: float) -> np.ndarray:
+        for (propagator,) in chunk(start, index[0]):
+            psi = propagator @ psi
+        return psi
+
+    return np.array([psi for _, _, psi in _substeps(psi0, grid, step, advance)])
 
 
 def _split_walk(
@@ -615,11 +799,12 @@ def _split_walk(
     exact elementwise decay between the midpoint unitaries of Yoshida's three
     Strang sub-steps), ``SPLIT_STEP_FACTOR`` times the step rule of
     ``max_rate`` weighed ``SPLIT_RATE_WEIGHT`` times.  ``_batch_pays`` picks
-    how the walk takes a chunk: one Python loop turn per step, or steps
-    whose Liouville-space maps come from the interpolant through
-    ``SPLIT_NODES`` exact node maps per segment and step length, combined by
-    Lagrange weights that ``_batcher`` forms ahead of the walk.  Both take
-    the same steps and agree to round-off.
+    how the walk takes a chunk: one Python loop turn per step, or through
+    ``_batcher``, from the interpolant through ``SPLIT_NODES`` exact node
+    maps per segment and step length: one product with the chunk's
+    Liouville-space propagator where the group's chunk interpolant pays and
+    converges, else one matrix-vector product per step map.  Both take the
+    same steps and agree to round-off.
     """
     sets, n = decay.shape[:2]
     step = SPLIT_STEP_FACTOR * rk4_max_step(norm_bound, SPLIT_RATE_WEIGHT * max_rate)
@@ -643,29 +828,31 @@ def _split_walk(
     # charge from 0.31 to 0.5 picks the faster branch in all 24): the
     # batched walk pays up to l = 2, and at l = 3 for one set from duration
     # 30; two sets at l = 3, and every ramp from l = 4, take the loop.
+    # A group of chunks takes its chunk propagators from an interpolant only
+    # where ``_interpolant_pays`` finds that cheaper than stepping, so the
+    # rule charges every batched chunk its steps: a converged interpolant
+    # only makes the batched walk faster, and a refused one costs
+    # CHUNK_NODES products a step, for at most CHUNK_NODES steps past the
+    # length at which it stopped converging (``_chunk_interpolant``).  Per
+    # set, the walk may hold the node maps, a group's node propagators and a
+    # stepped chunk's maps at once.
     starts, counts, lengths, segments, n_maps = _plan(grid, offsets, step)
-    held = SPLIT_NODES + min(SUBSTEP_CHUNK, int(counts.max()))
     if _batch_pays(
         int(counts.sum()), 20, 22.5 * n**3 + 4 * n * n, sets * (SPLIT_NODES + 1) * n**4 / 3,
-        sets * n_maps * SPLIT_NODES * 2 * n**6 / 3, 16 * n**4 * held,
+        sets * n_maps * SPLIT_NODES * 2 * n**6 / 3,
+        16 * n**4 * (SPLIT_NODES + CHUNK_NODES + min(SUBSTEP_CHUNK, int(counts.max()))),
     ):
 
-        @cache
         def dephased_nodes(segment: int, dt: float) -> tuple[np.ndarray, np.ndarray]:
             return _split_step_maps(partial(hamiltonians, segment=segment), decay, *offsets[segment:segment + 2], dt)
 
-        def weights(segment: int, dt: float, times: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-            nodes, maps = dephased_nodes(segment, dt)
-            return [(w, maps) for w in _lagrange_weights(nodes, times.ravel()).reshape(*times.shape, SPLIT_NODES)]
-
-        chunk_weights = _batcher(starts, counts, lengths, segments, BATCH_BYTES // (8 * SPLIT_NODES), weights)
+        interpolates = partial(_interpolant_pays, sets=sets, n=n)
+        chunk = _batcher(_chunk_groups(starts, counts, lengths, segments), dephased_nodes, interpolates, True)
 
         def lindblad(rho: np.ndarray, start: float, index: np.ndarray, dt: float) -> np.ndarray:
-            w, maps = chunk_weights(start, index[0])
-            step_maps = (w @ maps.reshape(sets, SPLIT_NODES, n**4)).reshape(sets, -1, n * n, n * n)
             vec = rho.reshape(sets, n * n, 1)
-            for k in range(index.size):
-                vec = step_maps[:, k] @ vec
+            for step_map in chunk(start, index[0]):
+                vec = step_map @ vec
             return vec.reshape(rho.shape)
 
     else:

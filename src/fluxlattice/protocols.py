@@ -564,12 +564,14 @@ def adiabatic_ramps(
     Both walks step on one grid, the checkpoints plus every segment boundary
     inside the ramp (a kink inside a substep would cost either walk its
     order), so every walked gap lies inside one segment; the boundaries yield
-    no result row.  The closed walk batches at every lattice size, its memory
-    bounded by ``open_system.BATCH_BYTES`` and one chunk; a cost rule picks
-    for the dephased walk, which batches on small lattices and few rate
-    sets, whose batched maps and steps are per set.  The checkpoints are
-    diagnosed after both walks, from one stacked ``eigh`` of their
-    Hamiltonians (``_ground_projectors``).
+    no result row.  The closed walk takes each chunk of steps as one
+    propagator at every lattice size, its pieces bounded by
+    ``open_system.BATCH_BYTES`` and one step; a cost rule picks for the
+    dephased walk, which interpolates its steps on small lattices and few
+    rate sets (its maps are per set), and where many short chunks make it
+    pay (the README ramp at l = 1) takes each as one propagator too.  The
+    checkpoints are diagnosed after both walks, from one stacked ``eigh`` of
+    their Hamiltonians (``_ground_projectors``).
 
     Raises
     ------

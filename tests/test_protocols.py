@@ -560,6 +560,24 @@ def _reference_closed_walk(hamiltonians, offsets, grid, norm_bound, psi):
     return np.array(states)
 
 
+def _reference_split_walk(hamiltonians, offsets, grid, norm_bound, max_rate, decay, stack):
+    """``open_system._split_walk``'s batched branch step by step: each interpolated step map applied on its own."""
+    rate = open_system.SPLIT_RATE_WEIGHT * max_rate
+    step = open_system.SPLIT_STEP_FACTOR * open_system.rk4_max_step(norm_bound, rate)
+    sets, n = decay.shape[:2]
+    vec, node_sets, states = stack.reshape(sets, n * n, 1), {}, []
+    for start, count, dt, segment in zip(*open_system._plan(grid, offsets, step)[:4]):
+        if (segment, dt) not in node_sets:
+            node_sets[segment, dt] = open_system._split_step_maps(
+                partial(hamiltonians, segment=segment), decay, *offsets[segment:segment + 2], dt
+            )
+        nodes, maps = node_sets[segment, dt]
+        for weights in open_system._lagrange_weights(nodes, start + np.arange(count) * dt):
+            vec = (weights @ maps.reshape(sets, nodes.size, -1)).reshape(sets, n * n, n * n) @ vec
+        states.append(vec.reshape(stack.shape))
+    return np.array(states)
+
+
 class TestSplitStepRamp:
     """The dephased ramp is a Yoshida split-step walk: fourth order, with schedule kinks on step edges."""
 
@@ -815,6 +833,155 @@ class TestSplitStepMaps:
         assert np.abs((step_map @ rho.reshape(-1)).reshape(n, n) - exact).max() < 1e-13
 
 
+class TestChunkPropagators:
+    """Each chunk of a ramp walk is one propagator, interpolated in the chunk's start
+    where that pays and converges; otherwise its steps, or their ordered product."""
+
+    @staticmethod
+    def _tries(monkeypatch):
+        """Record (matrix dimension, steps a chunk, converged) for every group that tries the interpolant."""
+        tries, interpolant = [], open_system._chunk_interpolant
+
+        def spy(nodes, values, chunk_starts, count, dt, room):
+            made = interpolant(nodes, values, chunk_starts, count, dt, room)
+            tries.append((values.shape[-1], count, made is not None))
+            return made
+
+        monkeypatch.setattr(open_system, "_chunk_interpolant", spy)
+        return tries
+
+    @pytest.mark.parametrize("duration", [6.0, 30.0, 100.0, 300.0])
+    @pytest.mark.parametrize("flux", [0.0, PI])
+    @pytest.mark.parametrize("l", [1, 2])
+    def test_batched_walk_matches_the_step_by_step_walk(self, monkeypatch, l, flux, duration):
+        # The batched dephased walk, made to try every chunk interpolant,
+        # against its own interpolated step maps applied one at a time: at
+        # most 4.3e-14 apart here.  Both groups converge up to duration 30;
+        # at 300 (134 steps a chunk) neither does, and every chunk is stepped
+        # (the interpolant would be 3.7e-6 off per chunk).
+        lat = build_lattice(l, [flux] * l)
+        sched = two_stage_ramp(lat, "A,1", duration)
+        rates = [DephasingRates.uniform(lat.num_sites, 1.0 / (2 * PI * 4.2))]
+        monkeypatch.setattr(open_system, "_batch_pays", lambda *a, **k: True)
+        monkeypatch.setattr(open_system, "_interpolant_pays", lambda *a, **k: True)
+        tries = self._tries(monkeypatch)
+        run = TestRampCostRule._outputs(adiabatic_ramps(lat, sched, "A,1", rates)[1][0])
+        dephased = [converged for dim, _, converged in tries if dim == lat.num_sites**2]
+        assert len(dephased) == 2
+        if duration <= 30.0:
+            assert all(dephased)
+        if duration == 300.0:
+            assert not any(dephased)
+        monkeypatch.setattr(protocols, "_split_walk", _reference_split_walk)
+        reference = TestRampCostRule._outputs(adiabatic_ramps(lat, sched, "A,1", rates)[1][0])
+        assert np.abs(run - reference).max() < 1e-12
+
+    def test_refused_interpolants_stop_early(self, monkeypatch):
+        # At duration 300 each group's node propagators are multiplied
+        # CHUNK_NODES steps at a time and refused at the first prefix whose
+        # tail exceeds CHUNK_TAIL: 30 to 75 of the 134 steps here.
+        lat = build_lattice(1, [PI])
+        sched = two_stage_ramp(lat, "A,1", 300.0)
+        tails, tail = [], open_system._chebyshev_tail
+
+        def spy(values):
+            tails.append(tail(values).max())
+            return tails[-1]
+
+        monkeypatch.setattr(open_system, "_chebyshev_tail", spy)
+        tries = self._tries(monkeypatch)
+        rates = [DephasingRates.uniform(4, 1.0 / (2 * PI * 4.2))]
+        adiabatic_ramps(lat, sched, "A,1", rates)
+        assert [(dim, count) for dim, count, _ in tries] == [(4, 134), (4, 134), (16, 134), (16, 134)]
+        assert not any(converged for _, _, converged in tries)
+        refusals = [k for k, t in enumerate(tails) if t > open_system.CHUNK_TAIL]
+        assert len(refusals) == 4
+        checks = np.diff([-1] + refusals)  # prefixes checked per group, the refused one last
+        assert 2 <= checks.min() and checks.max() * open_system.CHUNK_NODES < 134
+
+    def test_an_unconverged_entry_refuses_the_interpolant(self):
+        # Two stack entries: steps that do not depend on their start, whose
+        # chunk interpolant converges at any length, and the README ramp's
+        # closed steps on its detuning segment at duration 300, whose chunks
+        # of 134 steps do not.  Stacked, the group is refused for both.
+        lat = build_lattice(1, [PI])
+        sched = two_stage_ramp(lat, "A,1", 300.0)
+        hamiltonians = protocols._ramp_hamiltonians(lat, sched)
+        offsets = np.cumsum([0.0] + [seg.duration for seg in sched.segments])
+        count, dt = 134, 1.5 / 67
+        nodes, u = open_system._split_step_unitaries(partial(hamiltonians, segment=1), *offsets[1:], dt)
+        values = np.stack([np.broadcast_to(np.eye(4), u.shape), u])
+        starts = np.linspace(offsets[1], offsets[2] - count * dt, 50)
+        assert open_system._chunk_interpolant(nodes, values[:1], starts, count, dt, 1024) is not None
+        assert open_system._chunk_interpolant(nodes, values[1:], starts, count, dt, 1024) is None
+        assert open_system._chunk_interpolant(nodes, values, starts, count, dt, 1024) is None
+
+    def test_one_chunk_groups_take_their_steps(self, monkeypatch):
+        # With two checkpoints each gap of 700 steps is cut into chunks of
+        # 256, 256 and 188, so the last chunk of each gap is a group of its
+        # own, whose chunk starts span zero length.  No group has more chunks
+        # than CHUNK_NODES, so none tries the interpolant (whose Chebyshev
+        # points would coincide, and whose Lagrange weights would be 0 / 0).
+        lat = build_lattice(1, [PI])
+        sched = two_stage_ramp(lat, "A,1", 30.0)
+        rates = [DephasingRates.uniform(4, 0.0379)]
+        spreads, weights = [], open_system._lagrange_weights
+
+        def spy(nodes, times):
+            spreads.append(np.ptp(nodes))
+            return weights(nodes, times)
+
+        monkeypatch.setattr(open_system, "_lagrange_weights", spy)
+        tries = self._tries(monkeypatch)
+        groups, batcher = [], open_system._batcher
+        monkeypatch.setattr(open_system, "_batcher", lambda g, *args: groups.append(g) or batcher(g, *args))
+        monkeypatch.setattr(open_system, "_batch_pays", lambda *a, **k: True)
+        monkeypatch.setattr(open_system, "_interpolant_pays", lambda *a, **k: True)
+        closed, (run,) = adiabatic_ramps(lat, sched, "A,1", rates, n_checkpoints=2)
+        assert [sorted(len(members) for members in walk.values()) for walk in groups] == [[1, 1, 2, 2]] * 2
+        assert tries == [] and min(spreads) > 0
+        outputs = np.concatenate([TestRampCostRule._outputs(closed), TestRampCostRule._outputs(run)])
+        assert np.all(np.isfinite(outputs))
+        monkeypatch.setattr(protocols, "_closed_walk", _reference_closed_walk)
+        monkeypatch.setattr(protocols, "_split_walk", _reference_split_walk)
+        closed, (run,) = adiabatic_ramps(lat, sched, "A,1", rates, n_checkpoints=2)
+        reference = np.concatenate([TestRampCostRule._outputs(closed), TestRampCostRule._outputs(run)])
+        assert np.abs(outputs - reference).max() < 1e-12
+
+    def test_closed_ramp_memory_is_bounded_by_batch_bytes(self):
+        # l = 30 (91 sites, 132 kB a unitary), checkpoints at the segment
+        # boundary and the end of a ramp of duration 12: each gap of 267
+        # steps starts with a chunk of 256, whose unitaries alone are
+        # 33.9 MB, and whose product the walk forms one step at a time, since
+        # one unitary fills half of BATCH_BYTES.  The walk peaks (14.2 MiB
+        # here) while it forms the second segment's node set
+        # (_split_step_unitaries on 21 midpoint Hamiltonians, 13.3 MiB alone)
+        # and holds the first's SPLIT_NODES unitaries; pieces of at most
+        # BATCH_BYTES and their products stay below that.  Forming a whole
+        # chunk at once would peak at 49.4 MiB.
+        lat = build_lattice(30, [PI] * 30)
+        sched = two_stage_ramp(lat, "A,1", 12.0)
+        hamiltonians = protocols._ramp_hamiltonians(lat, sched)
+        offsets = np.cumsum([0.0] + [seg.duration for seg in sched.segments])
+        norm_bound = float(np.abs(np.linalg.eigvalsh(hamiltonians(offsets))).max())
+        psi0 = np.zeros(lat.num_sites, dtype=complex)
+        psi0[0] = 1.0
+        grid = offsets[1:]
+        peaks = []
+        for work in (
+            lambda: open_system._split_step_unitaries(partial(hamiltonians, segment=1), *offsets[1:], 6.0 / 267),
+            lambda: open_system._closed_walk(hamiltonians, offsets, grid, norm_bound, psi0),
+        ):
+            tracemalloc.start()
+            try:
+                work()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        node_set = 16 * lat.num_sites**2 * open_system.SPLIT_NODES
+        assert peaks[1] <= peaks[0] + node_set + 2 * open_system.BATCH_BYTES
+
+
 class TestGroundProjectors:
     """The checkpoint diagnostics are one stacked eigh; each matrix reads as it would alone."""
 
@@ -931,41 +1098,45 @@ class TestRampCostRule:
     @pytest.mark.parametrize("n_checkpoints", [101, 100])
     @pytest.mark.parametrize("l", [1, 2, 3, 4])
     def test_one_piece_per_batch_matches_the_default(self, monkeypatch, l, n_checkpoints):
-        # A batch stacks chunks of one group up to BATCH_BYTES of unitaries
-        # (several at l <= 2; from l = 3 two chunks are over 256 KiB, at
-        # duration 300, whose gaps take about 135 steps); at a cap of one byte
-        # every chunk is a batch of its own.
+        # The closed walk multiplies its steps in pieces of at most
+        # BATCH_BYTES of unitaries (16 n^2 each), and at least one step.  At
+        # duration 300 (about 134 steps per gap) each group's chunk
+        # interpolant is refused after 30 to 75 steps of its node
+        # propagators, and every chunk is an ordered product of its steps: up
+        # to 1,024 steps a piece at l = 1 and 96 at l = 4, and one at a cap of
+        # one byte.
         lat = build_lattice(l, [PI] * l)
         sched = two_stage_ramp(lat, "A,1", 300.0)
-        batches = []
-        weights = open_system._lagrange_weights
+        pieces = []
+        products = open_system._ordered_product
 
-        def counting(*args):
-            batches[-1] += 1
-            return weights(*args)
+        def spy(u):
+            pieces[-1].append(u.shape[1] * u.shape[2])
+            return products(u)
 
-        monkeypatch.setattr(open_system, "_lagrange_weights", counting)
-        runs = []
+        monkeypatch.setattr(open_system, "_ordered_product", spy)
+        runs, room = [], open_system.BATCH_BYTES // (16 * lat.num_sites**2)
         for cap in (open_system.BATCH_BYTES, 1):
             monkeypatch.setattr(open_system, "BATCH_BYTES", cap)
-            batches.append(0)
+            pieces.append([])
             runs.append(self._outputs(adiabatic_ramps(lat, sched, "A,1", n_checkpoints=n_checkpoints)[0]))
-        # One chunk per gap: 100 gaps, or 99 and one more where Jt = 150 cuts one in two.
-        assert batches[1] == 100
-        assert batches[0] < batches[1] if l <= 2 else batches[0] == batches[1]
+        assert 1 < max(pieces[0]) <= room
+        assert set(pieces[1]) == {1}
         assert np.abs(runs[0] - runs[1]).max() < 1e-12
 
     def test_gaps_longer_than_a_chunk(self, monkeypatch):
         # At duration 1000 each gap takes 445 steps, two chunks (256 and
-        # 189), which fall in two groups of one node set; every batch holds
-        # chunks of one group.
+        # 189), which fall in two groups of one node set; every piece holds
+        # steps of one group.  Each group first multiplies its node
+        # propagators CHUNK_NODES steps at a time, in pieces of CHUNK_NODES
+        # rows, until the interpolant is refused at that length.
         lat = build_lattice(1, [PI])
         sched = two_stage_ramp(lat, "A,1", 1000.0)
         products = open_system._ordered_product
         batches = []
 
         def spy(u):
-            batches.append(u.shape[:2])
+            batches.append(u.shape[1:3])
             return products(u)
 
         monkeypatch.setattr(open_system, "_ordered_product", spy)
@@ -979,6 +1150,9 @@ class TestRampCostRule:
             rows[name, chunk] = {}
             for size, count in batches:
                 rows[name, chunk][count] = rows[name, chunk].get(count, 0) + size
+        for (name, _), found in rows.items():
+            tried = found.pop(open_system.CHUNK_NODES, 0)
+            assert tried % open_system.CHUNK_NODES == 0 and (tried > 0) == (name == "walk")
         assert rows == {("walk", 256): {256: 100, 189: 100}, ("walk", 1024): {445: 100}, ("reference", 1024): {}}
         assert np.abs(runs["walk", 256] - runs["walk", 1024]).max() < 1e-12
         # 44,500 interpolated steps, each within about 1e-15 of the exact one.
@@ -999,8 +1173,9 @@ class TestRampCostRule:
         assert np.abs(run - reference).max() < 1.5e-8
 
     def test_dephased_ramp_memory(self):
-        # Peak traced memory of one README dephased ramp: 0.41 MB, of which
-        # 0.35 MB for the closed walk alone.
+        # Peak traced memory of one README dephased ramp: 0.55 MB, most of it
+        # a piece of 64 interpolated step maps (BATCH_BYTES) and its product;
+        # 0.15 MB for the closed walk alone.
         lat = build_lattice(1, [PI])
         sched = two_stage_ramp(lat, "A,1", 30.0)
         rates = DephasingRates.uniform(4, 1.0 / (2 * PI * 4.2))
@@ -1013,36 +1188,35 @@ class TestRampCostRule:
             tracemalloc.stop()
         assert peak <= 2**20
 
-    def test_dephased_weights_one_call_per_group(self, monkeypatch):
-        # The README dephased ramp takes 1,400 steps in 100 gaps; their
-        # weights (78 kB) fit one BATCH_BYTES batch per group, so the walk
-        # makes one _lagrange_weights call per (segment, dt, count) group.  At
-        # a cap of one byte every chunk (here every gap) is a batch of its own.
+    def test_dephased_batches_per_group(self, monkeypatch):
+        # The README dephased ramp takes 1,400 steps in 100 gaps, two groups
+        # of 50 chunks of 14 steps.  Each group forms its 15 node propagators
+        # from 210 interpolated step maps (4 KiB each), whole rows at a time
+        # within BATCH_BYTES, then its 50 chunk propagators, one batch per
+        # BATCH_BYTES of them; each batch of rows makes one _lagrange_weights
+        # call.  At the default cap that is 4 + 1 calls per group, at a cap
+        # of one row (14 maps) 15 + 4, and at one byte, where every step is a
+        # piece of its own, 15 + 50.  A cap that only changes how many rows or
+        # chunks a batch holds changes no bit; one that splits a row's steps
+        # multiplies them in another order.
         lat = build_lattice(1, [PI])
         sched = two_stage_ramp(lat, "A,1", 30.0)
         rates = [DephasingRates.uniform(4, 1.0 / (2 * PI * 4.2))]
-        calls, forms = [0], []
+        calls, walks = [0], []
         weights, batcher = open_system._lagrange_weights, open_system._batcher
 
         def counting(*args):
             calls[0] += 1
             return weights(*args)
 
-        def spy(*args):
-            *grid, form = args
-            keys = []
-            forms.append(keys)
-
-            def recording(segment, dt, times):
-                keys.append((segment, dt, times.shape[1]))
-                return form(segment, dt, times)
-
-            return batcher(*grid, recording)
+        def spy(groups, *args):
+            walks.append(groups)
+            return batcher(groups, *args)
 
         monkeypatch.setattr(open_system, "_lagrange_weights", counting)
         monkeypatch.setattr(open_system, "_batcher", spy)
-        dephased_calls, groups, runs = [], [], []
-        for cap in (open_system.BATCH_BYTES, 1):
+        dephased_calls, runs = [], []
+        for cap in (open_system.BATCH_BYTES, 16 * 16**2 * 14, 1):
             monkeypatch.setattr(open_system, "BATCH_BYTES", cap)
             counts = []
             for rate_sets in ((), rates):
@@ -1050,12 +1224,12 @@ class TestRampCostRule:
                 closed, dephased = adiabatic_ramps(lat, sched, "A,1", rate_sets)
                 counts.append(calls[0])
             dephased_calls.append(counts[1] - counts[0])
-            groups.append(forms[-1])  # the dephased walk's batcher is the run's last
             runs.append(self._outputs(dephased[0]))
-        assert len(set(groups[0])) == len(groups[0]) < 100
-        assert set(groups[1]) == set(groups[0])
-        assert dephased_calls == [len(groups[0]), 100] == [len(groups[0]), len(groups[1])]
+        groups = walks[-1]  # the dephased walk's batcher is the run's last
+        assert [(key[0], key[2], len(members)) for key, members in groups.items()] == [(0, 14, 50), (1, 14, 50)]
+        assert dephased_calls == [2 * (4 + 1), 2 * (15 + 4), 2 * (15 + 50)]
         assert np.array_equal(runs[0], runs[1])
+        assert np.abs(runs[0] - runs[2]).max() < 1e-12
 
     def test_one_node_set_per_segment(self, monkeypatch):
         # The README dephased ramp's 100 gaps have spans equal but for their
@@ -1135,6 +1309,26 @@ class TestRampCostRule:
         with pytest.raises(Picked):
             adiabatic_ramps(lat, two_stage_ramp(lat, "A,1", 30.0), "A,1", rates)
         assert picks == [batched]
+
+    @pytest.mark.parametrize(
+        "l, n_checkpoints, tphis, interpolated",
+        [(1, 101, (1.0,), True), (2, 101, (1.0,), False), (2, 201, (1.0,), True), (2, 301, (1.0, 10.0), True),
+         (3, 401, (1.0,), False)],
+        ids=["l1-readme", "l2-readme", "l2-200-gaps", "l2-300-gaps-two-sets", "l3-400-gaps"],
+    )
+    def test_chunk_interpolant_rule_crossover(self, monkeypatch, l, n_checkpoints, tphis, interpolated):
+        # Both ways of taking a group of the batched dephased walk's chunks,
+        # timed on the whole ramp (CPU ms, interpolated against stepped): on
+        # the README ramp the chunk propagators pay at l = 1 (2.9 against
+        # 3.9) but not at l = 2 (10.7 against 8.4, 50 chunks a group); at
+        # l = 2 they pay from 100 chunks (9.7 against 10.7, and 15.6 against
+        # 19.7 with two sets at 150), and at l = 3 not at 200 (41.8 against
+        # 37.6).
+        picks = self._force(monkeypatch, "_interpolant_pays", None)
+        lat = build_lattice(l, [PI] * l)
+        rates = [DephasingRates.uniform(lat.num_sites, 1.0 / (tphi * 2 * PI * 4.2)) for tphi in tphis]
+        adiabatic_ramps(lat, two_stage_ramp(lat, "A,1", 30.0), "A,1", rates, n_checkpoints=n_checkpoints)
+        assert picks == [interpolated] * 2
 
     @pytest.mark.parametrize("l, maps", [(1, True), (2, True), (3, False)])
     def test_dephased_walks_agree(self, monkeypatch, l, maps):

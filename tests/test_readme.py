@@ -44,3 +44,22 @@ def test_adiabatic_command_walks_each_ramp_once(tmp_path, monkeypatch):
     assert len(tphis) == 2
     assert main(argv) == 0
     assert walks == [(4,), (len(tphis), 4, 4)]
+
+
+def test_adiabatic_ramps_interpolate_their_chunks(tmp_path, monkeypatch):
+    # The README ramp (100 gaps of 14 steps) puts 50 chunks in each of the
+    # two groups of both walks.  Every group tries its chunk interpolant, one
+    # prefix of 14 steps, and it converges (its tail about 2e-15 for each
+    # rate set), so every chunk is one Lagrange combination: none is
+    # multiplied out or stepped.
+    tails, tail = [], open_system._chebyshev_tail
+
+    def spy(values):
+        tails.append(tail(values))
+        return tails[-1]
+
+    monkeypatch.setattr(open_system, "_chebyshev_tail", spy)
+    (argv,) = [argv for argv in quick_start_commands() if argv[0] == "adiabatic"]
+    assert main([str(tmp_path / a) if a == "out" else a for a in argv]) == 0
+    assert [t.size for t in tails] == [1, 1, 2, 2]
+    assert max(t.max() for t in tails) <= open_system.CHUNK_TAIL
