@@ -9,15 +9,18 @@ RK4 for ``lindblad_evolve``, and for the adiabatic ramp, whose collapse
 operators are all diagonal, a fourth-order split step (``_split_step_maps``).
 Both ramp walks live here, on one sub-stepping loop (``_substeps``) and one
 integrator: the dephased one (``_split_walk``) and the closed one
-(``_closed_walk``), which is the same split step without decay.  Inside a
-ramp segment H is affine in time, so a step, and a chunk of steps, is an
+(``_closed_walk``), which is the same split step without decay.  Each walk
+plans its substep grid and chunk groups once (``_plan``) and advances
+through one batcher (``_batcher``), which applies each chunk's matrices to
+the state; the dephased walk may instead loop over the same steps.  Inside
+a ramp segment H is affine in time, so a step, and a chunk of steps, is an
 entire function of its start.  Both walks take each step from an
 interpolant through ``SPLIT_NODES`` node steps, and a group of many short
 chunks (more than ``CHUNK_NODES``, each of at most a few dozen steps on the
 README ramp) as one propagator a chunk, interpolated in the chunk's start
 through ``CHUNK_NODES`` node propagators while that interpolant has
-converged (``_batcher``).  Any other chunk is multiplied out from its steps
-(closed) or taken one step map at a time (dephased).
+converged.  Any other chunk is multiplied out from its steps (closed) or
+taken one step map at a time (dephased).
 """
 
 from __future__ import annotations
@@ -285,19 +288,14 @@ def _liouvillian(h: np.ndarray, collapse: _Collapse) -> np.ndarray:
     elementwise decay ``-D * rho`` into a diagonal.  The one-sided terms of
     every general operator are summed before the Kronecker products, and the
     jump terms ``op @ rho @ op^dagger`` are summed by one tensor contraction.
-    A stack of Hamiltonians, or a decay matrix with leading axes, gives the
-    stack of Liouvillians their leading axes broadcast to.
     """
     dim = h.shape[-1]
     decay, general = collapse
     anti = sum((opd_op for _, opd_op in general), np.zeros_like(h))
     eye = np.eye(dim)
-    gen = _kron(-1j * h - 0.5 * anti, eye) + _kron(eye, np.swapaxes(1j * h - 0.5 * anti, -1, -2))
+    gen = _kron(-1j * h - 0.5 * anti, eye) + _kron(eye, (1j * h - 0.5 * anti).T)
     if decay is not None:
-        stack = np.broadcast_shapes(gen.shape[:-2], decay.shape[:-2])
-        gen = np.array(np.broadcast_to(gen, stack + gen.shape[-2:]))
-        diagonal = np.arange(dim * dim)
-        gen[..., diagonal, diagonal] -= decay.reshape(decay.shape[:-2] + (-1,))
+        gen[np.diag_indices(dim * dim)] -= decay.reshape(-1)
     if general:
         ops = np.array([op for op, _ in general])
         jumps = np.tensordot(ops, ops.conj(), axes=(0, 0))  # [a, b, c, d] = sum op_ab conj(op_cd)
@@ -450,21 +448,21 @@ def _batch_pays(
     return batched < n_steps * (loop_calls * CALL_COST + loop_products)
 
 
-def _interpolant_pays(count: int, chunks: int, sets: int, n: int) -> bool:
+def _interpolant_pays(count: int, chunks: int, sets: int, m: int) -> bool:
     """Whether ``chunks`` dephased chunks of ``count`` steps take less time through their chunk interpolant than stepped.
 
-    Costs are counted as in ``_batch_pays``, for ``sets`` rate sets of n
-    states.  A stepped chunk costs, per step, a call and a map of
-    (``SPLIT_NODES`` + 1) n^4 per set.  Interpolated, the group first
-    multiplies ``CHUNK_NODES`` node propagators of ``count`` n^6 products
-    per set, then each chunk costs a call and (``CHUNK_NODES`` + 1) n^4 per
-    set; products of n^2 x n^2 maps are charged at a third, as in
-    ``_split_walk``.  With one or two sets and 14 or 134 steps a chunk this
-    pays from 10 to 16 chunks a group at l = 1 (the README ramp has 50), 75
-    to 95 at l = 2 and 180 to 212 at l = 3.
+    Costs are counted as in ``_batch_pays``, for ``sets`` rate sets whose
+    step maps are m x m (m = n^2 for n states).  A stepped chunk costs, per
+    step, a call and a map of (``SPLIT_NODES`` + 1) m^2 per set.
+    Interpolated, the group first multiplies ``CHUNK_NODES`` node
+    propagators of ``count`` m^3 products per set, then each chunk costs a
+    call and (``CHUNK_NODES`` + 1) m^2 per set; products of maps are charged
+    at a third, as in ``_split_walk``.  With one or two sets and 14 or 134
+    steps a chunk this pays from 10 to 16 chunks a group at l = 1 (the
+    README ramp has 50), 75 to 95 at l = 2 and 180 to 212 at l = 3.
     """
-    stepped = chunks * count * (CALL_COST + sets * (SPLIT_NODES + 1) * n**4 / 3)
-    return sets * CHUNK_NODES * count * n**6 / 3 + chunks * (CALL_COST + sets * (CHUNK_NODES + 1) * n**4 / 3) < stepped
+    stepped = chunks * count * (CALL_COST + sets * (SPLIT_NODES + 1) * m**2 / 3)
+    return sets * CHUNK_NODES * count * m**3 / 3 + chunks * (CALL_COST + sets * (CHUNK_NODES + 1) * m**2 / 3) < stepped
 
 
 def spectral_norm(operator: HermitianOperator | np.ndarray) -> float:
@@ -514,35 +512,36 @@ def _chunks(n_sub: int) -> list[tuple[int, int]]:
 def _substeps(
     state: np.ndarray,
     checkpoints: np.ndarray,
-    step: float,
+    grid: tuple[np.ndarray, np.ndarray, np.ndarray],
     advance: Callable[[np.ndarray, float, np.ndarray, float], np.ndarray],
 ) -> Iterator[tuple[int, float, np.ndarray]]:
     """Carry ``state`` from time 0 through sorted checkpoints in short substeps.
 
-    Each gap between checkpoints is cut into ``n = max(1, ceil(span / step))``
-    equal substeps of length ``dt`` (``_substep_grid``, which also refuses a
-    walk above ``SUBSTEP_BUDGET`` substeps before any is taken).
+    ``grid`` holds the start, substep count and substep length ``dt`` of
+    every checkpoint gap, as the caller planned them once: ``_substep_grid``,
+    which refuses a walk above ``SUBSTEP_BUDGET`` substeps before any is
+    taken, or a ramp walk's ``_plan``, which shares round-off-equal lengths.
     ``advance(state, start, index, dt)`` takes the substeps numbered
     ``index`` (one of the gap's ``_chunks``, at most ``SUBSTEP_CHUNK``
     consecutive substeps) of the gap that begins at ``start``, in time
     order, and returns the state after them.  Substep ``k`` runs from
-    ``start + k * dt``; its midpoint is ``start + (k + 0.5) * dt``.  Every chunk of a gap therefore sees the
-    times the whole gap would, while ``advance`` batches per-substep work
-    (building or diagonalizing the Hamiltonians, forming step maps or
-    unitaries) over a bounded number of substeps.  H may be fixed
-    (``lindblad_evolve``), or frozen at the midpoints of a split step's three
-    sub-steps (``_closed_walk`` and ``_split_walk``).  Yields
-    ``(index, time, state)`` at every checkpoint.  A density matrix, or a
-    stack of them along the first axis, has every trace checked there first.
+    ``start + k * dt``; its midpoint is ``start + (k + 0.5) * dt``.  Every
+    chunk of a gap therefore sees the times the whole gap would, while
+    ``advance`` batches per-substep work (building or diagonalizing the
+    Hamiltonians, forming step maps or unitaries) over a bounded number of
+    substeps.  H may be fixed (``lindblad_evolve``), or frozen at the
+    midpoints of a split step's three sub-steps (``_closed_walk`` and
+    ``_split_walk``).  Yields ``(index, time, state)`` at every checkpoint.
+    A density matrix, or a stack of them along the first axis, has every
+    trace checked there first.
 
     Raises
     ------
-    ConfigError : if the walk needs more than ``SUBSTEP_BUDGET`` substeps.
     NumericalError : if a density-matrix trace drifts by more than
-        ``TRACE_TOL`` or stops being finite, which means the step is too large.
+        ``TRACE_TOL`` or stops being finite, which means the step is too
+        large; the message gives the length of the gap's substeps.
     """
-    starts, counts, lengths = _substep_grid(checkpoints, step)
-    for i, (target, start, n_sub, dt) in enumerate(zip(checkpoints, starts, counts, lengths)):
+    for i, (target, start, n_sub, dt) in enumerate(zip(checkpoints, *grid)):
         for first, stop in _chunks(n_sub):
             state = advance(state, start, np.arange(first, stop), dt)
         if state.ndim >= 2:
@@ -550,7 +549,7 @@ def _substeps(
             if not drift <= TRACE_TOL:  # also rejects NaN
                 raise NumericalError(
                     f"density-matrix trace drifted by {drift:.3e} at Jt={target:g} "
-                    f"(step {step:.3e}); reduce the step"
+                    f"(step {dt:.3e}); reduce the step"
                 )
         yield i, target, state
 
@@ -604,21 +603,6 @@ def _ordered_products(nodes: np.ndarray, values: np.ndarray, times: np.ndarray, 
     return out
 
 
-def _chunk_groups(
-    starts: np.ndarray, counts: np.ndarray, lengths: np.ndarray, segments: np.ndarray,
-) -> dict[tuple[int, float, int], list[tuple[float, int]]]:
-    """The ``_chunks`` of ``_substep_grid``'s gaps, as (gap start, first substep), by (segment, substep length, count).
-
-    Each gap lies inside the schedule segment of ``segments``; a group's
-    chunks are in time order.
-    """
-    groups: dict[tuple[int, float, int], list[tuple[float, int]]] = {}
-    for start, n_sub, dt, segment in zip(starts.tolist(), counts.tolist(), lengths.tolist(), segments.tolist()):
-        for first, stop in _chunks(n_sub):
-            groups.setdefault((segment, dt, stop - first), []).append((start, first))
-    return groups
-
-
 def _chunk_interpolant(
     nodes: np.ndarray, values: np.ndarray, chunk_starts: Sequence[float], count: int, dt: float, room: int,
 ) -> tuple[np.ndarray, np.ndarray] | None:
@@ -658,39 +642,45 @@ def _steps(weights: np.ndarray, values: np.ndarray) -> Iterator[np.ndarray]:
 def _batcher(
     groups: dict[tuple[int, float, int], list[tuple[float, int]]],
     step_nodes: Callable[[int, float], tuple[np.ndarray, np.ndarray]],
-    interpolates: Callable[[int, int], bool],
     stepping: bool,
-) -> Callable[[float, int], Iterable[np.ndarray]]:
-    """``take(start, first)``: the matrices, shape ``(R, a, b)``, that take a state through the chunk at (gap start, first substep).
+    sets: int,
+) -> Callable[[np.ndarray, float, np.ndarray, float], np.ndarray]:
+    """The ``advance`` of a ramp walk for ``_substeps``: it applies each chunk's matrices to a stack of ``sets`` vectors.
 
-    ``groups`` are ``_chunk_groups``'.  ``step_nodes(segment, dt)`` gives
-    Chebyshev points of a segment and, for each of R stack entries, the
-    step of length ``dt`` starting at each point (shape ``(R, N, a, b)``),
-    whose ``_lagrange_weights`` give any step of the segment; it is called
-    once per (segment, dt).  On a segment H is affine in time, so a chunk's
-    propagator is an entire function of the chunk's start, as a step is.  A
-    group of more than ``CHUNK_NODES`` chunks of ``count`` steps for which
-    ``interpolates(count, chunks)`` holds tries ``_chunk_interpolant``; if
-    that converges for every entry, a chunk is the one Lagrange combination
-    of its node propagators.  Any other chunk is its interpolated steps in
-    time order if ``stepping``, else their ordered product
-    (``_ordered_products``).  A stack entry's result therefore depends on
-    the others only where one entry's interpolant is refused.  Work is
-    formed when the walk reaches it: a group's node propagators on its
-    first chunk, then that chunk and the next ones of its group, in pieces
-    of at most ``BATCH_BYTES`` per stack entry (at least one matrix), each
-    dropped once taken; a stepped chunk's Lagrange weights are batched
-    alike, and its step maps formed when it is taken.
+    ``groups`` are ``_plan``'s: the chunks (gap start, first substep) by
+    (segment, substep length, count), in time order.  A chunk's matrices,
+    shape ``(R, a, b)`` for R = ``sets`` stack entries, take the state,
+    reshaped to ``(R, b, 1)`` (the closed state vector as one ``(1, n, 1)``
+    stack, R density matrices flattened to ``(R, n^2, 1)``), through it.
+    ``step_nodes(segment, dt)`` gives Chebyshev points of a segment and,
+    for each stack entry, the step of length ``dt`` starting at each point
+    (shape ``(R, N, a, b)``), whose ``_lagrange_weights`` give any step of
+    the segment; it is called once per (segment, dt).  On a segment H is
+    affine in time, so a chunk's propagator is an entire function of the
+    chunk's start, as a step is.  A group of more than ``CHUNK_NODES``
+    chunks of ``count`` steps tries ``_chunk_interpolant`` if it does not
+    step (the closed walk) or ``_interpolant_pays`` for its map dimension
+    ``a``; if that converges for every entry, a chunk is the one Lagrange
+    combination of its node propagators.  Any other chunk is its
+    interpolated steps in time order if ``stepping``, else their ordered
+    product (``_ordered_products``).  A stack entry's result therefore
+    depends on the others only where one entry's interpolant is refused.
+    Work is formed when the walk reaches it: a group's node propagators on
+    its first chunk, then that chunk and the next ones of its group, in
+    pieces of at most ``BATCH_BYTES`` per stack entry (at least one
+    matrix), each dropped once applied; a stepped chunk's Lagrange weights
+    are batched alike, and its step maps formed when it is taken.
     """
     place = {member: (key, i) for key, members in groups.items() for i, member in enumerate(members)}
     node_sets: dict[tuple[int, float], tuple[np.ndarray, np.ndarray]] = {}
     interpolants: dict[tuple[int, float, int], tuple[np.ndarray, np.ndarray] | None] = {}
     held: dict[tuple[float, int], Iterable[np.ndarray]] = {}
 
-    def take(start: float, first: int) -> Iterable[np.ndarray]:
-        if (start, first) not in held:
-            key, i = place[start, first]
-            segment, dt, count = key
+    def advance(state: np.ndarray, start: float, index: np.ndarray, dt: float) -> np.ndarray:
+        chunk = start, index[0]
+        if chunk not in held:
+            key, i = place[chunk]
+            segment, _, count = key  # the group's substep length is dt
             if (segment, dt) not in node_sets:
                 node_sets[segment, dt] = step_nodes(segment, dt)
             nodes, values = node_sets[segment, dt]
@@ -698,7 +688,9 @@ def _batcher(
             members = groups[key]
             if key not in interpolants:
                 interpolants[key] = None
-                if len(members) > CHUNK_NODES and interpolates(count, len(members)):
+                if len(members) > CHUNK_NODES and (
+                    not stepping or _interpolant_pays(count, len(members), sets, values.shape[-1])
+                ):
                     chunk_starts = [s + f * dt for s, f in members]
                     interpolants[key] = _chunk_interpolant(nodes, values, chunk_starts, count, dt, room)
             interpolant = interpolants[key]
@@ -716,21 +708,27 @@ def _batcher(
             else:
                 formed = _ordered_products(nodes, values, times, room).swapaxes(0, 1)
             held.update(zip(batch, formed if stepped else ([propagator] for propagator in formed)))
-        return held.pop((start, first))
+        vec = state.reshape(sets, -1, 1)
+        for matrices in held.pop(chunk):
+            vec = matrices @ vec
+        return vec.reshape(state.shape)
 
-    return take
+    return advance
 
 
 def _plan(
     grid: np.ndarray, offsets: np.ndarray, step: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
-    """``_substep_grid`` of a ramp walk at ``step``, each gap's segment, and the number of (segment, dt) pairs.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, dict[tuple[int, float, int], list[tuple[float, int]]]]:
+    """A ramp walk's ``_substep_grid`` at ``step``, each gap's segment, and the walk's chunk groups.
 
     ``offsets`` are the segment boundaries, from 0 to the ramp's end.  Gaps of
     one segment whose spans differ only by round-off (four ulps of the ramp's
     end) share the shortest of their substep lengths, so a walk forms one node
     set per segment (two on the README ramp), and a gap's substeps end
-    within that round-off of its checkpoint.
+    within that round-off of its checkpoint.  The walk steps these lengths
+    on either side of ``_split_walk``'s cost rule.  The groups are the
+    ``_chunks`` of every gap, as (gap start, first substep), by (segment,
+    substep length, count), each in time order: what ``_batcher`` takes.
     """
     starts, counts, lengths = _substep_grid(grid, step)
     segments = np.searchsorted(offsets[1:-1], starts, side="right")
@@ -741,7 +739,11 @@ def _plan(
             first = segment, dt
         shared[segment, dt] = first[1]
     lengths = np.array([shared.get(key, 0.0) for key in zip(segments.tolist(), lengths.tolist())])
-    return starts, counts, lengths, segments, len(set(zip(segments[walked].tolist(), lengths[walked].tolist())))
+    groups: dict[tuple[int, float, int], list[tuple[float, int]]] = {}
+    for start, n_sub, dt, segment in zip(starts.tolist(), counts.tolist(), lengths.tolist(), segments.tolist()):
+        for chunk, stop in _chunks(n_sub):
+            groups.setdefault((segment, dt, stop - chunk), []).append((start, chunk))
+    return starts, counts, lengths, segments, groups
 
 
 def _closed_walk(
@@ -770,20 +772,14 @@ def _closed_walk(
     state.
     """
     step = SPLIT_STEP_FACTOR * rk4_max_step(norm_bound, 0.0)
-    starts, counts, lengths, segments, _ = _plan(grid, offsets, step)
+    starts, counts, lengths, _, groups = _plan(grid, offsets, step)
 
     def closed_nodes(segment: int, dt: float) -> tuple[np.ndarray, np.ndarray]:
         nodes, u = _split_step_unitaries(partial(hamiltonians, segment=segment), *offsets[segment:segment + 2], dt)
         return nodes, u[None]
 
-    chunk = _batcher(_chunk_groups(starts, counts, lengths, segments), closed_nodes, lambda count, chunks: True, False)
-
-    def advance(psi: np.ndarray, start: float, index: np.ndarray, dt: float) -> np.ndarray:
-        for (propagator,) in chunk(start, index[0]):
-            psi = propagator @ psi
-        return psi
-
-    return np.array([psi for _, _, psi in _substeps(psi0, grid, step, advance)])
+    advance = _batcher(groups, closed_nodes, False, 1)
+    return np.array([psi for _, _, psi in _substeps(psi0, grid, (starts, counts, lengths), advance)])
 
 
 def _split_walk(
@@ -804,7 +800,8 @@ def _split_walk(
     maps per segment and step length: one product with the chunk's
     Liouville-space propagator where the group's chunk interpolant pays and
     converges, else one matrix-vector product per step map.  Both take the
-    same steps and agree to round-off.
+    steps of one ``_plan``, so each segment's steps have one length, and
+    agree to round-off.
     """
     sets, n = decay.shape[:2]
     step = SPLIT_STEP_FACTOR * rk4_max_step(norm_bound, SPLIT_RATE_WEIGHT * max_rate)
@@ -836,7 +833,8 @@ def _split_walk(
     # length at which it stopped converging (``_chunk_interpolant``).  Per
     # set, the walk may hold the node maps, a group's node propagators and a
     # stepped chunk's maps at once.
-    starts, counts, lengths, segments, n_maps = _plan(grid, offsets, step)
+    starts, counts, lengths, _, groups = _plan(grid, offsets, step)
+    n_maps = len({key[:2] for key in groups})  # one node set per (segment, dt)
     if _batch_pays(
         int(counts.sum()), 20, 22.5 * n**3 + 4 * n * n, sets * (SPLIT_NODES + 1) * n**4 / 3,
         sets * n_maps * SPLIT_NODES * 2 * n**6 / 3,
@@ -846,18 +844,11 @@ def _split_walk(
         def dephased_nodes(segment: int, dt: float) -> tuple[np.ndarray, np.ndarray]:
             return _split_step_maps(partial(hamiltonians, segment=segment), decay, *offsets[segment:segment + 2], dt)
 
-        interpolates = partial(_interpolant_pays, sets=sets, n=n)
-        chunk = _batcher(_chunk_groups(starts, counts, lengths, segments), dephased_nodes, interpolates, True)
-
-        def lindblad(rho: np.ndarray, start: float, index: np.ndarray, dt: float) -> np.ndarray:
-            vec = rho.reshape(sets, n * n, 1)
-            for step_map in chunk(start, index[0]):
-                vec = step_map @ vec
-            return vec.reshape(rho.shape)
+        advance = _batcher(groups, dephased_nodes, True, sets)
 
     else:
 
-        def lindblad(rho: np.ndarray, start: float, index: np.ndarray, dt: float) -> np.ndarray:
+        def advance(rho: np.ndarray, start: float, index: np.ndarray, dt: float) -> np.ndarray:
             outer, inner = _split_decays(decay, dt)
             u = _split_unitaries(hamiltonians, start + index * dt, dt)
             for (u1, u2, u3), (v1, v2, v3) in zip(u, u.conj().swapaxes(-1, -2)):
@@ -865,7 +856,7 @@ def _split_walk(
                 rho = outer * (u3 @ (inner * (u2 @ rho @ v2)) @ v3)
             return rho
 
-    return np.array([rhos for _, _, rhos in _substeps(stack, grid, step, lindblad)])
+    return np.array([rhos for _, _, rhos in _substeps(stack, grid, (starts, counts, lengths), advance)])
 
 
 @dataclass(frozen=True, eq=False)
@@ -944,7 +935,8 @@ def lindblad_evolve(
     coherences = np.empty(t.size)
     snapshots: list[DensityMatrix] = []
 
-    _, counts, lengths = _substep_grid(t, step)
+    grid = _substep_grid(t, step)
+    _, counts, lengths = grid
     n_maps = len(set(lengths[counts > 0].tolist()))
     # One _rk4_step makes 37 + 36 g numpy calls and 4 (2 + 4 g) products of
     # dim x dim matrices, g the number of non-diagonal collapse operators.  A
@@ -973,7 +965,7 @@ def lindblad_evolve(
                 rho = _rk4_step(h, rho, dt, collapse)
             return rho
 
-    for i, _, rho in _substeps(np.array(rho0.matrix, dtype=complex), t, step, advance):
+    for i, _, rho in _substeps(np.array(rho0.matrix, dtype=complex), t, grid, advance):
         populations[i] = rho.diagonal().real[1:]
         off = rho - np.diag(rho.diagonal())
         coherences[i] = float(np.linalg.norm(off))

@@ -384,20 +384,23 @@ class TestSubsteps:
             return state
 
         # Gaps of 2 and 3 at step 0.25: 8 and 12 substeps of exactly 0.25.
-        list(open_system._substeps(np.zeros(2), np.array([0.0, 2.0, 5.0]), 0.25, advance))
+        checkpoints = np.array([0.0, 2.0, 5.0])
+        list(open_system._substeps(np.zeros(2), checkpoints, open_system._substep_grid(checkpoints, 0.25), advance))
         assert calls == [
             (0.0, 0.25, [0, 1, 2, 3, 4]), (0.0, 0.25, [5, 6, 7]),
             (2.0, 0.25, [0, 1, 2, 3, 4]), (2.0, 0.25, [5, 6, 7, 8, 9]), (2.0, 0.25, [10, 11]),
         ]
 
     def test_budget_refused_before_any_step(self, monkeypatch):
+        # The walk's grid is planned, and refused, before ``_substeps`` takes a step.
         monkeypatch.setattr(open_system, "SUBSTEP_BUDGET", 19)
 
         def advance(*args):
             raise AssertionError("stepped")
 
+        checkpoints = np.array([2.0, 5.0])
         with pytest.raises(ConfigError, match="needs 20 substeps"):
-            next(open_system._substeps(np.zeros(2), np.array([2.0, 5.0]), 0.25, advance))
+            next(open_system._substeps(np.zeros(2), checkpoints, open_system._substep_grid(checkpoints, 0.25), advance))
 
     def test_lindblad_budget(self):
         lat = build_lattice(1, [PI])

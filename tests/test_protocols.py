@@ -1253,6 +1253,49 @@ class TestRampCostRule:
         assert picks == [True]
         assert calls == {"_split_step_unitaries": [0, 1], "_split_step_maps": [0, 1]}
 
+    def test_both_dephased_branches_step_one_plan(self, monkeypatch):
+        # Each walk plans its substep grid once, and both sides of the
+        # dephased rule step it: on the README ramp the loop steps each
+        # segment at the one length of the batched branch's node set there.
+        lat = build_lattice(1, [PI])
+        sched = two_stage_ramp(lat, "A,1", 30.0)
+        offsets = np.cumsum([0.0] + [seg.duration for seg in sched.segments])
+        rates = [DephasingRates.uniform(4, 1.0 / (tphi * 2 * PI * 4.2)) for tphi in (1.0, 10.0)]
+        grids, node_sets, stepped = [], set(), set()
+        substep_grid, step_maps, substeps = open_system._substep_grid, open_system._split_step_maps, open_system._substeps
+
+        def planning(*args):
+            grids.append(args)
+            return substep_grid(*args)
+
+        def node_set(hamiltonians, decay, start, stop, dt):
+            node_sets.add((hamiltonians.keywords["segment"], dt))
+            return step_maps(hamiltonians, decay, start, stop, dt)
+
+        def walk(state, checkpoints, grid, advance):
+            def recording(rho, start, index, dt):
+                if rho.ndim == 3:
+                    stepped.add((int(np.searchsorted(offsets[1:-1], start, side="right")), dt))
+                return advance(rho, start, index, dt)
+
+            return substeps(state, checkpoints, grid, recording)
+
+        monkeypatch.setattr(open_system, "_substep_grid", planning)
+        monkeypatch.setattr(open_system, "_split_step_maps", node_set)
+        monkeypatch.setattr(open_system, "_substeps", walk)
+        for batched in (True, False):
+            monkeypatch.setattr(open_system, "_batch_pays", lambda *a, **k: batched)
+            grids.clear()
+            adiabatic_ramps(lat, sched, "A,1", rates)
+            assert len(grids) == 2
+        assert len(node_sets) == 2 and stepped == node_sets
+        grids.clear()
+        open_system.lindblad_evolve(
+            with_vacuum(hamiltonian_single_excitation(lat)), DephasingRates.uniform(4, 0.05),
+            open_system.DensityMatrix.single_excitation(lat, "A,1"), np.linspace(0.0, 2.0, 5),
+        )
+        assert len(grids) == 1
+
     def test_closed_walk_ignores_the_step_map_cap(self, monkeypatch):
         # The closed walk has one path, whose memory BATCH_BYTES and one chunk
         # bound, so a STEP_MAP_MAX_BYTES of one byte adds no eigh per chunk
