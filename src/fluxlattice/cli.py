@@ -36,7 +36,9 @@ from .errors import ConfigError, NumericalError
 from .lattice import (
     PI,
     LatticeConfig,
+    MAX_POINTS,
     SiteId,
+    _integer,
     _real,
     build_lattice,
     config_field,
@@ -114,10 +116,6 @@ def parse_delta_token(token: str) -> float:
     """Detunings in units of J; ``sqrt2`` and multiples like ``2sqrt2`` allowed."""
     return _scaled_number(token, "sqrt2", SQRT2)
 
-
-#: Most points a ``--points`` or ``--nk`` option or a range's count may ask
-#: for, checked before any grid is built.
-MAX_POINTS = 10**6
 
 #: Most plaquettes ``--l`` may ask for.  A closed ``dynamics`` run at this
 #: size and two time points peaks at about 0.7 GB; other commands need more
@@ -415,6 +413,8 @@ def _parse_response_csv(text: str) -> dict[tuple[str, str], list[tuple[float, fl
     for line in lines[1:]:
         source, target, s_zpa, t_zpa = line.split(",")
         groups.setdefault((source, target), []).append((float(s_zpa), float(t_zpa)))
+    if not groups:
+        raise ValueError("expected a header and at least one response row")
     return groups
 
 
@@ -527,14 +527,6 @@ class Kind(NamedTuple):
 def _number(value: Any) -> float:
     """A config-file number; a bool or a string is not one."""
     return float(_real(value))
-
-
-def _integer(value: Any) -> int:
-    """A config-file integer; an integral float such as ``2.0`` is one."""
-    number = _real(value)
-    if isinstance(number, float) and not number.is_integer():
-        raise ValueError("expected an integer")
-    return int(number)
 
 
 def _count(low: int, high: float = math.inf) -> Kind:

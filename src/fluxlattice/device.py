@@ -16,7 +16,7 @@ from typing import Any, Mapping, Sequence
 import numpy as np
 
 from .errors import ConfigError, NumericalError
-from .lattice import _real, config_field, read_config_file
+from .lattice import MAX_POINTS, _integer, _real, config_field, read_config_file
 
 #: Detuning-to-coupling ratio below which the dispersive formula is refused.
 DISPERSIVE_HARD_RATIO = 5.0
@@ -366,11 +366,11 @@ def _object(value: Any) -> Mapping:
 
 
 def _sweep(value: Any) -> list:
-    """``[start, stop, count]`` with finite numbers, else ``TypeError``/``ValueError``."""
-    sweep = [_real(v) for v in value]
-    if len(sweep) != 3 or not all(map(math.isfinite, sweep)):
-        raise ValueError("expected three finite numbers")
-    return sweep
+    """``[start, stop, count]``: finite ends and an integer count, else ``TypeError``/``ValueError``."""
+    start, stop, count = value
+    if not (math.isfinite(_real(start)) and math.isfinite(_real(stop))):
+        raise ValueError("expected finite ends")
+    return [start, stop, _integer(count)]
 
 
 def device_from_dict(doc) -> DeviceConfig:
@@ -400,11 +400,9 @@ def device_from_dict(doc) -> DeviceConfig:
             raise ConfigError("each per-bond coupler needs a two-site 'bond' entry")
         bond_couplers[(bond[0], bond[1])] = _coupler_from_entry({**c, **entry})
     sweep = field("sweep_GHz", _sweep, [coupler.omega_c, coupler.omega_c + 1, 11])
-    if sweep[0] >= sweep[1] or int(sweep[2]) < 2:
-        raise ConfigError("sweep_GHz must be [start, stop, count] with start < stop")
-    return DeviceConfig(
-        qubits, coupler, (float(sweep[0]), float(sweep[1]), int(sweep[2])), bond_couplers
-    )
+    if sweep[0] >= sweep[1] or not 2 <= sweep[2] <= MAX_POINTS:
+        raise ConfigError(f"sweep_GHz must be [start, stop, count] with start < stop and 2 to {MAX_POINTS} points")
+    return DeviceConfig(qubits, coupler, (float(sweep[0]), float(sweep[1]), sweep[2]), bond_couplers)
 
 
 def load_device(path) -> DeviceConfig:

@@ -405,6 +405,10 @@ def read_config_file(path: str | Path, what: str, parse: Callable[[str], Any] = 
         raise ConfigError(f"{what} {path} is malformed: {exc}") from None
 
 
+#: Most points a ``--points`` or ``--nk`` option, a range's count or a device
+#: file's sweep may ask for, checked before any grid is built.
+MAX_POINTS = 10**6
+
 #: ``config_field`` default of a field that must be present.
 _REQUIRED = object()
 
@@ -413,9 +417,10 @@ def config_field(what: str, doc: Mapping, key: str, convert: Callable[[Any], Any
     """``convert(doc[key])``, or ``default`` when ``doc`` has no ``key``.
 
     A missing field without a default, and a value that ``convert`` rejects
-    with ``TypeError`` or ``ValueError``, raise ``ConfigError`` naming the
-    field of ``what``.  Bind ``what`` and ``doc`` with ``functools.partial``
-    to read several fields of one document.
+    with ``TypeError``, ``ValueError`` or ``OverflowError`` (an integer too
+    large for a float), raise ``ConfigError`` naming the field of ``what``.
+    Bind ``what`` and ``doc`` with ``functools.partial`` to read several
+    fields of one document.
     """
     if key not in doc:
         if default is _REQUIRED:
@@ -423,7 +428,7 @@ def config_field(what: str, doc: Mapping, key: str, convert: Callable[[Any], Any
         return default
     try:
         return convert(doc[key])
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{what} field {key!r} has invalid value {doc[key]!r}: {exc}") from None
 
 
@@ -432,6 +437,14 @@ def _real(value: Any) -> Any:
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise TypeError("expected a number")
     return value
+
+
+def _integer(value: Any) -> int:
+    """A config-file integer; an integral float such as ``2.0`` is one."""
+    number = _real(value)
+    if isinstance(number, float) and not number.is_integer():
+        raise ValueError("expected an integer")
+    return int(number)
 
 
 def check_j_mhz(value: float | None) -> float | None:
@@ -501,7 +514,7 @@ def lattice_from_dict(doc: Mapping) -> LatticeConfig:
     if doc.get("schema", 1) != 1:
         raise ConfigError(f"unsupported lattice schema {doc.get('schema')!r}")
     field = partial(config_field, "lattice file", doc)
-    l = field("l", int)
+    l = field("l", _integer)
     fluxes = field("fluxes", lambda v: [parse_flux(f) for f in v])
     # J_MHz is checked but kept as written, so an integer keeps its config hash.
     j_mhz = field("J_MHz", lambda v: v if v is None else _real(v), None)

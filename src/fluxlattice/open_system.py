@@ -12,15 +12,15 @@ integrator: the dephased one (``_split_walk``) and the closed one
 (``_closed_walk``), which is the same split step without decay.  Each walk
 plans its substep grid and chunk groups once (``_plan``) and advances
 through one batcher (``_batcher``), which applies each chunk's matrices to
-the state; the dephased walk may instead loop over the same steps.  Inside
-a ramp segment H is affine in time, so a step, and a chunk of steps, is an
-entire function of its start.  Both walks take each step from an
-interpolant through ``SPLIT_NODES`` node steps, and a group of many short
-chunks (more than ``CHUNK_NODES``, each of at most a few dozen steps on the
-README ramp) as one propagator a chunk, interpolated in the chunk's start
-through ``CHUNK_NODES`` node propagators while that interpolant has
-converged.  Any other chunk is multiplied out from its steps (closed) or
-taken one step map at a time (dephased).
+the state from one stream per chunk group; the dephased walk may instead
+loop over the same steps.  Inside a ramp segment H is affine in time, so a
+step, and a chunk of steps, is an entire function of its start.  Both walks
+take each step from an interpolant through ``SPLIT_NODES`` node steps, and
+a group of many short chunks (more than ``CHUNK_NODES``, each of at most a
+few dozen steps on the README ramp) as one propagator a chunk, interpolated
+in the chunk's start through ``CHUNK_NODES`` node propagators while that
+interpolant has converged.  Any other chunk is multiplied out from its
+steps (closed) or taken one step map at a time (dephased).
 """
 
 from __future__ import annotations
@@ -28,8 +28,8 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import partial
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from functools import cache, partial
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -103,10 +103,10 @@ CALL_COST = 1600
 #: arrays stay at most this many substeps' worth whatever the step.
 SUBSTEP_CHUNK = 256
 
-#: Most bytes of matrices, per rate set, one piece of a ramp walk's
-#: ``_batcher`` work holds: interpolated steps multiplied into a propagator
-#: (``_ordered_products``), or a batch of chunk propagators, or of a
-#: stepped chunk's Lagrange weights (8 ``SPLIT_NODES`` bytes a step).  A
+#: Most bytes of matrices, per rate set, one piece of a ramp walk's chunk
+#: streams (``_batcher``) holds: interpolated steps multiplied into a
+#: propagator (``_ordered_products``), or a batch of chunk propagators, or of
+#: a stepped chunk's Lagrange weights (8 ``SPLIT_NODES`` bytes a step).  A
 #: step of either walk (16 n^2 bytes closed, 16 n^4 per set dephased) that
 #: alone needs more is formed by itself, so at any lattice size a piece
 #: holds at most the larger of this and one step.  A stepped dephased chunk
@@ -631,14 +631,6 @@ def _chunk_interpolant(
     return chunk_nodes, propagators
 
 
-def _steps(weights: np.ndarray, values: np.ndarray) -> Iterator[np.ndarray]:
-    """The steps whose ``_lagrange_weights`` from node ``values`` are ``weights``, in order, shape ``(R, a, b)`` each.
-
-    All are formed when the first is taken, and dropped with the iterator.
-    """
-    yield from _combine(weights, values).swapaxes(0, 1)
-
-
 def _batcher(
     groups: dict[tuple[int, float, int], list[tuple[float, int]]],
     step_nodes: Callable[[int, float], tuple[np.ndarray, np.ndarray]],
@@ -655,62 +647,63 @@ def _batcher(
     ``step_nodes(segment, dt)`` gives Chebyshev points of a segment and,
     for each stack entry, the step of length ``dt`` starting at each point
     (shape ``(R, N, a, b)``), whose ``_lagrange_weights`` give any step of
-    the segment; it is called once per (segment, dt).  On a segment H is
-    affine in time, so a chunk's propagator is an entire function of the
-    chunk's start, as a step is.  A group of more than ``CHUNK_NODES``
-    chunks of ``count`` steps tries ``_chunk_interpolant`` if it does not
-    step (the closed walk) or ``_interpolant_pays`` for its map dimension
-    ``a``; if that converges for every entry, a chunk is the one Lagrange
-    combination of its node propagators.  Any other chunk is its
-    interpolated steps in time order if ``stepping``, else their ordered
-    product (``_ordered_products``).  A stack entry's result therefore
-    depends on the others only where one entry's interpolant is refused.
-    Work is formed when the walk reaches it: a group's node propagators on
-    its first chunk, then that chunk and the next ones of its group, in
-    pieces of at most ``BATCH_BYTES`` per stack entry (at least one
-    matrix), each dropped once applied; a stepped chunk's Lagrange weights
-    are batched alike, and its step maps formed when it is taken.
+    the segment; it is called once per (segment, dt).  Each group is one
+    stream, a generator of its chunks' matrices in time order that picks the
+    group's form once, on its first chunk.  On a segment H is affine in
+    time, so a chunk's propagator is an entire function of the chunk's
+    start, as a step is.  A group of more than ``CHUNK_NODES`` chunks of
+    ``count`` steps tries ``_chunk_interpolant`` if it does not step (the
+    closed walk) or ``_interpolant_pays`` for its map dimension ``a``; if
+    that converges for every entry, a chunk is the one Lagrange combination
+    of its node propagators.  Any other chunk is its interpolated steps in
+    time order if ``stepping``, else their ordered product
+    (``_ordered_products``).  A stack entry's result therefore depends on
+    the others only where one entry's interpolant is refused.  A stream
+    forms its chunks in batches of at most ``BATCH_BYTES`` per stack entry
+    (at least one matrix), each when the walk reaches its first chunk and
+    dropped once its last is applied; a stepped chunk's Lagrange weights are
+    batched alike, and its step maps formed when it is taken.  ``advance``
+    drops a group's stream after its last chunk, which frees the group's
+    interpolant and last batch.
     """
-    place = {member: (key, i) for key, members in groups.items() for i, member in enumerate(members)}
-    node_sets: dict[tuple[int, float], tuple[np.ndarray, np.ndarray]] = {}
-    interpolants: dict[tuple[int, float, int], tuple[np.ndarray, np.ndarray] | None] = {}
-    held: dict[tuple[float, int], Iterable[np.ndarray]] = {}
+    step_nodes = cache(step_nodes)
+
+    def stream(segment: int, dt: float, count: int) -> Iterator[np.ndarray]:
+        # Per chunk, a stack of the matrices it applies in order: its step maps or its one propagator.
+        members = groups[segment, dt, count]
+        nodes, values = step_nodes(segment, dt)
+        room = max(1, BATCH_BYTES // values[0, 0].nbytes)
+        interpolant = None
+        if len(members) > CHUNK_NODES and (
+            not stepping or _interpolant_pays(count, len(members), sets, values.shape[-1])
+        ):
+            interpolant = _chunk_interpolant(nodes, values, [s + f * dt for s, f in members], count, dt, room)
+        stepped = interpolant is None and stepping
+        size = max(1, BATCH_BYTES // (8 * nodes.size * count)) if stepped else room
+        for i in range(0, len(members), size):
+            gap_starts, firsts = (np.array(column) for column in zip(*members[i:i + size]))
+            times = gap_starts[:, None] + (firsts[:, None] + np.arange(count)) * dt
+            if stepped:
+                weights = _lagrange_weights(nodes, times.ravel()).reshape(len(times), count, nodes.size)
+                yield from (_combine(w, values).swapaxes(0, 1) for w in weights)
+                del weights  # before the next batch's are formed
+            elif interpolant is not None:
+                chunk_nodes, propagators = interpolant
+                yield from _combine(_lagrange_weights(chunk_nodes, times[:, 0]), propagators).swapaxes(0, 1)[:, None]
+            else:
+                yield from _ordered_products(nodes, values, times, room).swapaxes(0, 1)[:, None]
+
+    place = {member: key for key, members in groups.items() for member in members}
+    streams = {key: stream(*key) for key in groups}  # each starts on its group's first chunk
 
     def advance(state: np.ndarray, start: float, index: np.ndarray, dt: float) -> np.ndarray:
         chunk = start, index[0]
-        if chunk not in held:
-            key, i = place[chunk]
-            segment, _, count = key  # the group's substep length is dt
-            if (segment, dt) not in node_sets:
-                node_sets[segment, dt] = step_nodes(segment, dt)
-            nodes, values = node_sets[segment, dt]
-            room = max(1, BATCH_BYTES // values[0, 0].nbytes)
-            members = groups[key]
-            if key not in interpolants:
-                interpolants[key] = None
-                if len(members) > CHUNK_NODES and (
-                    not stepping or _interpolant_pays(count, len(members), sets, values.shape[-1])
-                ):
-                    chunk_starts = [s + f * dt for s, f in members]
-                    interpolants[key] = _chunk_interpolant(nodes, values, chunk_starts, count, dt, room)
-            interpolant = interpolants[key]
-            stepped = interpolant is None and stepping
-            batch = members[i:i + (max(1, BATCH_BYTES // (8 * nodes.size * count)) if stepped else room)]
-            if i + len(batch) == len(members):
-                del interpolants[key]
-            gap_starts, firsts = (np.array(column) for column in zip(*batch))
-            times = gap_starts[:, None] + (firsts[:, None] + np.arange(count)) * dt
-            if interpolant is not None:
-                formed = _combine(_lagrange_weights(interpolant[0], times[:, 0]), interpolant[1]).swapaxes(0, 1)
-            elif stepped:
-                weights = _lagrange_weights(nodes, times.ravel()).reshape(len(batch), count, nodes.size)
-                formed = [_steps(w, values) for w in weights]
-            else:
-                formed = _ordered_products(nodes, values, times, room).swapaxes(0, 1)
-            held.update(zip(batch, formed if stepped else ([propagator] for propagator in formed)))
+        key = place[chunk]
         vec = state.reshape(sets, -1, 1)
-        for matrices in held.pop(chunk):
+        for matrices in next(streams[key]):
             vec = matrices @ vec
+        if chunk == groups[key][-1]:
+            del streams[key]  # frees the group's interpolant and last batch
         return vec.reshape(state.shape)
 
     return advance

@@ -416,6 +416,9 @@ def _sample_device_with(**fields):
         (["adiabatic", "--schedule"], "[{"),
         (["crosstalk-fit", "--responses"], "source,target,source_zpa\nZ1,Z2,0.5\n"),
         (["crosstalk-fit", "--responses"], "source,target,source_zpa,target_zpa\nZ1,Z2,0,0\nZ1,Z2,1,inf\n"),
+        # No response row: nothing to fit (an empty matrix).
+        (["crosstalk-fit", "--responses"], "source,target,source_zpa,target_zpa\n"),
+        (["crosstalk-fit", "--responses"], ""),
         (["adiabatic", "--config"], '{"l": "x"}'),
         (["adiabatic", "--config"], '{"duration_over_J": "abc"}'),
         (["adiabatic", "--config"], '{"duration_over_J": 3, "J_MHz": -4.2}'),
@@ -473,6 +476,8 @@ def _sample_device_with(**fields):
         "bad-schedule-json",
         "three-column-responses",
         "responses-infinite",
+        "responses-header-only",
+        "responses-empty",
         "config-l-not-int",
         "config-duration-not-number",
         "config-j-mhz-negative",

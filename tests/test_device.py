@@ -1,3 +1,4 @@
+import json
 import math
 import warnings
 
@@ -199,6 +200,21 @@ class TestDeviceFiles:
     def test_missing_fields_rejected(self):
         with pytest.raises(ConfigError):
             device_from_dict({"schema": 1, "qubits": {"A,1": {"omega_max_GHz": 4.9}}})
+
+    @pytest.mark.parametrize(
+        "sweep",
+        [[4.9, 7.6, 11.5], [4.9, 7.6, True], [4.9, 7.6, 1], [4.9, 7.6, 10**12], [10**400, 7.6, 11]],
+        ids=["count-fraction", "count-bool", "count-one", "count-above-max-points", "start-overflows"],
+    )
+    def test_sweep_rejected(self, sweep):
+        # Refused on loading, before coupler-calibrate computes any point.
+        doc = json.loads(data_path("sample_device.json").read_text())
+        with pytest.raises(ConfigError, match="sweep_GHz"):
+            device_from_dict({**doc, "sweep_GHz": sweep})
+
+    def test_integral_float_sweep_count_loads(self):
+        doc = json.loads(data_path("sample_device.json").read_text())
+        assert device_from_dict({**doc, "sweep_GHz": [4.9, 7.6, 11.0]}).sweep_window == (4.9, 7.6, 11)
 
     def test_unknown_schema_rejected(self):
         with pytest.raises(ConfigError):

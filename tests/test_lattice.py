@@ -296,13 +296,22 @@ class TestLatticeFiles:
             ("detunings", ["A,1"]),
             ("dephasing_over_J", {"A,1": "x"}),
             ("gauge", 5),
+            # A count takes no fraction or bool, as adiabatic --config's l does.
+            ("l", 1.5),
+            ("l", True),
         ],
-        ids=["j-string", "j-bool", "detuning-string", "detunings-list", "dephasing-string", "gauge-number"],
+        ids=[
+            "j-string", "j-bool", "detuning-string", "detunings-list", "dephasing-string", "gauge-number",
+            "l-fraction", "l-bool",
+        ],
     )
     def test_field_types_rejected(self, field, value):
         doc = {"schema": 1, "l": 1, "fluxes": ["pi"], field: value}
         with pytest.raises(ConfigError, match=field):
             lattice_from_dict(doc)
+
+    def test_integral_float_l_loads(self):
+        assert lattice_from_dict({"schema": 1, "l": 2.0, "fluxes": ["pi", 0]}).lattice.l == 2
 
     def test_integer_j_mhz_keeps_config_hash(self):
         # J_MHz is checked, not converted: 4 stays 4 and hashes as it always did.

@@ -4,6 +4,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+import weakref
 from functools import partial
 from pathlib import Path
 
@@ -875,6 +876,25 @@ class TestChunkPropagators:
         monkeypatch.setattr(protocols, "_split_walk", _reference_split_walk)
         reference = TestRampCostRule._outputs(adiabatic_ramps(lat, sched, "A,1", rates)[1][0])
         assert np.abs(run - reference).max() < 1e-12
+
+    def test_finished_groups_are_freed(self, monkeypatch):
+        # A group's node propagators go with its last chunk: on the README
+        # ramp (two groups of 50 chunks a walk, all four interpolants
+        # converge), each earlier group's stack is gone when the next group
+        # forms its interpolant.
+        lat = build_lattice(1, [PI])
+        sched = two_stage_ramp(lat, "A,1", 30.0)
+        stacks, interpolant = [], open_system._chunk_interpolant
+
+        def spy(*args):
+            assert [stack() for stack in stacks] == [None] * len(stacks)
+            made = interpolant(*args)
+            stacks.append(weakref.ref(made[1]))
+            return made
+
+        monkeypatch.setattr(open_system, "_chunk_interpolant", spy)
+        adiabatic_ramps(lat, sched, "A,1", [DephasingRates.uniform(4, 1.0 / (2 * PI * 4.2))])
+        assert len(stacks) == 4
 
     def test_refused_interpolants_stop_early(self, monkeypatch):
         # At duration 300 each group's node propagators are multiplied
