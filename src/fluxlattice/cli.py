@@ -24,22 +24,29 @@ import sys
 import time
 import warnings
 from dataclasses import replace
-from functools import cache
+from functools import cache, partial
 from importlib import resources
 from pathlib import Path
-from typing import Any, Callable, Mapping, NamedTuple, Sequence
+from typing import Any, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from . import __version__
 from .errors import ConfigError, NumericalError
 from .lattice import (
-    PI,
-    LatticeConfig,
+    FINITE,
+    FLUX,
+    MAX_PLAQUETTES,
     MAX_POINTS,
-    SiteId,
-    _integer,
-    _real,
+    NONNEGATIVE,
+    OBJECT,
+    PI,
+    POSITIVE,
+    SITE,
+    Kind,
+    LatticeConfig,
+    _count,
+    _number,
     build_lattice,
     config_field,
     csv_text,
@@ -115,13 +122,6 @@ def parse_pi_multiple(text: str) -> float:
 def parse_delta_token(token: str) -> float:
     """Detunings in units of J; ``sqrt2`` and multiples like ``2sqrt2`` allowed."""
     return _scaled_number(token, "sqrt2", SQRT2)
-
-
-#: Most plaquettes ``--l`` may ask for.  A closed ``dynamics`` run at this
-#: size and two time points peaks at about 0.7 GB; other commands need more
-#: (a ramp's node set alone holds about 113 matrices of n x n complex
-#: entries at once, 16 GB at this size), and no command is refused for it.
-MAX_PLAQUETTES = 1000
 
 
 def parse_range(text: str) -> np.ndarray:
@@ -386,6 +386,8 @@ def cmd_coupler_calibrate(opts, ctx: RunContext) -> int:
             extraction = three_mode_vacuum_rabi(spec, opts.levels)
         rows.append([omega_c, formula * 1e3, extraction.value * 1e3, extraction.sign])
     data = np.array(rows)
+    if not np.all(np.isfinite(data)):
+        raise NumericalError("the coupler sweep overflows in MHz")
     off = coupler_off_frequency(device.coupler, (grid[0], grid[-1]))
     write_csv(ctx, "coupler_sweep.csv", ["omega_c_GHz", "g_eff_formula_MHz", "g_extracted_MHz", "sign"], data)
     # Relative agreement is meaningless near the zero crossing; compare where
@@ -453,15 +455,10 @@ def compare_against_reference(trace: PopulationTrace, metadata: Mapping, oracle:
     """Deviation report of a stored trace against an independent prediction."""
     if not isinstance(metadata, Mapping):
         raise ConfigError("trace metadata must be a JSON object")
-    lattice_doc = metadata.get("lattice")
-    init = metadata.get("init")
-    if lattice_doc is None or init is None:
-        raise ConfigError("trace metadata lacks the lattice definition or init site")
-    if not isinstance(init, str):
-        raise ConfigError(f"trace metadata init must be a site label, got {init!r}")
-    config = lattice_from_dict(lattice_doc)
-    lattice = config.lattice
-    delta = config_field("trace metadata", metadata, "delta_antisym_over_J", lambda v: float(_real(v)), 0.0)
+    field = partial(config_field, "trace metadata", metadata)
+    lattice = lattice_from_dict(field("lattice", OBJECT)).lattice
+    init = field("init", SITE)
+    delta = field("delta_antisym_over_J", FINITE, 0.0)
     if delta:
         lattice = lattice.with_detunings(antisymmetric_detunings(lattice.l, delta))
     if trace.num_sites != lattice.num_sites:
@@ -509,48 +506,10 @@ def cmd_verify(opts, ctx: RunContext) -> int:
 # ---------------------------------------------------------------------------
 
 
-class Kind(NamedTuple):
-    """The values an option takes.
-
-    ``parse`` reads command-line text and ``load`` an ``adiabatic --config``
-    field (None: no config field has this kind); either raises ``TypeError``
-    or ``ValueError`` on a value of the wrong form.  ``ok`` says whether a
-    value is in range, and ``what`` describes the values in error messages.
-    """
-
-    what: str
-    parse: Callable[[str], Any]
-    ok: Callable[[Any], bool] = lambda value: True
-    load: Callable[[Any], Any] | None = None
-
-
-def _number(value: Any) -> float:
-    """A config-file number; a bool or a string is not one."""
-    return float(_real(value))
-
-
-def _count(low: int, high: float = math.inf) -> Kind:
-    what = f"an integer from {low} to {high}" if high < math.inf else f"an integer of at least {low}"
-    return Kind(what, int, lambda n: low <= n <= high, _integer)
-
-
-def _site(label: Any) -> str:
-    """A site label as given, once it parses."""
-    if not isinstance(label, str):
-        raise TypeError("expected a site label")
-    SiteId.parse(label)
-    return label
-
-
-FINITE = Kind("a finite number", float, math.isfinite, _number)
-POSITIVE = Kind("a finite positive number", float, lambda v: 0 < v < math.inf, _number)
-NONNEGATIVE = Kind("a finite nonnegative number", float, lambda v: 0 <= v < math.inf, _number)
 SEED = _count(0)
 PI_MULTIPLE = Kind("a finite number or multiple of pi, such as 4pi", parse_pi_multiple, math.isfinite)
 DELTA = Kind("a finite detuning in J, such as 2sqrt2", parse_delta_token, math.isfinite)
 RANGE = Kind(f"start:stop:count with a finite span and 1 to {MAX_POINTS} points", parse_range)
-FLUX = Kind("0 or pi", parse_flux, load=lambda v: parse_flux(v if isinstance(v, str) else _real(v)))
-SITE = Kind("a site label such as A,1", _site, load=_site)
 #: ``detuning-sweep --flux``: one flux, or both.
 FLUXES = Kind("0, pi or both", lambda text: [0.0, PI] if text == "both" else [parse_flux(text)])
 #: ``detuning-sweep --delta``: each token names its own output files.
@@ -642,16 +601,6 @@ OPTIONS = (
 )
 
 
-def _convert(read: Callable[[Any], Any], kind: Kind, raw: Any, where: str) -> Any:
-    try:
-        value = read(raw)
-        if kind.ok(value):
-            return value
-    except (TypeError, ValueError):
-        pass
-    raise ConfigError(f"{where} must be {kind.what}, got {raw!r}")
-
-
 def _read(args: argparse.Namespace) -> argparse.Namespace:
     """The command's option values, each read through its option's kind."""
     path = getattr(args, "config", None)
@@ -664,15 +613,14 @@ def _read(args: argparse.Namespace) -> argparse.Namespace:
             continue
         dest, kind = option.flag[2:].replace("-", "_"), option.kind
         text = getattr(args, dest)
-        if text is not None:
-            value = text if kind is None else _convert(kind.parse, kind, text, option.flag)
-        elif option.config is None or "config" not in args:
-            value = None
-        elif option.config[0] in conf:
-            key = option.config[0]
-            value = _convert(kind.load, kind, conf[key], f"adiabatic config field {key!r}")
+        if text is None and option.config and "config" in args:
+            key, default = option.config
+            value = config_field("adiabatic config", conf, key, kind, default)
+        elif text is None or kind is None:
+            value = text
         else:
-            value = option.config[1]
+            # The command line is read like a file field, its text through ``kind.parse``.
+            value = config_field(f"fluxlattice {args.command}", {option.flag: text}, option.flag, kind._replace(load=kind.parse))
         setattr(values, dest, value)
     return values
 

@@ -16,7 +16,7 @@ from typing import Any, Mapping, Sequence
 import numpy as np
 
 from .errors import ConfigError, NumericalError
-from .lattice import MAX_POINTS, _integer, _real, config_field, read_config_file
+from .lattice import FINITE, MAX_POINTS, OBJECT, SCHEMA, TIME_US, Kind, _integer, _list_of, _number, config_field, read_config_file
 
 #: Detuning-to-coupling ratio below which the dispersive formula is refused.
 DISPERSIVE_HARD_RATIO = 5.0
@@ -224,6 +224,8 @@ class CrosstalkMatrix:
         m = np.array(self.matrix, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ConfigError("crosstalk matrix must be square")
+        if not np.all(np.isfinite(m)):
+            raise ConfigError("crosstalk matrix entries must be finite")
         if np.abs(np.diag(m) - 1.0).max() > 1e-12:
             raise ConfigError("crosstalk matrix diagonal must be 1 (normalized lines)")
         if not self.labels:
@@ -351,58 +353,51 @@ class DeviceConfig:
 def _coupler_from_entry(c: Mapping) -> CouplerSpec:
     field = partial(config_field, "device coupler", c)
     return CouplerSpec(
-        *(field(f"{key}_GHz", _real) for key in ("omega_a", "omega_b")),
-        field("omega_c_GHz", _real, 0.0),
-        *(field(f"{key}_GHz", _real) for key in ("g_ac", "g_bc", "g_ab")),
-        *(field(f"{key}_GHz", _real, 0.0) for key in ("u_a", "u_b", "u_c")),
+        *(field(f"{key}_GHz", FINITE) for key in ("omega_a", "omega_b")),
+        field("omega_c_GHz", FINITE, 0.0),
+        *(field(f"{key}_GHz", FINITE) for key in ("g_ac", "g_bc", "g_ab")),
+        *(field(f"{key}_GHz", FINITE, 0.0) for key in ("u_a", "u_b", "u_c")),
     )
 
 
-def _object(value: Any) -> Mapping:
-    """``value`` unchanged if it is a JSON object, else ``TypeError``."""
-    if not isinstance(value, Mapping):
-        raise TypeError("expected a JSON object")
-    return value
+def _bond(value: Any) -> tuple[str, str]:
+    """A per-bond coupler's ``bond``: the labels of its two qubits."""
+    a, b = value
+    if not (isinstance(value, list) and isinstance(a, str) and isinstance(b, str)):
+        raise TypeError("expected two labels")
+    return a, b
 
 
-def _sweep(value: Any) -> list:
-    """``[start, stop, count]``: finite ends and an integer count, else ``TypeError``/``ValueError``."""
+def _sweep(value: Any) -> tuple[float, float, int]:
     start, stop, count = value
-    if not (math.isfinite(_real(start)) and math.isfinite(_real(stop))):
-        raise ValueError("expected finite ends")
-    return [start, stop, _integer(count)]
+    return _number(start), _number(stop), _integer(count)
+
+
+BOND = Kind("a list of two qubit labels", None, load=_bond)
+SWEEP = Kind(f"[start, stop, count] with finite start < stop and 2 to {MAX_POINTS} points", None,
+             lambda sweep: -math.inf < sweep[0] < sweep[1] < math.inf and 2 <= sweep[2] <= MAX_POINTS, _sweep)
 
 
 def device_from_dict(doc) -> DeviceConfig:
     if not isinstance(doc, Mapping):
         raise ConfigError("a device definition must be a JSON object")
-    if doc.get("schema", 1) != 1:
-        raise ConfigError(f"unsupported device schema {doc.get('schema')!r}")
     field = partial(config_field, "device file", doc)
+    field("schema", SCHEMA, 1)
+    table = field("qubits", OBJECT, {})
     qubits = {}
-    for label, entry in field("qubits", _object, {}).items():
-        if not isinstance(entry, Mapping):
-            raise ConfigError(f"qubit {label} must be a JSON object, got {entry!r}")
-        qubit = partial(config_field, f"qubit {label}", entry)
-        tune = TransmonTuneCurve(qubit("omega_max_GHz", _real), qubit("omega_min_GHz", _real))
-        optional = (
-            qubit(key, lambda v: v if v is None else _real(v), None) for key in ("omega_r_GHz", "T1_idle_us", "T2_phi_us")
-        )
-        qubits[label] = QubitRecord(tune, qubit("omega_idle_GHz", _real), *optional)
-    c = field("coupler", _object, {})
+    for label in table:
+        qubit = partial(config_field, f"device qubit {label}", config_field("device qubits", table, label, OBJECT))
+        tune = TransmonTuneCurve(qubit("omega_max_GHz", FINITE), qubit("omega_min_GHz", FINITE))
+        optional = (qubit("omega_r_GHz", FINITE, None), *(qubit(key, TIME_US, None) for key in ("T1_idle_us", "T2_phi_us")))
+        qubits[label] = QubitRecord(tune, qubit("omega_idle_GHz", FINITE), *optional)
+    c = field("coupler", OBJECT, {})
     coupler = _coupler_from_entry(c)
-    bond_couplers = {}
-    for entry in field("couplers", list, []):
-        if not isinstance(entry, Mapping):
-            raise ConfigError(f"each per-bond coupler must be a JSON object, got {entry!r}")
-        bond = entry.get("bond")
-        if not isinstance(bond, list) or len(bond) != 2:
-            raise ConfigError("each per-bond coupler needs a two-site 'bond' entry")
-        bond_couplers[(bond[0], bond[1])] = _coupler_from_entry({**c, **entry})
-    sweep = field("sweep_GHz", _sweep, [coupler.omega_c, coupler.omega_c + 1, 11])
-    if sweep[0] >= sweep[1] or not 2 <= sweep[2] <= MAX_POINTS:
-        raise ConfigError(f"sweep_GHz must be [start, stop, count] with start < stop and 2 to {MAX_POINTS} points")
-    return DeviceConfig(qubits, coupler, (float(sweep[0]), float(sweep[1]), sweep[2]), bond_couplers)
+    bond_couplers = {
+        config_field("per-bond coupler", entry, "bond", BOND): _coupler_from_entry({**c, **entry})
+        for entry in field("couplers", _list_of(OBJECT), ())
+    }
+    sweep = field("sweep_GHz", SWEEP, (coupler.omega_c, coupler.omega_c + 1, 11))
+    return DeviceConfig(qubits, coupler, sweep, bond_couplers)
 
 
 def load_device(path) -> DeviceConfig:

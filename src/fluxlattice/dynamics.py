@@ -20,6 +20,7 @@ from .errors import ConfigError, NumericalError
 from .lattice import (
     PI,
     HermitianOperator,
+    Kind,
     Rail,
     RhombicLattice,
     SiteId,
@@ -131,11 +132,12 @@ class PopulationTrace:
         if not isinstance(doc, Mapping) or doc.get("kind") != "population_trace":
             raise ConfigError("JSON document is not a population trace")
         field = partial(config_field, "population trace", doc)
-        return cls(
-            field("times", lambda v: np.array(v, dtype=float)),
-            field("populations", lambda v: np.array(v, dtype=float)),
-            field("site_labels", tuple),
-        )
+        return cls(field("times", _ARRAY), field("populations", _ARRAY), field("site_labels", _LABELS))
+
+
+#: Trace file fields, checked as a whole by ``PopulationTrace``.
+_ARRAY = Kind("an array of numbers", None, load=lambda v: np.array(v, dtype=float))
+_LABELS = Kind("a list of labels", None, load=tuple)
 
 
 def _column_name(label: str) -> str:

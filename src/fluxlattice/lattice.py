@@ -18,7 +18,7 @@ from functools import partial
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from types import MappingProxyType
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -409,27 +409,56 @@ def read_config_file(path: str | Path, what: str, parse: Callable[[str], Any] = 
 #: file's sweep may ask for, checked before any grid is built.
 MAX_POINTS = 10**6
 
+#: Most plaquettes ``--l`` or a lattice file's ``l`` may ask for.  A closed
+#: ``dynamics`` run at this size and two time points peaks at about 0.7 GB;
+#: other commands need more (a ramp's node set alone holds about 113 matrices
+#: of n x n complex entries at once, 16 GB at this size), and no command is
+#: refused for it.
+MAX_PLAQUETTES = 1000
+
+
+class Kind(NamedTuple):
+    """The values an option or an input-file field takes.
+
+    ``parse`` reads command-line text and ``load`` a file field (None: no
+    option, or no file field, has this kind); either raises ``TypeError``,
+    ``ValueError`` or ``OverflowError`` on a value of the wrong form.  ``ok``
+    says whether a value is in range, and ``what`` describes the values in
+    error messages.
+    """
+
+    what: str
+    parse: Callable[[str], Any] | None
+    ok: Callable[[Any], bool] = lambda value: True
+    load: Callable[[Any], Any] | None = None
+
+
 #: ``config_field`` default of a field that must be present.
 _REQUIRED = object()
 
 
-def config_field(what: str, doc: Mapping, key: str, convert: Callable[[Any], Any], default: Any = _REQUIRED) -> Any:
-    """``convert(doc[key])``, or ``default`` when ``doc`` has no ``key``.
+def config_field(what: str, doc: Mapping, key: str, kind: Kind, default: Any = _REQUIRED) -> Any:
+    """``doc[key]`` read through ``kind``, or ``default`` when ``doc`` has no ``key``.
 
-    A missing field without a default, and a value that ``convert`` rejects
-    with ``TypeError``, ``ValueError`` or ``OverflowError`` (an integer too
-    large for a float), raise ``ConfigError`` naming the field of ``what``.
-    Bind ``what`` and ``doc`` with ``functools.partial`` to read several
-    fields of one document.
+    The value is ``kind.load(doc[key])`` once ``kind.ok`` accepts it.  A
+    missing field without a default, a value that ``kind.load`` rejects with
+    ``TypeError``, ``ValueError`` (``ConfigError`` is one) or ``OverflowError``
+    (an integer too large for a float), and a value out of ``kind``'s range
+    raise ``ConfigError`` naming ``what``, the field and ``kind.what``.  Bind
+    ``what`` and ``doc`` with ``functools.partial`` to read several fields of
+    one document.
     """
     if key not in doc:
         if default is _REQUIRED:
-            raise ConfigError(f"{what} missing field {key!r}")
+            raise ConfigError(f"{what}: missing field {key}")
         return default
     try:
-        return convert(doc[key])
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"{what} field {key!r} has invalid value {doc[key]!r}: {exc}") from None
+        value = kind.load(doc[key])
+        if kind.ok(value):
+            return value
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ConfigError(f"{what}: {key} must be {kind.what}, got {doc[key]!r}")
 
 
 def _real(value: Any) -> Any:
@@ -439,26 +468,77 @@ def _real(value: Any) -> Any:
     return value
 
 
+def _number(value: Any) -> float:
+    """A file number as a float; a bool or a string is not one."""
+    return float(_real(value))
+
+
 def _integer(value: Any) -> int:
-    """A config-file integer; an integral float such as ``2.0`` is one."""
+    """A file integer; an integral float such as ``2.0`` is one."""
     number = _real(value)
     if isinstance(number, float) and not number.is_integer():
         raise ValueError("expected an integer")
     return int(number)
 
 
-def check_j_mhz(value: float | None) -> float | None:
-    """``value`` unchanged if it is None or a usable J/2pi in MHz, else ``ConfigError``."""
-    if value is not None and not 0 < value < math.inf:  # also rejects NaN
-        raise ConfigError(f"J_MHz must be positive and finite, got {value!r}")
-    return value
+def _count(low: int, high: float = math.inf) -> Kind:
+    what = f"an integer from {low} to {high}" if high < math.inf else f"an integer of at least {low}"
+    return Kind(what, int, lambda n: low <= n <= high, _integer)
 
 
-def _site_map(value: Any) -> dict[SiteId, float]:
-    """A JSON object of site label -> number as ``{SiteId: float}``."""
-    if not isinstance(value, Mapping):
-        raise TypeError("expected an object of site label -> number")
-    return {as_site(k): float(v) for k, v in value.items()}
+def _site(label: Any) -> str:
+    """A site label as given, once it parses."""
+    if not isinstance(label, str):
+        raise TypeError("expected a site label")
+    SiteId.parse(label)
+    return label
+
+
+def _list_of(kind: Kind) -> Kind:
+    """A JSON list of values of ``kind``, loaded as a tuple."""
+
+    def load(value: Any) -> tuple:
+        if not isinstance(value, list):
+            raise TypeError("expected a list")
+        return tuple(map(kind.load, value))
+
+    return Kind(f"a list of items each {kind.what}", None, lambda items: all(map(kind.ok, items)), load)
+
+
+def _site_map(kind: Kind) -> Kind:
+    """A JSON object of site label -> value of ``kind``, loaded as ``{SiteId: value}``."""
+
+    def load(value: Any) -> dict:
+        if not isinstance(value, Mapping):
+            raise TypeError("expected an object")
+        return {as_site(k): kind.load(v) for k, v in value.items()}
+
+    return Kind(f"an object of site label -> {kind.what}", None, lambda sites: all(map(kind.ok, sites.values())), load)
+
+
+FINITE = Kind("a finite number", float, math.isfinite, _number)
+POSITIVE = Kind("a finite positive number", float, lambda v: 0 < v < math.inf, _number)
+NONNEGATIVE = Kind("a finite nonnegative number", float, lambda v: 0 <= v < math.inf, _number)
+#: A time in microseconds; an infinite one means the process does not happen.
+TIME_US = Kind("a positive time in microseconds", float, lambda t: t > 0, _number)
+FLUX = Kind("0 or pi", parse_flux, load=lambda v: parse_flux(v if isinstance(v, str) else _real(v)))
+SITE = Kind("a site label such as A,1", _site, load=_site)
+OBJECT = Kind("a JSON object", None, lambda v: isinstance(v, Mapping), lambda v: v)
+#: The ``schema`` of a lattice or device file.
+SCHEMA = Kind("1", None, lambda v: v == 1, _integer)
+#: A lattice file's ``J_MHz``: checked, but kept as written, so an integer keeps its config hash.
+J_MHZ = Kind(POSITIVE.what, None, lambda v: 0 < float(v) < math.inf, _real)
+
+
+def _gauge_entry(entry: Any) -> tuple:
+    """``[A site, arm site, "plus" or "minus"]`` as its two sites and its sign (None if unknown)."""
+    if not (isinstance(entry, list) and all(isinstance(x, str) for x in entry)):
+        raise TypeError("expected three labels")
+    a_label, arm_label, sign_name = entry
+    return SiteId.parse(a_label), SiteId.parse(arm_label), {"plus": BondSign.PLUS, "minus": BondSign.MINUS}.get(sign_name)
+
+
+GAUGE_ENTRY = Kind("a gauge entry [A site, arm site, plus or minus]", None, lambda entry: entry[2] is not None, _gauge_entry)
 
 
 def _flux_names(fluxes: Iterable[float]) -> list:
@@ -511,51 +591,40 @@ def lattice_to_dict(config: LatticeConfig) -> dict:
 def lattice_from_dict(doc: Mapping) -> LatticeConfig:
     if not isinstance(doc, Mapping):
         raise ConfigError("a lattice definition must be a JSON object")
-    if doc.get("schema", 1) != 1:
-        raise ConfigError(f"unsupported lattice schema {doc.get('schema')!r}")
     field = partial(config_field, "lattice file", doc)
-    l = field("l", _integer)
-    fluxes = field("fluxes", lambda v: [parse_flux(f) for f in v])
-    # J_MHz is checked but kept as written, so an integer keeps its config hash.
-    j_mhz = field("J_MHz", lambda v: v if v is None else _real(v), None)
-    detunings = field("detunings", _site_map, {})
-    check_j_mhz(j_mhz)
+    field("schema", SCHEMA, 1)
+    l = field("l", _count(1, MAX_PLAQUETTES))
+    fluxes = field("fluxes", _list_of(FLUX))
+    j_mhz = field("J_MHz", J_MHZ, None)
+    detunings = field("detunings", _site_map(FINITE), {})
     if j_mhz is not None:
         detunings = {s: v / j_mhz for s, v in detunings.items()}
     lattice = build_lattice(l, fluxes, detunings, J=1.0)
     bonds = {(b.a_site, b.arm_site): b for b in lattice.bonds}
-    for entry in field("gauge", list, []):
-        if not (isinstance(entry, list) and len(entry) == 3 and all(isinstance(x, str) for x in entry)):
-            raise ConfigError(f"gauge entry must be [A site, arm site, sign] labels, got {entry!r}")
-        a_label, arm_label, sign_name = entry
-        sign = {"plus": BondSign.PLUS, "minus": BondSign.MINUS}.get(sign_name)
-        if sign is None:
-            raise ConfigError(f"gauge sign must be 'plus' or 'minus', got {sign_name!r}")
-        key = (SiteId.parse(a_label), SiteId.parse(arm_label))
-        if key not in bonds:
-            raise ConfigError(f"gauge entry names {a_label} -- {arm_label}, which is not a bond of the lattice")
-        bonds[key] = Bond(*key, sign, bonds[key].magnitude_scale)
+    for a_site, arm_site, sign in field("gauge", _list_of(GAUGE_ENTRY), ()):
+        if (a_site, arm_site) not in bonds:
+            raise ConfigError(f"gauge entry names {a_site.label} -- {arm_site.label}, which is not a bond of the lattice")
+        bonds[a_site, arm_site] = Bond(a_site, arm_site, sign, bonds[a_site, arm_site].magnitude_scale)
     lattice = RhombicLattice(l, tuple(bonds.values()), dict(lattice.detunings), lattice.J)
     gauged = plaquette_fluxes(lattice)
-    if gauged != tuple(fluxes):
+    if gauged != fluxes:
         raise ConfigError(
             f"gauge signs give plaquette fluxes {_flux_names(gauged)}, "
             f"but the file declares {_flux_names(fluxes)}"
         )
-    dephasing = field("dephasing_over_J", _site_map, None)
-    if "dephasing_over_J" not in doc and "dephasing_us" in doc:
+    dephasing = field("dephasing_over_J", _site_map(NONNEGATIVE), None)
+    if dephasing is None and "dephasing_us" in doc:
         if j_mhz is None:
             raise ConfigError("dephasing_us requires J_MHz to fix the time unit")
-        uniform = not isinstance(doc["dephasing_us"], Mapping)
-        convert = (lambda v: dict.fromkeys(lattice.sites, float(v))) if uniform else _site_map
-        times = field("dephasing_us", convert)
-        if not all(t > 0 for t in times.values()):  # also rejects NaN
-            raise ConfigError("dephasing_us times must be positive")
+        if isinstance(doc["dephasing_us"], Mapping):
+            times = field("dephasing_us", _site_map(TIME_US))
+        else:
+            times = dict.fromkeys(lattice.sites, field("dephasing_us", TIME_US))
         # Gamma/J = 1 / (T_phi[us] * 2*pi * J_MHz): J_MHz is a cyclic frequency.
         # An infinite time gives rate 0: that site does not dephase.
         dephasing = {s: 1.0 / (t * 2 * PI * j_mhz) for s, t in times.items()}
-    if dephasing is not None and not all(0 <= g < math.inf for g in dephasing.values()):
-        raise ConfigError("dephasing rates must be finite and nonnegative")
+        if math.inf in dephasing.values():
+            raise ConfigError("dephasing_us times this short give an infinite dephasing rate")
     return LatticeConfig(lattice, j_mhz, dephasing)
 
 

@@ -17,6 +17,8 @@ import numpy as np
 
 from .errors import ConfigError, NumericalError
 from .lattice import (
+    FINITE,
+    NONNEGATIVE,
     PI,
     RhombicLattice,
     SiteId,
@@ -417,8 +419,8 @@ def schedule_from_json(doc: Sequence[Mapping]) -> RampSchedule:
     def segment(entry: Mapping) -> RampSegment:
         field = partial(config_field, "ramp segment", entry)
         return RampSegment(
-            *(field(key, float) for key in ("duration", "j_start", "j_end")),
-            *(field(key, _site_map, {}) for key in ("detuning_start", "detuning_end")),
+            *(field(key, NONNEGATIVE) for key in ("duration", "j_start", "j_end")),
+            *(field(key, _site_map(FINITE), {}) for key in ("detuning_start", "detuning_end")),
         )
 
     return RampSchedule(tuple(segment(entry) for entry in doc))

@@ -1,13 +1,15 @@
 import csv
+import functools
 import hashlib
 import json
 import math
+import operator
 import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_readme import quick_start_commands
 
@@ -32,7 +34,9 @@ from fluxlattice import (
     build_lattice,
     hamiltonian_single_excitation,
     lindblad_evolve,
+    schedule_to_json,
     site_labels,
+    two_stage_ramp,
     with_vacuum,
 )
 
@@ -404,9 +408,21 @@ class TestVerifyCommand:
 
 
 
+SAMPLE_DEVICE = json.loads(data_path("sample_device.json").read_text())
+
+
 def _sample_device_with(**fields):
     """The shipped sample device file with ``fields`` replaced."""
-    return json.dumps({**json.loads(data_path("sample_device.json").read_text()), **fields})
+    return json.dumps({**SAMPLE_DEVICE, **fields})
+
+
+#: A two-stage ramp schedule for l = 1 whose first duration is a numeric string.
+_STRING_DURATION_SCHEDULE = json.dumps([
+    {"duration": "15", "j_start": 0, "j_end": 1, "detuning_start": {"A,1": -4}, "detuning_end": {"A,1": -4}},
+    {"duration": 15, "j_start": 1, "j_end": 1, "detuning_start": {"A,1": -4}, "detuning_end": {"A,1": 0}},
+])
+#: An integer with 401 digits: too large for a float.
+_HUGE = "1" + "0" * 400
 
 @pytest.mark.parametrize(
     "argv, content",
@@ -441,6 +457,12 @@ def _sample_device_with(**fields):
         ),
         (["dynamics", "--lattice"], '{"l": 2, "fluxes": ["pi", "pi"], "J_MHz": 4.2, "dephasing_us": -5}'),
         (["dynamics", "--lattice"], '{"l": 2, "fluxes": ["pi", "pi"], "J_MHz": 4.2, "dephasing_us": NaN}'),
+        (["dynamics", "--lattice"], '{"l": 1, "fluxes": ["pi"], "J_MHz": 4.2, "dephasing_us": "1"}'),
+        (["dynamics", "--lattice"], '{"l": 1, "fluxes": ["pi"], "J_MHz": %s, "dephasing_us": 1}' % _HUGE),
+        # Above --l's ceiling, which a lattice file's l shares.
+        (["dynamics", "--lattice"], json.dumps({"l": MAX_PLAQUETTES + 1, "fluxes": ["pi"] * (MAX_PLAQUETTES + 1)})),
+        (["adiabatic", "--config"], '{"duration_over_J": %s}' % _HUGE),
+        (["adiabatic", "--schedule"], _STRING_DURATION_SCHEDULE),
         (["adiabatic", "--schedule"], '[{"duration": "x", "j_start": 0, "j_end": 1}]'),
         (["adiabatic", "--schedule"], '{"duration": 30, "j_start": 0, "j_end": 1}'),
         (["verify", "--oracle", "analytic_l1", "--trace"], '{"kind": "population_trace"}'),
@@ -453,6 +475,10 @@ def _sample_device_with(**fields):
         (["coupler-calibrate", "--device"], _sample_device_with(couplers=[5])),
         (["coupler-calibrate", "--device"], _sample_device_with(qubits=[1])),
         (["coupler-calibrate", "--device"], _sample_device_with(sweep_GHz=["a", "b", "c"])),
+        (["coupler-calibrate", "--device"], _sample_device_with(coupler={**SAMPLE_DEVICE["coupler"], "g_ac_GHz": math.nan})),
+        (["coupler-calibrate", "--device"], _sample_device_with(coupler={**SAMPLE_DEVICE["coupler"], "omega_c_GHz": math.nan})),
+        # A bond label in a list: not a label, and not a dictionary key either.
+        (["coupler-calibrate", "--device"], _sample_device_with(couplers=[{"bond": [["A,1"], "up,1"]}])),
         (
             ["verify", "--oracle", "effective_model", "--trace"],
             json.dumps(
@@ -495,6 +521,11 @@ def _sample_device_with(**fields):
         "lattice-dephasing-us-negative-site",
         "lattice-dephasing-us-negative",
         "lattice-dephasing-us-nan",
+        "lattice-dephasing-us-string",
+        "lattice-j-mhz-overflows",
+        "lattice-l-too-many",
+        "config-duration-overflows",
+        "schedule-duration-numeric-string",
         "schedule-duration-string",
         "schedule-not-a-list",
         "trace-without-times",
@@ -503,6 +534,9 @@ def _sample_device_with(**fields):
         "device-coupler-number",
         "device-qubits-list",
         "device-sweep-strings",
+        "device-coupling-nan",
+        "device-coupler-frequency-nan",
+        "device-bond-label-list",
         "trace-delta-string",
     ],
 )
@@ -783,13 +817,70 @@ LEAVES = st.one_of(
 )
 
 
-@given(key=st.sampled_from(sorted(SAMPLE_CONFIG)), leaf=LEAVES)
-@settings(max_examples=40, deadline=None)
-def test_generated_config_exits_cleanly(key, leaf):
+#: Each shipped input sample, with the argv that reads it from the path that follows.
+INPUT_SAMPLES = {
+    **{
+        name: (json.loads(data_path(name).read_text()), ["dynamics", "--lattice"])
+        for name in ("lattice_l1_0.json", "lattice_l1_pi.json", "lattice_l2_0.json", "lattice_l2_pi.json")
+    },
+    "sample_device.json": (SAMPLE_DEVICE, ["coupler-calibrate", "--device"]),
+    "adiabatic_sample.json": (SAMPLE_CONFIG, ["adiabatic", "--config"]),
+    # The schedule the README adiabatic command ramps through.
+    "schedule": (
+        schedule_to_json(two_stage_ramp(build_lattice(1, [PI]), "A,1", 30.0)),
+        ["adiabatic", "--l=1", "--flux=pi", "--schedule"],
+    ),
+}
+
+#: Perturbations that are not a plain value: one above the field's cap (l's
+#: MAX_PLAQUETTES, else MAX_POINTS), the wrong container, and deletion.
+ABOVE_CAP, WRONG_CONTAINER, DELETED = "<above cap>", "<wrong container>", "<deleted>"
+#: Values that a number field refuses, or that stay cheap to run: no count
+#: just under a cap.
+PERTURBATIONS = [
+    math.nan, math.inf, -math.inf, 1e308, ABOVE_CAP, True, False, 0.5, "1", WRONG_CONTAINER, DELETED,
+]
+
+
+def _paths(node, path=()):
+    """The path of every value inside the JSON document ``node``."""
+    children = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield (*path, key)
+        yield from _paths(child, (*path, key))
+
+
+def _perturbed(doc, path, leaf):
+    """A copy of ``doc`` with the value at ``path`` replaced by ``leaf``, or deleted."""
+    doc = json.loads(json.dumps(doc))
+    *head, key = path
+    parent = functools.reduce(operator.getitem, head, doc)
+    if leaf == DELETED:
+        del parent[key]
+    elif leaf == WRONG_CONTAINER:
+        parent[key] = {} if isinstance(parent[key], list) else [parent[key]]
+    else:
+        parent[key] = (MAX_PLAQUETTES if key == "l" else MAX_POINTS) + 1 if leaf == ABOVE_CAP else leaf
+    return doc
+
+
+CASES = st.sampled_from(sorted(INPUT_SAMPLES)).flatmap(
+    lambda name: st.tuples(st.just(name), st.sampled_from(list(_paths(INPUT_SAMPLES[name][0]))))
+)
+
+
+@given(case=CASES, leaf=st.sampled_from(PERTURBATIONS) | LEAVES)
+@example(case=("sample_device.json", ("coupler", "g_ac_GHz")), leaf=math.nan)
+@example(case=("sample_device.json", ("coupler", "omega_a_GHz")), leaf=1e308)
+@settings(max_examples=100, deadline=None)
+def test_generated_config_exits_cleanly(case, leaf):
+    # Any shipped input file with one value, at any depth, changed or deleted.
+    name, path = case
+    doc, argv = INPUT_SAMPLES[name]
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "config.json"
-        path.write_text(json.dumps({**SAMPLE_CONFIG, key: leaf}))
-        _assert_clean_exit(["adiabatic", f"--config={path}"], "adiabatic")
+        file = Path(tmp) / "input.json"
+        file.write_text(json.dumps(_perturbed(doc, path, leaf)))
+        _assert_clean_exit([*argv, str(file)], argv[0])
 
 
 def test_coupler_block_is_the_same_at_every_truncation(tmp_path):

@@ -220,6 +220,13 @@ class TestDeviceFiles:
         with pytest.raises(ConfigError):
             device_from_dict({"schema": 2})
 
+    @pytest.mark.parametrize("row", ["Z1,nan,0", "Z1,1,inf"], ids=["nan-diagonal", "infinite-entry"])
+    def test_nonfinite_crosstalk_rejected(self, tmp_path, row):
+        path = tmp_path / "crosstalk.csv"
+        path.write_text(f",Z1,Z2\n{row}\nZ2,0,1\n")
+        with pytest.raises(ConfigError, match="finite"):
+            load_crosstalk_csv(path)
+
     def test_sample_crosstalk_matrix_loads_and_corrects(self):
         matrix = load_crosstalk_csv(data_path("sample_crosstalk.csv"))
         assert matrix.dim == 7

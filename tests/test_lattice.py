@@ -299,10 +299,13 @@ class TestLatticeFiles:
             # A count takes no fraction or bool, as adiabatic --config's l does.
             ("l", 1.5),
             ("l", True),
+            # A number field takes no bool or numeric string.
+            ("fluxes", [False]),
+            ("detunings", {"A,1": "0.5"}),
         ],
         ids=[
             "j-string", "j-bool", "detuning-string", "detunings-list", "dephasing-string", "gauge-number",
-            "l-fraction", "l-bool",
+            "l-fraction", "l-bool", "flux-bool", "detuning-numeric-string",
         ],
     )
     def test_field_types_rejected(self, field, value):
