@@ -50,6 +50,7 @@ from .lattice import (
     build_lattice,
     config_field,
     csv_text,
+    dephasing_rate,
     hamiltonian_single_excitation,
     json_text,
     lattice_from_dict,
@@ -295,7 +296,7 @@ def cmd_adiabatic(opts, ctx: RunContext) -> int:
         schedule = schedule_from_json(read_config_file(opts.schedule, "schedule file"))
     else:
         schedule = two_stage_ramp(lattice, init, opts.duration, opts.initial_detuning)
-    gammas = [1.0 / (tphi * 2 * PI * j_mhz) for tphi in tphis]
+    gammas = [dephasing_rate(tphi, j_mhz) for tphi in tphis]
     rate_sets = [DephasingRates.uniform(lattice.num_sites, gamma) for gamma in gammas]
     closed, dephased = adiabatic_ramps(lattice, schedule, init, rate_sets)
     labels = site_labels(l)

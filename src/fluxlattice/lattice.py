@@ -620,12 +620,28 @@ def lattice_from_dict(doc: Mapping) -> LatticeConfig:
             times = field("dephasing_us", _site_map(TIME_US))
         else:
             times = dict.fromkeys(lattice.sites, field("dephasing_us", TIME_US))
-        # Gamma/J = 1 / (T_phi[us] * 2*pi * J_MHz): J_MHz is a cyclic frequency.
-        # An infinite time gives rate 0: that site does not dephase.
-        dephasing = {s: 1.0 / (t * 2 * PI * j_mhz) for s, t in times.items()}
-        if math.inf in dephasing.values():
-            raise ConfigError("dephasing_us times this short give an infinite dephasing rate")
+        dephasing = {s: dephasing_rate(t, j_mhz) for s, t in times.items()}
     return LatticeConfig(lattice, j_mhz, dephasing)
+
+
+def dephasing_rate(t_us: float, j_mhz: float) -> float:
+    """The dephasing rate Gamma/J of a dephasing time ``t_us`` in microseconds, at J/2pi = ``j_mhz`` MHz.
+
+    Gamma/J = 1 / (T_phi[us] * 2*pi * J_MHz): J_MHz is a cyclic frequency.
+    An infinite time gives rate 0: that site does not dephase.
+
+    Raises
+    ------
+    ConfigError : if the rate is infinite, from a product of time and
+        coupling that is 0 (it underflowed) or too small to invert.
+    """
+    product = t_us * 2 * PI * j_mhz
+    rate = 1.0 / product if product > 0 else math.inf
+    if rate == math.inf:
+        raise ConfigError(
+            f"a dephasing time of {t_us:g} us at J/2pi = {j_mhz:g} MHz gives an infinite dephasing rate"
+        )
+    return rate
 
 
 def load_lattice(path: str | Path) -> LatticeConfig:

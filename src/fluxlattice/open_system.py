@@ -9,11 +9,14 @@ RK4 for ``lindblad_evolve``, and for the adiabatic ramp, whose collapse
 operators are all diagonal, a fourth-order split step (``_split_step_maps``).
 Both ramp walks live here, on one sub-stepping loop (``_substeps``) and one
 integrator: the dephased one (``_split_walk``) and the closed one
-(``_closed_walk``), which is the same split step without decay.  Each walk
-plans its substep grid and chunk groups once (``_plan``) and advances
-through one batcher (``_batcher``), which applies each chunk's matrices to
-the state from one stream per chunk group; the dephased walk may instead
-loop over the same steps.  Inside a ramp segment H is affine in time, so a
+(``_closed_walk``), which is the same split step without decay.  Both
+walks of one ramp draw from one ``_Ramp``: each takes its substep grid and
+chunk groups from a plan (``_plan``) and advances through one batcher
+(``_batcher``), which applies each chunk's matrices to the state from one
+stream per chunk group; the dephased walk may instead loop over the same
+steps.  While the two walks step alike, they take one plan, one set of node
+unitaries per segment and one table of each kind of Lagrange weights per
+chunk group.  Inside a ramp segment H is affine in time, so a
 step, and a chunk of steps, is an entire function of its start.  Both walks
 take each step from an interpolant through ``SPLIT_NODES`` node steps, and
 a group of many short chunks (more than ``CHUNK_NODES``, each of at most a
@@ -29,7 +32,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import cache, partial
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -374,44 +377,35 @@ def _split_decays(decay: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]
     return np.exp(-decay * (0.5 * c1 * dt)), np.exp(-decay * (0.5 * (c1 + c0) * dt))
 
 
-def _split_step_maps(
-    hamiltonians: Callable[[np.ndarray], np.ndarray], decay: np.ndarray, start: float, stop: float, dt: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Liouville-space maps of split steps of length ``dt`` starting in ``[start, stop]``, H affine there.
+def _split_step_maps(u: np.ndarray, decay: np.ndarray, dt: float) -> np.ndarray:
+    """Liouville-space maps of the split steps of length ``dt`` whose sub-step unitaries are ``u``.
 
-    A step's map is an entire function of its start time.  Returns the
-    ``SPLIT_NODES`` Chebyshev points of ``[start, stop]`` and, for each decay
-    matrix of the stack ``decay`` (shape ``(R, n, n)``), the ``n^2 x n^2``
-    maps of the steps starting there, shape ``(R, SPLIT_NODES, n^2, n^2)``,
-    acting on the row-major flattened density matrix; ``_lagrange_weights``
-    combines them into the map of any step starting in the interval.  Each
-    sub-step unitary U enters as ``_kron(U, U.conj())``, between the diagonal
-    ``_split_decays`` factors; all ``3 * SPLIT_NODES`` unitaries come from
-    one ``_split_unitaries`` call.
+    ``u`` holds the three ``_split_unitaries`` of N steps, shape
+    ``(N, 3, n, n)``.  For each decay matrix of the stack ``decay`` (shape
+    ``(R, n, n)``) the result holds the ``n^2 x n^2`` maps of those steps,
+    shape ``(R, N, n^2, n^2)``, acting on the row-major flattened density
+    matrix.  Each sub-step unitary U enters as ``_kron(U, U.conj())``,
+    between the diagonal ``_split_decays`` factors.  Where H is affine in
+    time a step's map is an entire function of its start, so the maps of
+    steps starting at a segment's ``SPLIT_NODES`` Chebyshev points
+    (``_Ramp.unitaries``) give, through ``_lagrange_weights``, the map of any
+    step starting in the segment.
     """
-    nodes = _chebyshev_nodes(start, stop)
-    u = _split_unitaries(hamiltonians, nodes, dt)
     k = _kron(u, u.conj())
     outer, inner = (d.reshape(len(decay), 1, 1, -1) for d in _split_decays(decay, dt))
     last = outer.swapaxes(-1, -2) * k[:, 2] * inner
-    return nodes, last @ (k[:, 1] * inner) @ (k[:, 0] * outer)
+    return last @ (k[:, 1] * inner) @ (k[:, 0] * outer)
 
 
-def _split_step_unitaries(
-    hamiltonians: Callable[[np.ndarray], np.ndarray], start: float, stop: float, dt: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """``_split_step_maps`` without decay: the unitaries of closed split steps starting in ``[start, stop]``.
+def _split_step_unitaries(u: np.ndarray) -> np.ndarray:
+    """``_split_step_maps`` without decay: the unitaries ``U_3 U_2 U_1`` of the closed split steps whose sub-steps are ``u``.
 
-    Returns the ``SPLIT_NODES`` Chebyshev points of ``[start, stop]`` and the
-    unitaries ``U_3 U_2 U_1`` of the steps of length ``dt`` starting there,
-    the product of Yoshida's three midpoint sub-steps (``_split_unitaries``,
-    one stacked ``eigh``); ``_lagrange_weights`` combines them into the
-    degree-6 interpolant of any step starting in the interval, within about
-    1e-14 of the exact one at any step the rule allows.
+    The product of Yoshida's three midpoint sub-steps, shape ``(N, n, n)``;
+    at a segment's Chebyshev points, ``_lagrange_weights`` combine them into
+    the degree-6 interpolant of any step starting in the segment, within
+    about 1e-14 of the exact one at any step the rule allows.
     """
-    nodes = _chebyshev_nodes(start, stop)
-    u = _split_unitaries(hamiltonians, nodes, dt)
-    return nodes, u[:, 2] @ u[:, 1] @ u[:, 0]
+    return u[:, 2] @ u[:, 1] @ u[:, 0]
 
 
 def _lagrange_weights(nodes: np.ndarray, times: np.ndarray) -> np.ndarray:
@@ -488,8 +482,10 @@ def _substep_grid(checkpoints: np.ndarray, step: float) -> tuple[np.ndarray, np.
     """
     starts = np.concatenate(([0.0], checkpoints[:-1]))
     spans = checkpoints - starts
-    counts = np.where(spans > 0, np.maximum(1.0, np.ceil(spans / step)), 0.0)
-    total = counts.sum()
+    # A count, or their total, beyond the float range reads inf and is refused below.
+    with np.errstate(over="ignore"):
+        counts = np.where(spans > 0, np.maximum(1.0, np.ceil(spans / step)), 0.0)
+        total = counts.sum()
     if not total <= SUBSTEP_BUDGET:  # also rejects an infinite count
         raise ConfigError(
             f"the walk needs {total:.3g} substeps of at most {step:.3e}, above the budget of "
@@ -500,29 +496,29 @@ def _substep_grid(checkpoints: np.ndarray, step: float) -> tuple[np.ndarray, np.
     return starts, counts, lengths
 
 
-def _chunks(n_sub: int) -> list[tuple[int, int]]:
-    """``(first, stop)`` of each run of substeps ``_substeps`` hands ``advance`` at once, for a gap of ``n_sub``.
+def _chunks(n_sub: int) -> list[np.ndarray]:
+    """The substep numbers of each run of substeps ``_substeps`` hands ``advance`` at once, for a gap of ``n_sub``.
 
     Runs are at most ``SUBSTEP_CHUNK`` long, read at call time, so a walk and
     any work prepared for its chunks in advance cut every gap alike.
     """
-    return [(first, min(first + SUBSTEP_CHUNK, n_sub)) for first in range(0, n_sub, SUBSTEP_CHUNK)]
+    return [np.arange(first, min(first + SUBSTEP_CHUNK, n_sub)) for first in range(0, n_sub, SUBSTEP_CHUNK)]
 
 
 def _substeps(
     state: np.ndarray,
     checkpoints: np.ndarray,
-    grid: tuple[np.ndarray, np.ndarray, np.ndarray],
+    grid: tuple[np.ndarray, Sequence[Sequence[np.ndarray]], np.ndarray],
     advance: Callable[[np.ndarray, float, np.ndarray, float], np.ndarray],
 ) -> Iterator[tuple[int, float, np.ndarray]]:
     """Carry ``state`` from time 0 through sorted checkpoints in short substeps.
 
-    ``grid`` holds the start, substep count and substep length ``dt`` of
-    every checkpoint gap, as the caller planned them once: ``_substep_grid``,
-    which refuses a walk above ``SUBSTEP_BUDGET`` substeps before any is
-    taken, or a ramp walk's ``_plan``, which shares round-off-equal lengths.
-    ``advance(state, start, index, dt)`` takes the substeps numbered
-    ``index`` (one of the gap's ``_chunks``, at most ``SUBSTEP_CHUNK``
+    ``grid`` holds the start, the ``_chunks`` and the substep length ``dt``
+    of every checkpoint gap, as the caller planned them once: from
+    ``_substep_grid``, which refuses a walk above ``SUBSTEP_BUDGET``
+    substeps before any is taken, or a ramp walk's ``_plan``, which shares
+    round-off-equal lengths.  ``advance(state, start, index, dt)`` takes the
+    substeps numbered ``index`` (one chunk, at most ``SUBSTEP_CHUNK``
     consecutive substeps) of the gap that begins at ``start``, in time
     order, and returns the state after them.  Substep ``k`` runs from
     ``start + k * dt``; its midpoint is ``start + (k + 0.5) * dt``.  Every
@@ -541,9 +537,9 @@ def _substeps(
         ``TRACE_TOL`` or stops being finite, which means the step is too
         large; the message gives the length of the gap's substeps.
     """
-    for i, (target, start, n_sub, dt) in enumerate(zip(checkpoints, *grid)):
-        for first, stop in _chunks(n_sub):
-            state = advance(state, start, np.arange(first, stop), dt)
+    for i, (target, start, chunks, dt) in enumerate(zip(checkpoints, *grid)):
+        for index in chunks:
+            state = advance(state, start, index, dt)
         if state.ndim >= 2:
             drift = abs(state.trace(axis1=-2, axis2=-1).real - 1.0).max()
             if not drift <= TRACE_TOL:  # also rejects NaN
@@ -580,139 +576,80 @@ def _combine(weights: np.ndarray, values: np.ndarray) -> np.ndarray:
     return (weights.reshape(-1, k) @ values.reshape(r, k, a * b)).reshape((r,) + weights.shape[:-1] + (a, b))
 
 
-def _ordered_products(nodes: np.ndarray, values: np.ndarray, times: np.ndarray, room: int) -> np.ndarray:
-    """The propagator of each row of ``times``: the product of the steps starting there, later ones on the left.
+def _ordered_products(
+    weights: Callable[[slice], np.ndarray], shape: tuple[int, int], values: np.ndarray, room: int
+) -> np.ndarray:
+    """The propagator of each of ``shape[0]`` rows of ``shape[1]`` steps: the product of the row's steps, later ones on the left.
 
-    Each step is interpolated (``_combine``) from its node ``values``
-    (shape ``(R, N, a, b)``); the result has shape
-    ``(R, len(times), a, b)``.  The steps are formed and multiplied
-    (``_ordered_product``) in pieces of at most ``room`` of them per stack
-    entry, and at least one: whole rows while a row fits, else runs of one
-    row.
+    ``weights(rows)`` gives the ``_lagrange_weights`` of the steps of a
+    slice of the rows, shape ``(rows, count, N)``, which interpolate
+    (``_combine``) each step from its node ``values`` (shape
+    ``(R, N, a, b)``); the result has shape ``(R, rows, a, b)``.  The steps
+    are formed and multiplied (``_ordered_product``) in pieces of at most
+    ``room`` of them per stack entry, and at least one: whole rows while a
+    row fits, else runs of one row.  Each slice of rows asks ``weights``
+    once.
     """
-    rows, count = times.shape
+    rows, count = shape
     height, width = max(1, room // count), max(1, min(count, room))
     out = np.empty((len(values), rows) + values.shape[2:], dtype=complex)
     for r in range(0, rows, height):
-        weights = _lagrange_weights(nodes, times[r:r + height].ravel()).reshape(-1, count, len(nodes))
+        step_weights = weights(slice(r, r + height))
         product = None
         for c in range(0, count, width):
-            piece = _ordered_product(_combine(weights[:, c:c + width], values))
+            piece = _ordered_product(_combine(step_weights[:, c:c + width], values))
             product = piece if product is None else piece @ product
         out[:, r:r + height] = product
     return out
 
 
-def _chunk_interpolant(
-    nodes: np.ndarray, values: np.ndarray, chunk_starts: Sequence[float], count: int, dt: float, room: int,
-) -> tuple[np.ndarray, np.ndarray] | None:
-    """The ``CHUNK_NODES`` Chebyshev points of ``chunk_starts``' interval and the chunk propagators there, if they converge.
+def _chunk_interpolant(weights: np.ndarray, values: np.ndarray, room: int) -> np.ndarray | None:
+    """A group's chunk propagators at its ``CHUNK_NODES`` Chebyshev points, if their interpolant in the chunk start converges.
 
-    A propagator is the ordered product of ``count`` steps of length ``dt``
-    (``_ordered_products`` of the step ``values`` at ``nodes``, shape
-    ``(R, N, a, b)``; the result has shape ``(R, CHUNK_NODES, a, b)``).  It
-    is multiplied ``CHUNK_NODES`` steps at a time, and refused (None) at the
-    first prefix where an entry's ``_chebyshev_tail`` exceeds
-    ``CHUNK_TAIL``: the tail grows with the prefix, so a refused interpolant
-    costs at most ``CHUNK_NODES`` steps past the length at which it stopped
-    converging.  The pieces depend on ``count`` alone while a row of them
-    fits ``room``, so a ``room`` that changes only how many rows a piece
-    holds multiplies every propagator in the same order.
+    ``weights`` (``_Ramp.chunk_weights``, shape ``(CHUNK_NODES, count, N)``)
+    are the ``_lagrange_weights`` of the ``count`` steps of the chunk
+    starting at each point; a propagator is the ordered product of those
+    steps (``_ordered_products`` of the step ``values`` at the step nodes,
+    shape ``(R, N, a, b)``), and the result has shape
+    ``(R, CHUNK_NODES, a, b)``.  It is multiplied ``CHUNK_NODES`` steps at
+    a time, and refused (None) at the first prefix where an entry's
+    ``_chebyshev_tail`` exceeds ``CHUNK_TAIL``: the tail grows with the
+    prefix, so a refused interpolant costs at most ``CHUNK_NODES`` steps past
+    the length at which it stopped converging.  The pieces depend on
+    ``count`` alone while a row of them fits ``room``, so a ``room`` that
+    changes only how many rows a piece holds multiplies every propagator in
+    the same order.
     """
-    chunk_nodes = _chebyshev_nodes(min(chunk_starts), max(chunk_starts), CHUNK_NODES)
+    rows, count = weights.shape[:2]
     propagators, first = None, 0
     while first < count:
         stop = min(count, first + CHUNK_NODES)
-        piece = _ordered_products(nodes, values, chunk_nodes[:, None] + np.arange(first, stop) * dt, room)
+        steps = slice(first, stop)
+        piece = _ordered_products(lambda r, steps=steps: weights[r, steps], (rows, stop - first), values, room)
         propagators = piece if propagators is None else piece @ propagators
         if not _chebyshev_tail(propagators).max() <= CHUNK_TAIL:  # also refuses NaN
             return None
         first = stop
-    return chunk_nodes, propagators
+    return propagators
 
 
-def _batcher(
-    groups: dict[tuple[int, float, int], list[tuple[float, int]]],
-    step_nodes: Callable[[int, float], tuple[np.ndarray, np.ndarray]],
-    stepping: bool,
-    sets: int,
-) -> Callable[[np.ndarray, float, np.ndarray, float], np.ndarray]:
-    """The ``advance`` of a ramp walk for ``_substeps``: it applies each chunk's matrices to a stack of ``sets`` vectors.
+class _Plan(NamedTuple):
+    """A ramp walk's substep grid and the chunk groups ``_batcher`` streams (``_plan``)."""
 
-    ``groups`` are ``_plan``'s: the chunks (gap start, first substep) by
-    (segment, substep length, count), in time order.  A chunk's matrices,
-    shape ``(R, a, b)`` for R = ``sets`` stack entries, take the state,
-    reshaped to ``(R, b, 1)`` (the closed state vector as one ``(1, n, 1)``
-    stack, R density matrices flattened to ``(R, n^2, 1)``), through it.
-    ``step_nodes(segment, dt)`` gives Chebyshev points of a segment and,
-    for each stack entry, the step of length ``dt`` starting at each point
-    (shape ``(R, N, a, b)``), whose ``_lagrange_weights`` give any step of
-    the segment; it is called once per (segment, dt).  Each group is one
-    stream, a generator of its chunks' matrices in time order that picks the
-    group's form once, on its first chunk.  On a segment H is affine in
-    time, so a chunk's propagator is an entire function of the chunk's
-    start, as a step is.  A group of more than ``CHUNK_NODES`` chunks of
-    ``count`` steps tries ``_chunk_interpolant`` if it does not step (the
-    closed walk) or ``_interpolant_pays`` for its map dimension ``a``; if
-    that converges for every entry, a chunk is the one Lagrange combination
-    of its node propagators.  Any other chunk is its interpolated steps in
-    time order if ``stepping``, else their ordered product
-    (``_ordered_products``).  A stack entry's result therefore depends on
-    the others only where one entry's interpolant is refused.  A stream
-    forms its chunks in batches of at most ``BATCH_BYTES`` per stack entry
-    (at least one matrix), each when the walk reaches its first chunk and
-    dropped once its last is applied; a stepped chunk's Lagrange weights are
-    batched alike, and its step maps formed when it is taken.  ``advance``
-    drops a group's stream after its last chunk, which frees the group's
-    interpolant and last batch.
-    """
-    step_nodes = cache(step_nodes)
-
-    def stream(segment: int, dt: float, count: int) -> Iterator[np.ndarray]:
-        # Per chunk, a stack of the matrices it applies in order: its step maps or its one propagator.
-        members = groups[segment, dt, count]
-        nodes, values = step_nodes(segment, dt)
-        room = max(1, BATCH_BYTES // values[0, 0].nbytes)
-        interpolant = None
-        if len(members) > CHUNK_NODES and (
-            not stepping or _interpolant_pays(count, len(members), sets, values.shape[-1])
-        ):
-            interpolant = _chunk_interpolant(nodes, values, [s + f * dt for s, f in members], count, dt, room)
-        stepped = interpolant is None and stepping
-        size = max(1, BATCH_BYTES // (8 * nodes.size * count)) if stepped else room
-        for i in range(0, len(members), size):
-            gap_starts, firsts = (np.array(column) for column in zip(*members[i:i + size]))
-            times = gap_starts[:, None] + (firsts[:, None] + np.arange(count)) * dt
-            if stepped:
-                weights = _lagrange_weights(nodes, times.ravel()).reshape(len(times), count, nodes.size)
-                yield from (_combine(w, values).swapaxes(0, 1) for w in weights)
-                del weights  # before the next batch's are formed
-            elif interpolant is not None:
-                chunk_nodes, propagators = interpolant
-                yield from _combine(_lagrange_weights(chunk_nodes, times[:, 0]), propagators).swapaxes(0, 1)[:, None]
-            else:
-                yield from _ordered_products(nodes, values, times, room).swapaxes(0, 1)[:, None]
-
-    place = {member: key for key, members in groups.items() for member in members}
-    streams = {key: stream(*key) for key in groups}  # each starts on its group's first chunk
-
-    def advance(state: np.ndarray, start: float, index: np.ndarray, dt: float) -> np.ndarray:
-        chunk = start, index[0]
-        key = place[chunk]
-        vec = state.reshape(sets, -1, 1)
-        for matrices in next(streams[key]):
-            vec = matrices @ vec
-        if chunk == groups[key][-1]:
-            del streams[key]  # frees the group's interpolant and last batch
-        return vec.reshape(state.shape)
-
-    return advance
+    starts: np.ndarray
+    counts: np.ndarray
+    lengths: np.ndarray
+    segments: np.ndarray
+    #: The chunks (gap start, first substep) by (segment, substep length, count), each in time order.
+    groups: dict[tuple[int, float, int], list[tuple[float, int]]]
+    #: Each gap's ``_chunks``.
+    chunks: list[list[np.ndarray]]
+    #: The group of every chunk, in walk order.
+    order: list[tuple[int, float, int]]
 
 
-def _plan(
-    grid: np.ndarray, offsets: np.ndarray, step: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, dict[tuple[int, float, int], list[tuple[float, int]]]]:
-    """A ramp walk's ``_substep_grid`` at ``step``, each gap's segment, and the walk's chunk groups.
+def _plan(grid: np.ndarray, offsets: np.ndarray, step: float) -> _Plan:
+    """A ramp walk's ``_substep_grid`` at ``step``, each gap's segment and chunks, and the walk's chunk groups.
 
     ``offsets`` are the segment boundaries, from 0 to the ramp's end.  Gaps of
     one segment whose spans differ only by round-off (four ulps of the ramp's
@@ -726,78 +663,247 @@ def _plan(
     starts, counts, lengths = _substep_grid(grid, step)
     segments = np.searchsorted(offsets[1:-1], starts, side="right")
     walked = counts > 0
-    shared, first, roundoff = {}, (-1, 0.0), 4 * np.spacing(grid[-1])
+    shared, first, roundoff = {}, (-1, 0.0), 4 * float(np.spacing(grid[-1]))
     for segment, dt, count in sorted(zip(segments[walked].tolist(), lengths[walked].tolist(), counts[walked].tolist())):
         if segment != first[0] or (dt - first[1]) * count > roundoff:
             first = segment, dt
         shared[segment, dt] = first[1]
     lengths = np.array([shared.get(key, 0.0) for key in zip(segments.tolist(), lengths.tolist())])
     groups: dict[tuple[int, float, int], list[tuple[float, int]]] = {}
+    chunks, order, cuts = [], [], {}  # gaps of one count share their chunks
     for start, n_sub, dt, segment in zip(starts.tolist(), counts.tolist(), lengths.tolist(), segments.tolist()):
-        for chunk, stop in _chunks(n_sub):
-            groups.setdefault((segment, dt, stop - chunk), []).append((start, chunk))
-    return starts, counts, lengths, segments, groups
+        if n_sub not in cuts:
+            gap = _chunks(n_sub)
+            cuts[n_sub] = gap, [(int(index[0]), index.size) for index in gap]
+        gap, runs = cuts[n_sub]
+        chunks.append(gap)
+        for first, size in runs:
+            key = segment, dt, size
+            groups.setdefault(key, []).append((start, first))
+            order.append(key)
+    return _Plan(starts, counts, lengths, segments, groups, chunks, order)
 
 
-def _closed_walk(
-    hamiltonians: Callable[..., np.ndarray], offsets: np.ndarray, grid: np.ndarray, norm_bound: float,
-    psi0: np.ndarray,
-) -> np.ndarray:
-    """The state vector at every point of ``grid``, walked from ``psi0`` by closed split steps.
+class _Ramp:
+    """What the walks of one ramp are planned from, and the work they share: one per ``adiabatic_ramps`` call.
 
     ``hamiltonians(times, segment=None)`` is the ramp's H at each time
     (given ``segment``, that segment's line), affine on each segment between
     the ``offsets``; every gap of ``grid`` lies inside one segment, and
-    ``norm_bound`` bounds the norm of H on the ramp.  The walk is
-    ``_split_walk`` without decay, at its step rule at zero rate: each step
-    is Yoshida's triple jump of midpoint unitaries, fourth order, an entire
-    function of its start time inside its segment, so each is taken from
-    the degree-6 interpolant through ``SPLIT_NODES`` exact node unitaries
-    per segment and step length (``_split_step_unitaries``), within about
-    1e-14 and without an ``eigh`` per step.  Each chunk comes from
-    ``_batcher`` as one propagator: in a group of more than ``CHUNK_NODES``
-    chunks, whose node propagators cost no more than that many chunks'
-    products, the Lagrange combination of those while they converge (the
-    README ramp's two groups of 50 chunks of 14 steps); otherwise the
-    ordered product of the chunk's steps (each group of 50 chunks of 134
-    steps at duration 300, whose interpolant is refused after 30 to 75), in
-    pieces of at most ``BATCH_BYTES``.  A chunk costs one product with the
-    state.
+    ``norm_bound`` bounds the norm of H on the ramp.  The closed walk steps
+    at ``closed_step``, the step rule at zero rate; with a ``max_rate`` the
+    dephased walk steps at ``split_step``, the rule of that rate weighed
+    ``SPLIT_RATE_WEIGHT`` times.  A walk takes its ``plan``; its steps of
+    length ``dt`` on ``segment`` take their interpolants from the
+    sub-step ``unitaries`` at the segment's ``nodes``, and a group of its
+    chunks that tries the chunk interpolant takes its two
+    ``_lagrange_weights`` tables (``chunk_weights``).
+
+    The two walks share all of it only when their steps are equal: while
+    ``SPLIT_RATE_WEIGHT * max_rate`` is at most the norm bound.  Then each
+    is formed once and kept until the ramp is dropped, so ``_plan`` runs
+    once, ``_split_unitaries`` once per (segment, dt) and each table once
+    per group, and the closed and dephased walks take bit for bit the node
+    unitaries and weights either would alone.  Otherwise (a closed ramp
+    alone, or a rate that sets a shorter step) each walk forms its own and
+    the ramp keeps nothing, so a walk holds what it did alone.
     """
-    step = SPLIT_STEP_FACTOR * rk4_max_step(norm_bound, 0.0)
-    starts, counts, lengths, _, groups = _plan(grid, offsets, step)
+
+    def __init__(
+        self, hamiltonians: Callable[..., np.ndarray], offsets: np.ndarray, grid: np.ndarray, norm_bound: float,
+        max_rate: float | None = None,
+    ):
+        self.hamiltonians, self.offsets, self.grid = hamiltonians, offsets, grid
+        #: Per segment, the ``SPLIT_NODES`` Chebyshev points where its steps' interpolants sample.
+        self.nodes = [_chebyshev_nodes(start, stop) for start, stop in zip(offsets[:-1], offsets[1:])]
+        self.closed_step = SPLIT_STEP_FACTOR * rk4_max_step(norm_bound, 0.0)
+        self.split_step = None if max_rate is None else SPLIT_STEP_FACTOR * rk4_max_step(
+            norm_bound, SPLIT_RATE_WEIGHT * max_rate
+        )
+        self._kept: dict | None = {} if self.split_step == self.closed_step else None
+
+    def _once(self, key: tuple, make: Callable[[], object]):
+        """``make()``, formed once and kept while both walks share the ramp's work."""
+        if self._kept is None:
+            return make()
+        if key not in self._kept:
+            self._kept[key] = make()
+        return self._kept[key]
+
+    def plan(self, step: float) -> _Plan:
+        return self._once(("plan",), lambda: _plan(self.grid, self.offsets, step))
+
+    def unitaries(self, segment: int, dt: float) -> np.ndarray:
+        """``_split_unitaries`` of the split steps of length ``dt`` starting at the segment's ``nodes``."""
+        return self._once(
+            ("unitaries", segment, dt),
+            lambda: _split_unitaries(partial(self.hamiltonians, segment=segment), self.nodes[segment], dt),
+        )
+
+    def chunk_weights(self, plan: _Plan, key: tuple[int, float, int]) -> tuple[np.ndarray, np.ndarray]:
+        """The two ``_lagrange_weights`` tables of the chunk interpolant of a group of ``plan``.
+
+        Both sample at the ``CHUNK_NODES`` Chebyshev points of the group's
+        chunk starts.  The first, shape ``(CHUNK_NODES, count, SPLIT_NODES)``,
+        weighs the segment's ``nodes`` for step ``k`` of the chunk starting
+        at point ``j`` in row ``[j, k]``; the second, shape
+        ``(chunks, CHUNK_NODES)``, weighs the points for each chunk start.
+        Each row is what that time alone would give, so a slice of either
+        table is what a slice of its times would.
+        """
+
+        def make() -> tuple[np.ndarray, np.ndarray]:
+            segment, dt, count = key
+            starts = np.array([start + first * dt for start, first in plan.groups[key]])
+            chunk_nodes = _chebyshev_nodes(starts.min(), starts.max(), CHUNK_NODES)
+            times = chunk_nodes[:, None] + np.arange(count) * dt
+            steps = _lagrange_weights(self.nodes[segment], times.ravel()).reshape(CHUNK_NODES, count, SPLIT_NODES)
+            return steps, _lagrange_weights(chunk_nodes, starts)
+
+        return self._once(("weights", key), make)
+
+
+def _batcher(
+    ramp: _Ramp,
+    plan: _Plan,
+    step_nodes: Callable[[int, float], tuple[np.ndarray, np.ndarray]],
+    stepping: bool,
+    sets: int,
+) -> Callable[[np.ndarray, float, np.ndarray, float], np.ndarray]:
+    """The ``advance`` of a ramp walk for ``_substeps``: it applies each chunk's matrices to a stack of ``sets`` vectors.
+
+    ``plan`` is the walk's, from ``ramp``: its chunk groups (gap start,
+    first substep) by (segment, substep length, count), and the group of
+    each chunk in walk order, the order in which ``_substeps`` calls
+    ``advance``.  A chunk's matrices, shape ``(R, a, b)`` for R = ``sets``
+    stack entries, take the state, reshaped to ``(R, b, 1)`` (the closed
+    state vector as one ``(1, n, 1)`` stack, R density matrices flattened to
+    ``(R, n^2, 1)``), through it.  ``step_nodes(segment, dt)`` gives the
+    segment's ``ramp.nodes`` and, for each stack entry, the step of length
+    ``dt`` starting at each node (shape ``(R, N, a, b)``), whose
+    ``_lagrange_weights`` give any step of the segment; it is called once
+    per (segment, dt).  Each group is one stream, a generator of its chunks'
+    matrices in time order that picks the group's form once, on its first
+    chunk.  On a segment H is affine in time, so a chunk's propagator is an
+    entire function of the chunk's start, as a step is.  A group of more
+    than ``CHUNK_NODES`` chunks of ``count`` steps tries
+    ``_chunk_interpolant`` if it does not step (the closed walk) or
+    ``_interpolant_pays`` for its map dimension ``a``; if that converges for
+    every entry, a chunk is the one Lagrange combination of its node
+    propagators.  The node unitaries behind ``step_nodes`` and both weight
+    tables come from ``ramp``, so a walk that shares the other's plan (only
+    when their steps are equal) takes the ones that walk formed.  Any other
+    chunk is its interpolated steps in time order if ``stepping``, else
+    their ordered product (``_ordered_products``).  A stack entry's result
+    therefore depends on the others only where one entry's interpolant is
+    refused.  A stream forms its chunks in batches of at most
+    ``BATCH_BYTES`` per stack entry (at least one matrix), each when the
+    walk reaches its first chunk and dropped once its last is applied; a
+    stepped chunk's Lagrange weights are batched alike, and its step maps
+    formed when it is taken.  A group's stream is dropped after its last
+    chunk, which frees the group's interpolant and last batch.
+    """
+    step_nodes = cache(step_nodes)
+
+    def stream(key: tuple[int, float, int]) -> Iterator[np.ndarray]:
+        # Per chunk, a stack of the matrices it applies in order: its step maps or its one propagator.
+        segment, dt, count = key
+        members = plan.groups[key]
+        nodes, values = step_nodes(segment, dt)
+        room = max(1, BATCH_BYTES // values[0, 0].nbytes)
+        if len(members) > CHUNK_NODES and (
+            not stepping or _interpolant_pays(count, len(members), sets, values.shape[-1])
+        ):
+            step_weights, chunk_weights = ramp.chunk_weights(plan, key)
+            propagators = _chunk_interpolant(step_weights, values, room)
+            if propagators is not None:
+                for i in range(0, len(members), room):
+                    yield from _combine(chunk_weights[i:i + room], propagators).swapaxes(0, 1)[:, None]
+                return
+        size = max(1, BATCH_BYTES // (8 * nodes.size * count)) if stepping else room
+        for i in range(0, len(members), size):
+            gap_starts, firsts = (np.array(column) for column in zip(*members[i:i + size]))
+            times = gap_starts[:, None] + (firsts[:, None] + np.arange(count)) * dt
+
+            def weights(rows: slice, times: np.ndarray = times) -> np.ndarray:
+                return _lagrange_weights(nodes, times[rows].ravel()).reshape(-1, count, nodes.size)
+
+            if stepping:
+                yield from (_combine(w, values).swapaxes(0, 1) for w in weights(slice(None)))
+            else:
+                yield from _ordered_products(weights, times.shape, values, room).swapaxes(0, 1)[:, None]
+
+    def chunks() -> Iterator[np.ndarray]:
+        # Every chunk's matrices, in walk order.
+        streams = {key: stream(key) for key in plan.groups}  # each starts on its group's first chunk
+        left = {key: len(members) for key, members in plan.groups.items()}
+        for key in plan.order:
+            yield next(streams[key])
+            left[key] -= 1
+            if not left[key]:
+                del streams[key]  # frees the group's interpolant and last batch
+
+    walk = chunks()
+
+    def advance(state: np.ndarray, start: float, index: np.ndarray, dt: float) -> np.ndarray:
+        vec = state.reshape(sets, -1, 1)
+        for matrices in next(walk):
+            vec = matrices @ vec
+        return vec.reshape(state.shape)
+
+    return advance
+
+
+def _closed_walk(ramp: _Ramp, psi0: np.ndarray) -> np.ndarray:
+    """The state vector at every point of ``ramp.grid``, walked from ``psi0`` by closed split steps.
+
+    The walk is ``_split_walk`` without decay, at its step rule at zero rate
+    (``ramp.closed_step``): each step is Yoshida's triple jump of midpoint
+    unitaries, fourth order, an entire function of its start time inside
+    its segment, so each is taken from the degree-6 interpolant through
+    ``SPLIT_NODES`` exact node unitaries per segment and step length
+    (``_split_step_unitaries`` of ``ramp.unitaries``), within about 1e-14
+    and without an ``eigh`` per step.  Each chunk comes from ``_batcher``
+    as one propagator: in a group of more than ``CHUNK_NODES`` chunks, whose
+    node propagators cost no more than that many chunks' products, the
+    Lagrange combination of those while they converge (the README ramp's
+    two groups of 50 chunks of 14 steps); otherwise the ordered product of
+    the chunk's steps (each group of 50 chunks of 134 steps at duration
+    300, whose interpolant is refused after 30 to 75), in pieces of at most
+    ``BATCH_BYTES``.  A chunk costs one product with the state.  When the
+    dephased walk steps as this one does, the ramp keeps this walk's plan,
+    node unitaries and chunk-interpolant weights for it.
+    """
+    plan = ramp.plan(ramp.closed_step)
 
     def closed_nodes(segment: int, dt: float) -> tuple[np.ndarray, np.ndarray]:
-        nodes, u = _split_step_unitaries(partial(hamiltonians, segment=segment), *offsets[segment:segment + 2], dt)
-        return nodes, u[None]
+        return ramp.nodes[segment], _split_step_unitaries(ramp.unitaries(segment, dt))[None]
 
-    advance = _batcher(groups, closed_nodes, False, 1)
-    return np.array([psi for _, _, psi in _substeps(psi0, grid, (starts, counts, lengths), advance)])
+    advance = _batcher(ramp, plan, closed_nodes, False, 1)
+    return np.array([psi for _, _, psi in _substeps(psi0, ramp.grid, (plan.starts, plan.chunks, plan.lengths), advance)])
 
 
-def _split_walk(
-    hamiltonians: Callable[..., np.ndarray], offsets: np.ndarray, grid: np.ndarray, norm_bound: float,
-    max_rate: float, decay: np.ndarray, stack: np.ndarray,
-) -> np.ndarray:
-    """The stack of density matrices at every point of ``grid``, walked from ``stack`` by split steps.
+def _split_walk(ramp: _Ramp, decay: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    """The stack of density matrices at every point of ``ramp.grid``, walked from ``stack`` by split steps.
 
-    ``hamiltonians``, ``offsets``, ``grid`` and ``norm_bound`` are as for
-    ``_closed_walk``.  ``decay`` holds one elementwise decay matrix per
-    density matrix of ``stack`` (shape ``(R, n, n)``), and ``max_rate`` is
-    the largest rate behind them.  Each step is ``_split_step_maps``' (the
-    exact elementwise decay between the midpoint unitaries of Yoshida's three
-    Strang sub-steps), ``SPLIT_STEP_FACTOR`` times the step rule of
-    ``max_rate`` weighed ``SPLIT_RATE_WEIGHT`` times.  ``_batch_pays`` picks
-    how the walk takes a chunk: one Python loop turn per step, or through
-    ``_batcher``, from the interpolant through ``SPLIT_NODES`` exact node
-    maps per segment and step length: one product with the chunk's
-    Liouville-space propagator where the group's chunk interpolant pays and
-    converges, else one matrix-vector product per step map.  Both take the
-    steps of one ``_plan``, so each segment's steps have one length, and
-    agree to round-off.
+    ``decay`` holds one elementwise decay matrix per density matrix of
+    ``stack`` (shape ``(R, n, n)``), and the ramp's ``max_rate`` is the
+    largest rate behind them.  Each step is ``_split_step_maps``' (the exact
+    elementwise decay between the midpoint unitaries of Yoshida's three
+    Strang sub-steps), at ``ramp.split_step``: ``SPLIT_STEP_FACTOR`` times
+    the step rule of ``max_rate`` weighed ``SPLIT_RATE_WEIGHT`` times.
+    ``_batch_pays`` picks how the walk takes a chunk: one Python loop turn
+    per step, or through ``_batcher``, from the interpolant through
+    ``SPLIT_NODES`` exact node maps per segment and step length: one product
+    with the chunk's Liouville-space propagator where the group's chunk
+    interpolant pays and converges, else one matrix-vector product per step
+    map.  Both take the steps of one ``_plan``, so each segment's steps have
+    one length, and agree to round-off.  While the rate leaves the step at
+    the closed walk's, this walk takes the closed walk's plan, and the
+    batched branch also its node unitaries and chunk-interpolant weights,
+    all from ``ramp``; a rate that shortens the step shares nothing.
     """
     sets, n = decay.shape[:2]
-    step = SPLIT_STEP_FACTOR * rk4_max_step(norm_bound, SPLIT_RATE_WEIGHT * max_rate)
 
     # Every gap lies inside one segment, where H is affine in time.  The
     # loop forms a chunk's sub-step unitaries from one stacked eigh, then
@@ -826,30 +932,30 @@ def _split_walk(
     # length at which it stopped converging (``_chunk_interpolant``).  Per
     # set, the walk may hold the node maps, a group's node propagators and a
     # stepped chunk's maps at once.
-    starts, counts, lengths, _, groups = _plan(grid, offsets, step)
-    n_maps = len({key[:2] for key in groups})  # one node set per (segment, dt)
+    plan = ramp.plan(ramp.split_step)
+    n_maps = len({key[:2] for key in plan.groups})  # one node set per (segment, dt)
     if _batch_pays(
-        int(counts.sum()), 20, 22.5 * n**3 + 4 * n * n, sets * (SPLIT_NODES + 1) * n**4 / 3,
+        int(plan.counts.sum()), 20, 22.5 * n**3 + 4 * n * n, sets * (SPLIT_NODES + 1) * n**4 / 3,
         sets * n_maps * SPLIT_NODES * 2 * n**6 / 3,
-        16 * n**4 * (SPLIT_NODES + CHUNK_NODES + min(SUBSTEP_CHUNK, int(counts.max()))),
+        16 * n**4 * (SPLIT_NODES + CHUNK_NODES + min(SUBSTEP_CHUNK, int(plan.counts.max()))),
     ):
 
         def dephased_nodes(segment: int, dt: float) -> tuple[np.ndarray, np.ndarray]:
-            return _split_step_maps(partial(hamiltonians, segment=segment), decay, *offsets[segment:segment + 2], dt)
+            return ramp.nodes[segment], _split_step_maps(ramp.unitaries(segment, dt), decay, dt)
 
-        advance = _batcher(groups, dephased_nodes, True, sets)
+        advance = _batcher(ramp, plan, dephased_nodes, True, sets)
 
     else:
 
         def advance(rho: np.ndarray, start: float, index: np.ndarray, dt: float) -> np.ndarray:
             outer, inner = _split_decays(decay, dt)
-            u = _split_unitaries(hamiltonians, start + index * dt, dt)
+            u = _split_unitaries(ramp.hamiltonians, start + index * dt, dt)
             for (u1, u2, u3), (v1, v2, v3) in zip(u, u.conj().swapaxes(-1, -2)):
                 rho = inner * (u1 @ (outer * rho) @ v1)
                 rho = outer * (u3 @ (inner * (u2 @ rho @ v2)) @ v3)
             return rho
 
-    return np.array([rhos for _, _, rhos in _substeps(stack, grid, (starts, counts, lengths), advance)])
+    return np.array([rhos for _, _, rhos in _substeps(stack, ramp.grid, (plan.starts, plan.chunks, plan.lengths), advance)])
 
 
 @dataclass(frozen=True, eq=False)
@@ -928,8 +1034,7 @@ def lindblad_evolve(
     coherences = np.empty(t.size)
     snapshots: list[DensityMatrix] = []
 
-    grid = _substep_grid(t, step)
-    _, counts, lengths = grid
+    starts, counts, lengths = _substep_grid(t, step)
     n_maps = len(set(lengths[counts > 0].tolist()))
     # One _rk4_step makes 37 + 36 g numpy calls and 4 (2 + 4 g) products of
     # dim x dim matrices, g the number of non-diagonal collapse operators.  A
@@ -958,6 +1063,7 @@ def lindblad_evolve(
                 rho = _rk4_step(h, rho, dt, collapse)
             return rho
 
+    grid = starts, [_chunks(n_sub) for n_sub in counts.tolist()], lengths
     for i, _, rho in _substeps(np.array(rho0.matrix, dtype=complex), t, grid, advance):
         populations[i] = rho.diagonal().real[1:]
         off = rho - np.diag(rho.diagonal())

@@ -40,6 +40,7 @@ from .dynamics import (
 )
 from .open_system import (
     DephasingRates,
+    _Ramp,
     _bhattacharyya,
     _closed_walk,
     _collapse_terms,
@@ -559,7 +560,7 @@ def adiabatic_ramps(
     stay zero, by the same split steps with the exact elementwise decay
     between the unitaries, which keep the trace at any step
     (``open_system._split_walk``), at the step rule of the largest rate (each
-    set's own while every rate is below the norm of H).  Returns the closed
+    set's own while no rate sets the step).  Returns the closed
     result and one result per rate set, whose fidelities are against the
     closed ground populations.
 
@@ -571,9 +572,20 @@ def adiabatic_ramps(
     ``open_system.BATCH_BYTES`` and one step; a cost rule picks for the
     dephased walk, which interpolates its steps on small lattices and few
     rate sets (its maps are per set), and where many short chunks make it
-    pay (the README ramp at l = 1) takes each as one propagator too.  The
-    checkpoints are diagnosed after both walks, from one stacked ``eigh`` of
-    their Hamiltonians (``_ground_projectors``).
+    pay (the README ramp at l = 1) takes each as one propagator too.  Both
+    walks are planned from one ``open_system._Ramp``.  While the largest
+    rate leaves the dephased step at the closed one (the rate times
+    ``open_system.SPLIT_RATE_WEIGHT`` at most the norm of H, as on the
+    README ramp), the walks share what the closed walk formed: one plan of
+    the grid, one set of node unitaries per segment and step length, and
+    the Lagrange weight tables of each group of chunks, so the closed result
+    is bit for bit the closed ramp's alone.  A rate that shortens the step
+    gets a plan and node sets of its own, and nothing is kept past the call.
+    The checkpoints are diagnosed after both walks, from one stacked
+    ``eigh`` of their Hamiltonians (``_ground_projectors``).  When the final
+    closed state has no weight in the target ground space,
+    ``ground_populations`` fall back to the lowest eigenvector of the target
+    Hamiltonian, with a warning that names the overlap.
 
     Raises
     ------
@@ -605,8 +617,10 @@ def adiabatic_ramps(
 
     psi0 = np.zeros(n, dtype=complex)
     psi0[lattice_final.site_index(site)] = 1.0
+    max_rate = max((float(rates.values.max(initial=0.0)) for rates in rate_sets), default=None)
+    ramp = _Ramp(hamiltonians, offsets, grid, norm_bound, max_rate)
     # The state at every checkpoint, one stack per walk: closed, then each rate set.
-    walks = [_closed_walk(hamiltonians, offsets, grid, norm_bound, psi0)[rows]]
+    walks = [_closed_walk(ramp, psi0)[rows]]
     if rate_sets:
         # One (R, L, L) decay stack without the vacuum, whose row and column
         # of the density matrix stay zero; a set without nonzero rates decays
@@ -614,8 +628,7 @@ def adiabatic_ramps(
         decays = [_collapse_terms(dephasing_operators(rates, n + 1))[0] for rates in rate_sets]
         decay = np.array([np.zeros((n, n)) if d is None else d[1:, 1:] for d in decays])
         stack = np.repeat(np.outer(psi0, psi0)[None], len(rate_sets), 0)
-        max_rate = max(float(rates.values.max(initial=0.0)) for rates in rate_sets)
-        rhos = _split_walk(hamiltonians, offsets, grid, norm_bound, max_rate, decay, stack)[rows]
+        rhos = _split_walk(ramp, decay, stack)[rows]
         # The vacuum row and column back in, one contiguous stack per set, so
         # a set's weights take the same arithmetic however many sets were
         # walked with it.
@@ -639,6 +652,12 @@ def adiabatic_ramps(
     weight = np.linalg.norm(projected)
     if weight < 1e-12:
         # Orthogonal to the ground space: fall back to the lowest eigenvector.
+        overlap = float(_ground_weights(final_projector, walks[0][-1:])[0])
+        warnings.warn(
+            f"final closed state has overlap {overlap:.3e} with the target ground space: "
+            "ground_populations fall back to the lowest eigenvector of the target Hamiltonian",
+            stacklevel=2,
+        )
         ground_pops = np.abs(np.linalg.eigh(h_final)[1][:, 0]) ** 2
     else:
         ground_pops = np.abs(projected / weight) ** 2

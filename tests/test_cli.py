@@ -5,6 +5,7 @@ import json
 import math
 import operator
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -459,6 +460,8 @@ _HUGE = "1" + "0" * 400
         (["dynamics", "--lattice"], '{"l": 2, "fluxes": ["pi", "pi"], "J_MHz": 4.2, "dephasing_us": NaN}'),
         (["dynamics", "--lattice"], '{"l": 1, "fluxes": ["pi"], "J_MHz": 4.2, "dephasing_us": "1"}'),
         (["dynamics", "--lattice"], '{"l": 1, "fluxes": ["pi"], "J_MHz": %s, "dephasing_us": 1}' % _HUGE),
+        # Both positive, but their product underflows to 0: an infinite rate.
+        (["dynamics", "--lattice"], '{"l": 1, "fluxes": ["pi"], "J_MHz": 1e-200, "dephasing_us": 1e-200}'),
         # Above --l's ceiling, which a lattice file's l shares.
         (["dynamics", "--lattice"], json.dumps({"l": MAX_PLAQUETTES + 1, "fluxes": ["pi"] * (MAX_PLAQUETTES + 1)})),
         (["adiabatic", "--config"], '{"duration_over_J": %s}' % _HUGE),
@@ -523,6 +526,7 @@ _HUGE = "1" + "0" * 400
         "lattice-dephasing-us-nan",
         "lattice-dephasing-us-string",
         "lattice-j-mhz-overflows",
+        "lattice-dephasing-rate-infinite",
         "lattice-l-too-many",
         "config-duration-overflows",
         "schedule-duration-numeric-string",
@@ -607,6 +611,8 @@ def passing_trace(tmp_path_factory):
         ["zak", "--delta-range", "0:1:1000000000"],
         # 1.1e8 substeps: refused by the budget before any array is built.
         ["adiabatic", "--l", "1", "--duration", "30", "--j-mhz", "4.2", "--dephasing-us", "1e-7"],
+        # Both positive, but their product underflows to 0: an infinite rate.
+        ["adiabatic", "--l", "1", "--duration", "1", "--j-mhz", "1e-200", "--dephasing-us", "1e-200"],
         # A trace that passes at the default tolerance.
         ["verify", "--trace", PASSING_TRACE, "--oracle", "effective_model", "--tolerance", "-1"],
         ["verify", "--trace", PASSING_TRACE, "--oracle", "effective_model", "--tolerance", "nan"],
@@ -663,6 +669,7 @@ def passing_trace(tmp_path_factory):
         "spectroscopy-range-too-many",
         "zak-range-too-many",
         "adiabatic-substep-budget",
+        "adiabatic-dephasing-rate-infinite",
         "verify-tolerance-negative",
         "verify-tolerance-nan",
         "bands-nk-too-many",
@@ -703,6 +710,32 @@ def test_substep_budget_names_the_count(tmp_path, capsys, tphi, count):
     argv = ["adiabatic", "--l", "1", "--duration", "30", "--j-mhz", "4.2", "--dephasing-us", tphi]
     assert main([*argv, "--outdir", str(tmp_path / "out")]) == 2
     assert f"the walk needs {count} substeps of at most" in capsys.readouterr().err
+
+
+def test_overflowing_substep_count_is_refused_without_a_warning(tmp_path, capsys):
+    # 100 gaps of 1e306, each of a finite count of steps, whose total
+    # overflows: refused with the budget's message, and no numpy warning.
+    argv = ["adiabatic", "--l", "1", "--flux", "pi", "--duration", "1e308", "--j-mhz", "4.2", "--dephasing-us", "1"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([*argv, "--outdir", str(tmp_path / "out")]) == 2
+    assert "the walk needs inf substeps of at most" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_fallback_ground_populations_warn_and_keep_the_files(tmp_path):
+    # At l = 2, flux pi an excitation on A,1 is caged away from the target
+    # ground state (overlap 3.9e-18), so the ground populations fall back to
+    # the lowest eigenvector.  The run says so, and writes the files it wrote
+    # before it did (digests recorded then).
+    argv = ["adiabatic", "--l", "2", "--flux", "pi", "--duration", "30", "--j-mhz", "4.2", "--dephasing-us", "1"]
+    with pytest.warns(UserWarning, match="overlap 3.903e-18 .* fall back to the lowest eigenvector"):
+        assert main([*argv, "--outdir", str(tmp_path)]) == 0
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in ("ramp_fidelity.csv", "adiabatic.json")}
+    assert digests == {
+        "ramp_fidelity.csv": "f4cb56d6506d5aec6c365b3a584c58047dc44c68cc59b198ff97f55ea129d45a",
+        "adiabatic.json": "3537ff26d1da6a4a94e8dac37317db1d7c75aca77bf003dc1bd73c3b1198f8ef",
+    }
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -385,7 +386,9 @@ class TestSubsteps:
 
         # Gaps of 2 and 3 at step 0.25: 8 and 12 substeps of exactly 0.25.
         checkpoints = np.array([0.0, 2.0, 5.0])
-        list(open_system._substeps(np.zeros(2), checkpoints, open_system._substep_grid(checkpoints, 0.25), advance))
+        starts, counts, lengths = open_system._substep_grid(checkpoints, 0.25)
+        grid = starts, [open_system._chunks(n_sub) for n_sub in counts.tolist()], lengths
+        list(open_system._substeps(np.zeros(2), checkpoints, grid, advance))
         assert calls == [
             (0.0, 0.25, [0, 1, 2, 3, 4]), (0.0, 0.25, [5, 6, 7]),
             (2.0, 0.25, [0, 1, 2, 3, 4]), (2.0, 0.25, [5, 6, 7, 8, 9]), (2.0, 0.25, [10, 11]),
@@ -401,6 +404,20 @@ class TestSubsteps:
         checkpoints = np.array([2.0, 5.0])
         with pytest.raises(ConfigError, match="needs 20 substeps"):
             next(open_system._substeps(np.zeros(2), checkpoints, open_system._substep_grid(checkpoints, 0.25), advance))
+
+    @pytest.mark.parametrize(
+        "checkpoints, step",
+        [(np.linspace(0.0, 1e308, 101), 0.02), (np.array([1e10]), 1e-300)],
+        ids=["total-overflows", "count-overflows"],
+    )
+    def test_overflowing_counts_refused_without_a_warning(self, checkpoints, step):
+        # 100 finite counts of 5e307 whose total overflows, and one count
+        # that overflows itself: each refused by the budget, with no numpy
+        # overflow warning first.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError, match="needs inf substeps"):
+                open_system._substep_grid(checkpoints, step)
 
     def test_lindblad_budget(self):
         lat = build_lattice(1, [PI])

@@ -361,6 +361,30 @@ class TestAdiabaticPreparation:
         ]
         assert caught[0].filename == __file__
 
+    def test_fallback_ground_populations_warn_once(self):
+        # At l = 2, flux pi the final closed state has no weight in the
+        # target ground space (an excitation on A,1 is caged away from it),
+        # so its ground populations fall back to the lowest eigenvector, and
+        # the ramp says so once, naming the overlap.
+        lat = build_lattice(2, [PI] * 2)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            closed, _ = adiabatic_ramps(lat, two_stage_ramp(lat, "A,1", 30.0), "A,1")
+        assert abs(closed.final_gs_overlap) < 1e-12
+        assert [(w.category, str(w.message)) for w in caught] == [(
+            UserWarning,
+            f"final closed state has overlap {closed.final_gs_overlap:.3e} with the target ground space: "
+            "ground_populations fall back to the lowest eigenvector of the target Hamiltonian",
+        )]
+        assert caught[0].filename == __file__
+
+    def test_readme_ramp_warns_nothing(self):
+        lat = build_lattice(1, [PI])
+        rates = [DephasingRates.uniform(4, 1.0 / (tphi * 2 * PI * 4.2)) for tphi in (1.0, 10.0)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            adiabatic_ramps(lat, two_stage_ramp(lat, "A,1", 30.0), "A,1", rates)
+
     def test_step_rule_sees_the_norm_at_every_boundary(self, monkeypatch):
         # A detuning spike to -40 J at Jt = 10.8, a segment boundary between
         # the 17 evenly spaced samples a norm bound once took (29.3 there).
@@ -541,11 +565,32 @@ def _three_segment_ramp(lat, duration=30.0):
     ))
 
 
-def _reference_closed_walk(hamiltonians, offsets, grid, norm_bound, psi):
+def _node_unitaries(hamiltonians, start, stop, dt):
+    """The Chebyshev points of ``[start, stop]`` and the closed split steps of length ``dt`` starting there."""
+    nodes = open_system._chebyshev_nodes(start, stop)
+    return nodes, open_system._split_step_unitaries(open_system._split_unitaries(hamiltonians, nodes, dt))
+
+
+def _node_maps(hamiltonians, decay, start, stop, dt):
+    """The Chebyshev points of ``[start, stop]`` and the maps of the split steps of length ``dt`` starting there."""
+    nodes = open_system._chebyshev_nodes(start, stop)
+    return nodes, open_system._split_step_maps(open_system._split_unitaries(hamiltonians, nodes, dt), decay, dt)
+
+
+def _ramp(lat, sched, grid):
+    """The ``open_system._Ramp`` of a closed ramp walked on ``grid``, and the walk's initial state."""
+    hamiltonians = protocols._ramp_hamiltonians(lat, sched)
+    offsets = np.cumsum([0.0] + [seg.duration for seg in sched.segments])
+    norm_bound = float(np.abs(np.linalg.eigvalsh(hamiltonians(offsets))).max())
+    psi0 = np.zeros(lat.num_sites, dtype=complex)
+    psi0[lat.site_index(lat.sites[0])] = 1.0
+    return open_system._Ramp(hamiltonians, offsets, grid, norm_bound), psi0
+
+
+def _reference_closed_walk(ramp, psi):
     """``open_system._closed_walk`` step by step on its plan: Yoshida's three midpoint sub-steps, each exact."""
-    step = open_system.SPLIT_STEP_FACTOR * open_system.rk4_max_step(norm_bound, 0.0)
-    states = []
-    for start, count, dt in zip(*open_system._plan(grid, offsets, step)[:3]):
+    hamiltonians, states = ramp.hamiltonians, []
+    for start, count, dt in zip(*open_system._plan(ramp.grid, ramp.offsets, ramp.closed_step)[:3]):
         midpoints, lengths = [], []
         for k in range(count):
             t = start + k * dt
@@ -561,16 +606,14 @@ def _reference_closed_walk(hamiltonians, offsets, grid, norm_bound, psi):
     return np.array(states)
 
 
-def _reference_split_walk(hamiltonians, offsets, grid, norm_bound, max_rate, decay, stack):
+def _reference_split_walk(ramp, decay, stack):
     """``open_system._split_walk``'s batched branch step by step: each interpolated step map applied on its own."""
-    rate = open_system.SPLIT_RATE_WEIGHT * max_rate
-    step = open_system.SPLIT_STEP_FACTOR * open_system.rk4_max_step(norm_bound, rate)
     sets, n = decay.shape[:2]
-    vec, node_sets, states = stack.reshape(sets, n * n, 1), {}, []
-    for start, count, dt, segment in zip(*open_system._plan(grid, offsets, step)[:4]):
+    vec, node_sets, states, offsets = stack.reshape(sets, n * n, 1), {}, [], ramp.offsets
+    for start, count, dt, segment in zip(*open_system._plan(ramp.grid, offsets, ramp.split_step)[:4]):
         if (segment, dt) not in node_sets:
-            node_sets[segment, dt] = open_system._split_step_maps(
-                partial(hamiltonians, segment=segment), decay, *offsets[segment:segment + 2], dt
+            node_sets[segment, dt] = _node_maps(
+                partial(ramp.hamiltonians, segment=segment), decay, *offsets[segment:segment + 2], dt
             )
         nodes, maps = node_sets[segment, dt]
         for weights in open_system._lagrange_weights(nodes, start + np.arange(count) * dt):
@@ -666,9 +709,7 @@ class TestSplitStepUnitaries:
         # H is affine on each segment, so its norm peaks at a boundary.
         norm = max(open_system.spectral_norm(h) for h in hamiltonians(offsets))
         dt = fraction * open_system.SPLIT_STEP_FACTOR * open_system.rk4_max_step(norm, 0.0)
-        nodes, maps = open_system._split_step_unitaries(
-            partial(hamiltonians, segment=segment), offsets[segment], offsets[segment + 1], dt
-        )
+        nodes, maps = _node_unitaries(partial(hamiltonians, segment=segment), offsets[segment], offsets[segment + 1], dt)
         start = offsets[segment] + where * (offsets[segment + 1] - offsets[segment] - dt)
         weights = open_system._lagrange_weights(nodes, np.array([start]))
         u = (weights @ maps.reshape(nodes.size, -1)).reshape(maps.shape[1:])
@@ -696,15 +737,12 @@ class TestClosedWalk:
         # segment boundaries, which mostly fall inside checkpoint gaps.
         lat = build_lattice(l, [flux] * l)
         sched = _three_segment_ramp(lat, duration) if three else two_stage_ramp(lat, "A,1", duration)
-        hamiltonians = protocols._ramp_hamiltonians(lat, sched)
         offsets = np.cumsum([0.0] + [seg.duration for seg in sched.segments])
-        norm_bound = float(np.abs(np.linalg.eigvalsh(hamiltonians(offsets))).max())
         grid = np.unique(np.concatenate([np.linspace(0.0, offsets[-1], n_checkpoints), offsets[1:-1]]))
-        psi0 = np.zeros(lat.num_sites, dtype=complex)
-        psi0[lat.site_index(lat.sites[0])] = 1.0
-        walked = open_system._closed_walk(hamiltonians, offsets, grid, norm_bound, psi0)
+        ramp, psi0 = _ramp(lat, sched, grid)
+        walked = open_system._closed_walk(ramp, psi0)
         assert walked.shape == (grid.size, lat.num_sites)
-        reference = _reference_closed_walk(hamiltonians, offsets, grid, norm_bound, psi0)
+        reference = _reference_closed_walk(ramp, psi0)
         assert np.abs(walked - reference).max() < 1e-12
 
     @pytest.mark.parametrize("flux", [0.0, PI])
@@ -763,7 +801,7 @@ class TestSplitStepMaps:
         # each with its own midpoint H, applied to the flattened rho.
         rng = np.random.default_rng(seed)
         hamiltonians, decay, rho, start, stop = _affine_split_step_case(rng, dim, sets)
-        nodes, maps = open_system._split_step_maps(hamiltonians, decay, start, stop, dt)
+        nodes, maps = _node_maps(hamiltonians, decay, start, stop, dt)
         assert maps.shape == (sets, open_system.SPLIT_NODES, dim * dim, dim * dim)
         for r in range(sets):
             for node, step_map in zip(nodes, maps[r]):
@@ -777,7 +815,7 @@ class TestSplitStepMaps:
         # alone, so no step length breaks it: no stability limit.
         rng = np.random.default_rng(seed)
         hamiltonians, decay, _, start, stop = _affine_split_step_case(rng, dim, 2)
-        _, maps = open_system._split_step_maps(hamiltonians, decay, start, stop, dt)
+        _, maps = _node_maps(hamiltonians, decay, start, stop, dt)
         trace = np.eye(dim).reshape(-1)
         assert np.abs(trace @ maps - trace).max() < 1e-12
 
@@ -820,7 +858,7 @@ class TestSplitStepMaps:
         rates = DephasingRates(np.linspace(0.0, gamma, n))
         decay = open_system._collapse_terms(open_system.dephasing_operators(rates, n + 1))[0]
         decay = np.zeros((n, n)) if decay is None else decay[1:, 1:]
-        nodes, maps = open_system._split_step_maps(
+        nodes, maps = _node_maps(
             partial(hamiltonians, segment=segment), decay[None], offsets[segment], offsets[segment + 1], dt
         )
         start = offsets[segment] + where * (offsets[segment + 1] - offsets[segment] - dt)
@@ -843,9 +881,9 @@ class TestChunkPropagators:
         """Record (matrix dimension, steps a chunk, converged) for every group that tries the interpolant."""
         tries, interpolant = [], open_system._chunk_interpolant
 
-        def spy(nodes, values, chunk_starts, count, dt, room):
-            made = interpolant(nodes, values, chunk_starts, count, dt, room)
-            tries.append((values.shape[-1], count, made is not None))
+        def spy(weights, values, room):
+            made = interpolant(weights, values, room)
+            tries.append((values.shape[-1], weights.shape[1], made is not None))
             return made
 
         monkeypatch.setattr(open_system, "_chunk_interpolant", spy)
@@ -889,7 +927,7 @@ class TestChunkPropagators:
         def spy(*args):
             assert [stack() for stack in stacks] == [None] * len(stacks)
             made = interpolant(*args)
-            stacks.append(weakref.ref(made[1]))
+            stacks.append(weakref.ref(made))
             return made
 
         monkeypatch.setattr(open_system, "_chunk_interpolant", spy)
@@ -929,12 +967,16 @@ class TestChunkPropagators:
         hamiltonians = protocols._ramp_hamiltonians(lat, sched)
         offsets = np.cumsum([0.0] + [seg.duration for seg in sched.segments])
         count, dt = 134, 1.5 / 67
-        nodes, u = open_system._split_step_unitaries(partial(hamiltonians, segment=1), *offsets[1:], dt)
+        nodes, u = _node_unitaries(partial(hamiltonians, segment=1), *offsets[1:], dt)
         values = np.stack([np.broadcast_to(np.eye(4), u.shape), u])
         starts = np.linspace(offsets[1], offsets[2] - count * dt, 50)
-        assert open_system._chunk_interpolant(nodes, values[:1], starts, count, dt, 1024) is not None
-        assert open_system._chunk_interpolant(nodes, values[1:], starts, count, dt, 1024) is None
-        assert open_system._chunk_interpolant(nodes, values, starts, count, dt, 1024) is None
+        # The steps of the chunks starting at the Chebyshev points of the chunk starts.
+        chunk_nodes = open_system._chebyshev_nodes(starts[0], starts[-1], open_system.CHUNK_NODES)
+        times = chunk_nodes[:, None] + np.arange(count) * dt
+        weights = open_system._lagrange_weights(nodes, times.ravel()).reshape(-1, count, nodes.size)
+        assert open_system._chunk_interpolant(weights, values[:1], 1024) is not None
+        assert open_system._chunk_interpolant(weights, values[1:], 1024) is None
+        assert open_system._chunk_interpolant(weights, values, 1024) is None
 
     def test_one_chunk_groups_take_their_steps(self, monkeypatch):
         # With two checkpoints each gap of 700 steps is cut into chunks of
@@ -954,7 +996,9 @@ class TestChunkPropagators:
         monkeypatch.setattr(open_system, "_lagrange_weights", spy)
         tries = self._tries(monkeypatch)
         groups, batcher = [], open_system._batcher
-        monkeypatch.setattr(open_system, "_batcher", lambda g, *args: groups.append(g) or batcher(g, *args))
+        monkeypatch.setattr(
+            open_system, "_batcher", lambda ramp, plan, *args: groups.append(plan.groups) or batcher(ramp, plan, *args)
+        )
         monkeypatch.setattr(open_system, "_batch_pays", lambda *a, **k: True)
         monkeypatch.setattr(open_system, "_interpolant_pays", lambda *a, **k: True)
         closed, (run,) = adiabatic_ramps(lat, sched, "A,1", rates, n_checkpoints=2)
@@ -975,22 +1019,19 @@ class TestChunkPropagators:
         # 33.9 MB, and whose product the walk forms one step at a time, since
         # one unitary fills half of BATCH_BYTES.  The walk peaks (14.2 MiB
         # here) while it forms the second segment's node set
-        # (_split_step_unitaries on 21 midpoint Hamiltonians, 13.3 MiB alone)
-        # and holds the first's SPLIT_NODES unitaries; pieces of at most
-        # BATCH_BYTES and their products stay below that.  Forming a whole
-        # chunk at once would peak at 49.4 MiB.
+        # (_split_unitaries on 21 midpoint Hamiltonians and their products,
+        # 13.3 MiB alone) and holds the first's SPLIT_NODES unitaries; pieces
+        # of at most BATCH_BYTES and their products stay below that.  A
+        # closed ramp keeps no node unitaries for a second walk.  Forming a
+        # whole chunk at once would peak at 49.4 MiB.
         lat = build_lattice(30, [PI] * 30)
         sched = two_stage_ramp(lat, "A,1", 12.0)
-        hamiltonians = protocols._ramp_hamiltonians(lat, sched)
         offsets = np.cumsum([0.0] + [seg.duration for seg in sched.segments])
-        norm_bound = float(np.abs(np.linalg.eigvalsh(hamiltonians(offsets))).max())
-        psi0 = np.zeros(lat.num_sites, dtype=complex)
-        psi0[0] = 1.0
-        grid = offsets[1:]
+        ramp, psi0 = _ramp(lat, sched, offsets[1:])
         peaks = []
         for work in (
-            lambda: open_system._split_step_unitaries(partial(hamiltonians, segment=1), *offsets[1:], 6.0 / 267),
-            lambda: open_system._closed_walk(hamiltonians, offsets, grid, norm_bound, psi0),
+            lambda: _node_unitaries(partial(ramp.hamiltonians, segment=1), *offsets[1:], 6.0 / 267),
+            lambda: open_system._closed_walk(ramp, psi0),
         ):
             tracemalloc.start()
             try:
@@ -1097,9 +1138,9 @@ class TestRampCostRule:
             grids.append(grid)
             return substeps(state, grid, *args)
 
-        def reference(hamiltonians, offsets, grid, *args):
-            grids.append(grid)
-            return _reference_closed_walk(hamiltonians, offsets, grid, *args)
+        def reference(ramp, psi):
+            grids.append(ramp.grid)
+            return _reference_closed_walk(ramp, psi)
 
         monkeypatch.setattr(open_system, "_substeps", spy)
         checkpoints = np.linspace(0.0, 6.0, 100)
@@ -1213,56 +1254,69 @@ class TestRampCostRule:
         # of 50 chunks of 14 steps.  Each group forms its 15 node propagators
         # from 210 interpolated step maps (4 KiB each), whole rows at a time
         # within BATCH_BYTES, then its 50 chunk propagators, one batch per
-        # BATCH_BYTES of them; each batch of rows makes one _lagrange_weights
-        # call.  At the default cap that is 4 + 1 calls per group, at a cap
-        # of one row (14 maps) 15 + 4, and at one byte, where every step is a
-        # piece of its own, 15 + 50.  A cap that only changes how many rows or
-        # chunks a batch holds changes no bit; one that splits a row's steps
-        # multiplies them in another order.
+        # BATCH_BYTES of them; each piece of steps and each batch of chunks
+        # is one _combine call.  At the default cap that is 4 + 1 calls per
+        # group, at a cap of one row (14 maps) 15 + 4, and at one byte, where
+        # every step is a piece of its own, 210 + 50.  The Lagrange weights of
+        # a group's steps and of its chunks are two tables, which the closed
+        # walk forms and every batch of both walks slices: 4 _lagrange_weights
+        # calls per ramp at any cap, with or without rate sets.  A cap that
+        # only changes how many rows or chunks a batch holds changes no bit;
+        # one that splits a row's steps multiplies them in another order.
         lat = build_lattice(1, [PI])
         sched = two_stage_ramp(lat, "A,1", 30.0)
         rates = [DephasingRates.uniform(4, 1.0 / (2 * PI * 4.2))]
-        calls, walks = [0], []
-        weights, batcher = open_system._lagrange_weights, open_system._batcher
+        calls, walks = {"_combine": 0, "_lagrange_weights": 0}, []
+        batcher = open_system._batcher
 
-        def counting(*args):
-            calls[0] += 1
-            return weights(*args)
+        def counting(name, function):
+            def count(*args):
+                calls[name] += 1
+                return function(*args)
 
-        def spy(groups, *args):
-            walks.append(groups)
-            return batcher(groups, *args)
+            return count
 
-        monkeypatch.setattr(open_system, "_lagrange_weights", counting)
+        def spy(ramp, plan, *args):
+            walks.append(plan.groups)
+            return batcher(ramp, plan, *args)
+
+        for name in calls:
+            monkeypatch.setattr(open_system, name, counting(name, getattr(open_system, name)))
         monkeypatch.setattr(open_system, "_batcher", spy)
-        dephased_calls, runs = [], []
+        dephased_calls, tables, runs = [], [], []
         for cap in (open_system.BATCH_BYTES, 16 * 16**2 * 14, 1):
             monkeypatch.setattr(open_system, "BATCH_BYTES", cap)
             counts = []
             for rate_sets in ((), rates):
-                calls[0] = 0
+                calls.update(dict.fromkeys(calls, 0))
                 closed, dephased = adiabatic_ramps(lat, sched, "A,1", rate_sets)
-                counts.append(calls[0])
-            dephased_calls.append(counts[1] - counts[0])
+                counts.append(dict(calls))
+            dephased_calls.append(counts[1]["_combine"] - counts[0]["_combine"])
+            tables.append([count["_lagrange_weights"] for count in counts])
             runs.append(self._outputs(dephased[0]))
         groups = walks[-1]  # the dephased walk's batcher is the run's last
         assert [(key[0], key[2], len(members)) for key, members in groups.items()] == [(0, 14, 50), (1, 14, 50)]
-        assert dephased_calls == [2 * (4 + 1), 2 * (15 + 4), 2 * (15 + 50)]
+        assert dephased_calls == [2 * (4 + 1), 2 * (15 + 4), 2 * (210 + 50)]
+        assert tables == [[4, 4]] * 3
         assert np.array_equal(runs[0], runs[1])
         assert np.abs(runs[0] - runs[2]).max() < 1e-12
 
     def test_one_node_set_per_segment(self, monkeypatch):
         # The README dephased ramp's 100 gaps have spans equal but for their
-        # last bits, so each walk shares one step length per segment and
-        # forms one node set for each of the two segments.
+        # last bits, so a walk shares one step length per segment.  Both
+        # rates (T_phi 1 and 10 us) are below the norm of H, so both walks
+        # step alike: one plan, one set of node unitaries for each of the two
+        # segments, from which the closed walk forms its steps and the
+        # dephased walk its maps, and one table of each kind of Lagrange
+        # weights per group of chunks.
         lat = build_lattice(1, [PI])
         rates = [DephasingRates.uniform(4, 1.0 / (tphi * 2 * PI * 4.2)) for tphi in (1.0, 10.0)]
-        calls = {"_split_step_unitaries": [], "_split_step_maps": []}
+        calls = {"_plan": [], "_split_unitaries": [], "_lagrange_weights": [], "_split_step_maps": []}
 
-        def recording(name, node_sets):
-            def record(hamiltonians, *args):
-                calls[name].append(hamiltonians.keywords["segment"])
-                return node_sets(hamiltonians, *args)
+        def recording(name, function):
+            def record(*args):
+                calls[name].append(args[0].keywords["segment"] if name == "_split_unitaries" else None)
+                return function(*args)
 
             return record
 
@@ -1271,26 +1325,58 @@ class TestRampCostRule:
         picks = self._force(monkeypatch, "_batch_pays", None)
         adiabatic_ramps(lat, two_stage_ramp(lat, "A,1", 30.0), "A,1", rates)
         assert picks == [True]
-        assert calls == {"_split_step_unitaries": [0, 1], "_split_step_maps": [0, 1]}
+        assert {name: len(made) for name, made in calls.items()} == {
+            "_plan": 1, "_split_unitaries": 2, "_lagrange_weights": 4, "_split_step_maps": 2
+        }
+        assert calls["_split_unitaries"] == [0, 1]
+
+    @pytest.mark.parametrize("tphis", [(1.0, 10.0), (0.001,)], ids=["h-limited", "rate-limited"])
+    def test_walks_share_only_equal_steps(self, monkeypatch, tphis):
+        # While every rate is below the norm of H over SPLIT_RATE_WEIGHT the
+        # dephased walk steps as the closed one and takes its plan and node
+        # unitaries.  T_phi = 0.001 us (gamma = 37.9 J) sets a shorter
+        # dephased step: two plans and two node sets per walk.  Either way
+        # the closed result is bit for bit the closed ramp's alone.
+        lat = build_lattice(1, [PI])
+        sched = two_stage_ramp(lat, "A,1", 30.0)
+        rates = [DephasingRates.uniform(4, 1.0 / (tphi * 2 * PI * 4.2)) for tphi in tphis]
+        calls = {"_plan": 0, "_split_unitaries": 0}
+
+        def counting(name, function):
+            def count(*args):
+                calls[name] += 1
+                return function(*args)
+
+            return count
+
+        for name in calls:
+            monkeypatch.setattr(open_system, name, counting(name, getattr(open_system, name)))
+        closed, _ = adiabatic_ramps(lat, sched, "A,1", rates)
+        shared = tphis != (0.001,)
+        assert calls == ({"_plan": 1, "_split_unitaries": 2} if shared else {"_plan": 2, "_split_unitaries": 4})
+        alone, none = adiabatic_ramps(lat, sched, "A,1", ())
+        assert none == ()
+        TestAdiabaticPreparation._assert_same_result(closed, alone)
 
     def test_both_dephased_branches_step_one_plan(self, monkeypatch):
-        # Each walk plans its substep grid once, and both sides of the
-        # dephased rule step it: on the README ramp the loop steps each
-        # segment at the one length of the batched branch's node set there.
+        # Both walks step one plan, planned once: on the README ramp the
+        # dephased loop steps each segment at the one length of the batched
+        # branch's node set there, which is the closed walk's.
         lat = build_lattice(1, [PI])
         sched = two_stage_ramp(lat, "A,1", 30.0)
         offsets = np.cumsum([0.0] + [seg.duration for seg in sched.segments])
         rates = [DephasingRates.uniform(4, 1.0 / (tphi * 2 * PI * 4.2)) for tphi in (1.0, 10.0)]
         grids, node_sets, stepped = [], set(), set()
-        substep_grid, step_maps, substeps = open_system._substep_grid, open_system._split_step_maps, open_system._substeps
+        substep_grid, unitaries, substeps = open_system._substep_grid, open_system._split_unitaries, open_system._substeps
 
         def planning(*args):
             grids.append(args)
             return substep_grid(*args)
 
-        def node_set(hamiltonians, decay, start, stop, dt):
-            node_sets.add((hamiltonians.keywords["segment"], dt))
-            return step_maps(hamiltonians, decay, start, stop, dt)
+        def node_set(hamiltonians, starts, dt):
+            if isinstance(hamiltonians, partial):  # a segment's node unitaries, not the loop's
+                node_sets.add((hamiltonians.keywords["segment"], dt))
+            return unitaries(hamiltonians, starts, dt)
 
         def walk(state, checkpoints, grid, advance):
             def recording(rho, start, index, dt):
@@ -1301,13 +1387,13 @@ class TestRampCostRule:
             return substeps(state, checkpoints, grid, recording)
 
         monkeypatch.setattr(open_system, "_substep_grid", planning)
-        monkeypatch.setattr(open_system, "_split_step_maps", node_set)
+        monkeypatch.setattr(open_system, "_split_unitaries", node_set)
         monkeypatch.setattr(open_system, "_substeps", walk)
         for batched in (True, False):
             monkeypatch.setattr(open_system, "_batch_pays", lambda *a, **k: batched)
             grids.clear()
             adiabatic_ramps(lat, sched, "A,1", rates)
-            assert len(grids) == 2
+            assert len(grids) == 1
         assert len(node_sets) == 2 and stepped == node_sets
         grids.clear()
         open_system.lindblad_evolve(
