@@ -157,10 +157,6 @@ class ZakResult:
     snapped: float
     min_gap: float
 
-    @property
-    def quantized(self) -> bool:
-        return abs(self.raw - self.snapped) <= 0.05 or abs(abs(self.raw) - PI) <= 0.05
-
 
 def zak_phase(model: BlochModel, band_index: int, n_k: int = 512) -> ZakResult:
     """Wilson-loop Zak phase of one band, snapped to {0, pi} when within 0.05 rad.

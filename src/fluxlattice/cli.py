@@ -2,11 +2,12 @@
 
 Output is data first (CSV plus JSON mirrors with metadata); plotting is left
 to external tools.  Every run writes a manifest listing each output file with
-its content hash, and identical configuration plus seed reproduces CSV files
-byte for byte.  A run writes all of its files or none: they are kept in
-memory until the command has finished, so a run refused or failed at any
-point leaves no ``--outdir`` behind (a failed ``verify`` comparison is a
-finished run, which writes its report and exits 3).  Frequencies named
+its content hash, and identical configuration reproduces CSV files byte for
+byte; ``crosstalk-fit --seed``, the one seeded option, fixes its synthetic
+noise.  A run writes all of its files or none: they are kept in memory until
+the command has finished, so a run refused or failed at any point leaves no
+``--outdir`` behind (a failed ``verify`` comparison is a finished run, which
+writes its report and exits 3).  Frequencies named
 ``*_MHz``/``*_GHz`` are cyclic (value over 2 pi); everything else is
 expressed in units of the coupling J.
 
@@ -167,10 +168,9 @@ class RunContext:
     ``finish`` leaves no directory behind.
     """
 
-    def __init__(self, args: argparse.Namespace, seed: int):
+    def __init__(self, args: argparse.Namespace):
         self.command = args.command
         self.outdir = Path(args.outdir)
-        self.seed = seed
         # The option texts as given, or their default texts.
         self.args = {k: v for k, v in vars(args).items() if k != "func" and v is not None}
         self.outputs: list[tuple[str, bytes]] = []
@@ -187,7 +187,6 @@ class RunContext:
             "version": __version__,
             "command": self.command,
             "args": self.args,
-            "seed": self.seed,
             "python": sys.version.split()[0],
             "numpy": np.__version__,
             "wall_time_s": round(time.perf_counter() - self.t0, 6),
@@ -507,7 +506,6 @@ def cmd_verify(opts, ctx: RunContext) -> int:
 # ---------------------------------------------------------------------------
 
 
-SEED = _count(0)
 PI_MULTIPLE = Kind("a finite number or multiple of pi, such as 4pi", parse_pi_multiple, math.isfinite)
 DELTA = Kind("a finite detuning in J, such as 2sqrt2", parse_delta_token, math.isfinite)
 RANGE = Kind(f"start:stop:count with a finite span and 1 to {MAX_POINTS} points", parse_range)
@@ -598,7 +596,7 @@ OPTIONS = (
     Option("--oracle", None, None, {"verify": None}, settings={"choices": ("analytic_l1", "effective_model"), "required": True}),
     Option("--tolerance", POSITIVE, None, {"verify": "1e-08"}),
     Option("--outdir", None, "output directory", dict.fromkeys(COMMANDS, "out")),
-    Option("--seed", SEED, "seed for synthetic-noise fits", dict.fromkeys(COMMANDS, "0")),
+    Option("--seed", _count(0), "seed for synthetic-noise fits", {"crosstalk-fit": "0"}),
 )
 
 
@@ -653,7 +651,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return exc.code
     try:
         opts = _read(args)
-        return args.func(opts, RunContext(args, opts.seed))
+        return args.func(opts, RunContext(args))
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

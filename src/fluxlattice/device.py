@@ -75,14 +75,13 @@ def g_eff(spec: CouplerSpec) -> float:
     return _g_eff_formula(spec)
 
 
-def coupler_off_frequency(
-    spec: CouplerSpec, window: tuple[float, float], rel_tol: float = 1e-9
-) -> float:
+def coupler_off_frequency(spec: CouplerSpec, window: tuple[float, float]) -> float:
     """Coupler frequency at which the effective coupling crosses zero.
 
-    Bisects the dispersive formula over ``window``; the window must show a
-    sign change and must not contain either qubit frequency (the formula has
-    poles there).
+    Times ``(omega_a - omega_c)(omega_b - omega_c)``, the dispersive formula
+    is a quadratic in ``omega_c``; this returns its root in ``window``.  The
+    window must show a sign change and must not contain either qubit
+    frequency (the formula has poles there), so exactly one root lies in it.
     """
     lo, hi = float(window[0]), float(window[1])
     if not lo < hi:
@@ -90,28 +89,16 @@ def coupler_off_frequency(
     for pole in (spec.omega_a, spec.omega_b):
         if lo <= pole <= hi:
             raise ConfigError("search window must not contain a qubit frequency")
-
-    def f(omega_c: float) -> float:
-        return _g_eff_formula(replace(spec, omega_c=omega_c))
-
-    f_lo, f_hi = f(lo), f(hi)
-    if f_lo == 0.0:
-        return lo
-    if f_hi == 0.0:
-        return hi
-    if f_lo * f_hi > 0:
+    f_lo, f_hi = (_g_eff_formula(replace(spec, omega_c=w)) for w in (lo, hi))
+    if f_lo * f_hi > 0 or f_lo == f_hi == 0:
         raise ConfigError("no sign change of the effective coupling in the window")
-    scale = max(abs(lo), abs(hi), 1.0)
-    while hi - lo > rel_tol * scale:
-        mid = 0.5 * (lo + hi)
-        f_mid = f(mid)
-        if f_mid == 0.0:
-            return mid
-        if f_lo * f_mid < 0:
-            hi = mid
-        else:
-            lo, f_lo = mid, f_mid
-    return 0.5 * (lo + hi)
+    # Cleared of its poles: g_ab (a - w)(b - w) + g (a + b - 2 w) / 2 = 0.
+    a, b, g = spec.omega_a, spec.omega_b, spec.g_ac * spec.g_bc
+    roots = np.roots([spec.g_ab, -spec.g_ab * (a + b) - g, spec.g_ab * a * b + 0.5 * g * (a + b)]).real
+    # The other root lies outside the window, so farther from its centre; a
+    # root at an end of the window can come out an ulp beyond it.
+    root = float(roots[np.argmin(np.abs(roots - 0.5 * (lo + hi)))])
+    return min(max(root, lo), hi)
 
 
 @dataclass(frozen=True)
@@ -408,17 +395,17 @@ def _parse_crosstalk_csv(text: str) -> CrosstalkMatrix:
     lines = text.strip().splitlines()
     if len(lines) < 2:
         raise ConfigError("crosstalk CSV needs a header and at least one row")
-    labels = tuple(lines[0].split(",")[1:])
-    rows = []
-    for line in lines[1:]:
-        cells = line.split(",")
-        rows.append([float(v) for v in cells[1:]])
-    matrix = np.array(rows)
+    header, rows = lines[0].split(","), [line.split(",") for line in lines[1:]]
+    # N labels over N bare rows, as ``crosstalk-fit`` writes; or a corner cell
+    # and N labels over N rows that each start with their label.
+    labelled = len(header) == len(rows) + 1
+    labels = tuple(header[labelled:])
+    matrix = np.array([[float(v) for v in row[labelled:]] for row in rows])
     if matrix.shape != (len(labels), len(labels)):
         raise ConfigError("crosstalk CSV is not square against its header")
     return CrosstalkMatrix(matrix, labels)
 
 
 def load_crosstalk_csv(path) -> CrosstalkMatrix:
-    """Read a crosstalk matrix CSV: header of line labels, one labelled row each."""
+    """Read a crosstalk matrix CSV, as ``crosstalk-fit`` writes it or with labelled rows."""
     return read_config_file(path, "crosstalk file", _parse_crosstalk_csv)

@@ -148,7 +148,6 @@ class Bond:
     a_site: SiteId
     arm_site: SiteId
     sign: BondSign = BondSign.MINUS
-    magnitude_scale: float = 1.0
 
     def __post_init__(self):
         if self.a_site.rail is not Rail.A or self.arm_site.rail is Rail.A:
@@ -162,8 +161,6 @@ class Bond:
                 f"bond {self.a_site.label} -- {self.arm_site.label} is not "
                 "nearest-neighbour on the rhombic chain"
             )
-        if self.magnitude_scale < 0:
-            raise ConfigError("magnitude_scale must be nonnegative")
 
     @property
     def plaquette(self) -> int:
@@ -189,7 +186,7 @@ class RhombicLattice:
     l : number of plaquettes (>= 1).
     bonds : exactly four signed bonds per plaquette.
     detunings : on-site detuning for every site, in the same units as ``J``.
-    J : global coupling magnitude; each bond contributes ``J * sign * scale``.
+    J : global coupling magnitude; each bond contributes ``J * sign``.
     """
 
     l: int
@@ -331,7 +328,7 @@ def apply_site_gauge(
         sign = bond.sign if s == 1 else (
             BondSign.PLUS if bond.sign is BondSign.MINUS else BondSign.MINUS
         )
-        return Bond(bond.a_site, bond.arm_site, sign, bond.magnitude_scale)
+        return Bond(bond.a_site, bond.arm_site, sign)
 
     return RhombicLattice(
         lattice.l, tuple(flip(b) for b in lattice.bonds), dict(lattice.detunings), lattice.J
@@ -371,7 +368,7 @@ def hamiltonian_single_excitation(lattice: RhombicLattice) -> HermitianOperator:
     """The L x L Hamiltonian on the single-excitation states, vacuum omitted.
 
     Diagonal entries are the site detunings; each bond contributes the signed
-    hopping ``J * sign * magnitude_scale`` between its two sites.
+    hopping ``J * sign`` between its two sites.
     """
     n = lattice.num_sites
     h = np.zeros((n, n), dtype=complex)
@@ -379,7 +376,7 @@ def hamiltonian_single_excitation(lattice: RhombicLattice) -> HermitianOperator:
     for bond in lattice.bonds:
         i = lattice.site_index(bond.a_site)
         k = lattice.site_index(bond.arm_site)
-        t = lattice.J * bond.sign.value * bond.magnitude_scale
+        t = lattice.J * bond.sign.value
         h[i, k] += t
         h[k, i] += t
     return HermitianOperator(h)
@@ -604,7 +601,7 @@ def lattice_from_dict(doc: Mapping) -> LatticeConfig:
     for a_site, arm_site, sign in field("gauge", _list_of(GAUGE_ENTRY), ()):
         if (a_site, arm_site) not in bonds:
             raise ConfigError(f"gauge entry names {a_site.label} -- {arm_site.label}, which is not a bond of the lattice")
-        bonds[a_site, arm_site] = Bond(a_site, arm_site, sign, bonds[a_site, arm_site].magnitude_scale)
+        bonds[a_site, arm_site] = Bond(a_site, arm_site, sign)
     lattice = RhombicLattice(l, tuple(bonds.values()), dict(lattice.detunings), lattice.J)
     gauged = plaquette_fluxes(lattice)
     if gauged != fluxes:

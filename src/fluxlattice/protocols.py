@@ -11,7 +11,7 @@ import warnings
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Callable, ClassVar, Mapping, Sequence
 
 import numpy as np
 
@@ -126,19 +126,15 @@ class SpectroscopyConfig:
 
     The probe tone of amplitude ``drive_amplitude`` couples the vacuum to one
     site; scanning its detuning against the common qubit frequency maps out
-    the single-excitation eigenenergies.  ``min_peak_separation`` merges
-    detections closer than the given spacing; the default is half the
-    smallest level spacing, since the finite pulse window leaves Rabi
-    sidelobes around each true peak and the drive cannot resolve structure
-    finer than a level spacing anyway.
+    the single-excitation eigenenergies.  The excited population is averaged
+    over ``n_average`` times in the last quarter of the pulse.
     """
 
     drive_site: SiteId | str
     drive_amplitude: float
     drive_detunings: np.ndarray
     duration: float
-    n_average: int = 65
-    min_peak_separation: float | None = None
+    n_average: ClassVar[int] = 65
 
     def __post_init__(self):
         grid = np.array(self.drive_detunings, dtype=float)
@@ -152,8 +148,6 @@ class SpectroscopyConfig:
             raise ConfigError("drive amplitude must be finite and nonnegative")
         if not 0 < self.duration < math.inf:
             raise ConfigError("drive duration must be finite and positive")
-        if self.n_average < 2:
-            raise ConfigError("need at least 2 averaging samples")
         grid.setflags(write=False)
         object.__setattr__(self, "drive_detunings", grid)
 
@@ -228,14 +222,10 @@ def spectroscopy(lattice: RhombicLattice, config: SpectroscopyConfig) -> Spectro
     if not np.all(np.isfinite(response)):
         raise NumericalError("spectroscopy response is not finite: a drive amplitude, detuning or time overflows")
 
-    if config.min_peak_separation is not None:
-        radius, leak_fraction = config.min_peak_separation, 1.0
-    else:
-        # Rectangular-window leakage: sidelobes of ~5% of the parent peak
-        # within a few lobe widths of it.  Merge only small nearby maxima so
-        # genuine peaks of comparable height are never swallowed.
-        radius, leak_fraction = 4 * PI / config.duration, 0.15
-    peaks = _detect_peaks(config.drive_detunings, response, radius, leak_fraction)
+    # Rectangular-window leakage: sidelobes of ~5% of the parent peak within
+    # a few lobe widths of it.  Merge only small nearby maxima so genuine
+    # peaks of comparable height are never swallowed.
+    peaks = _detect_peaks(config.drive_detunings, response, 4 * PI / config.duration, 0.15)
     return SpectroscopyResult(config.drive_detunings, response, tuple(peaks))
 
 
@@ -647,14 +637,15 @@ def adiabatic_ramps(
     # zero-duration schedule the instantaneous one never reaches it).  The
     # ideal ground populations come from the closed state for every result.
     final_projector = _ground_projectors(h_final[None])[0]
+    # Weights are probabilities; round-off can take them just outside [0, 1].
+    overlaps = [float(np.clip(_ground_weights(final_projector, s[-1:])[0], 0.0, 1.0)) for s in walks]
     psi = walks[0][-1]
     projected = final_projector[0] @ psi
     weight = np.linalg.norm(projected)
     if weight < 1e-12:
         # Orthogonal to the ground space: fall back to the lowest eigenvector.
-        overlap = float(_ground_weights(final_projector, walks[0][-1:])[0])
         warnings.warn(
-            f"final closed state has overlap {overlap:.3e} with the target ground space: "
+            f"final closed state has overlap {overlaps[0]:.3e} with the target ground space: "
             "ground_populations fall back to the lowest eigenvector of the target Hamiltonian",
             stacklevel=2,
         )
@@ -662,17 +653,17 @@ def adiabatic_ramps(
     else:
         ground_pops = np.abs(projected / weight) ** 2
     results = []
-    for states in walks:
+    for states, overlap in zip(walks, overlaps):
         state = states[-1]
         final_pops = np.abs(state) ** 2 if state.ndim == 1 else state.diagonal().real[1:].copy()
         np.clip(final_pops, 0.0, None, out=final_pops)
         results.append(AdiabaticResult(
             times=checkpoints,
-            gs_fidelity=_ground_weights(projectors, states),
+            gs_fidelity=np.clip(_ground_weights(projectors, states), 0.0, 1.0),
             gaps=gaps,
             final_populations=final_pops,
             ground_populations=ground_pops,
-            final_gs_overlap=float(_ground_weights(final_projector, states[-1:])[0]),
+            final_gs_overlap=overlap,
             population_fidelity=fidelity(final_pops, ground_pops),
             population_fidelity_raw=_bhattacharyya(final_pops, ground_pops),
         ))

@@ -27,6 +27,7 @@ from fluxlattice.cli import (
     parse_pi_multiple,
     parse_range,
 )
+from fluxlattice.device import load_crosstalk_csv
 from fluxlattice import (
     PI,
     DensityMatrix,
@@ -350,6 +351,22 @@ class TestCrosstalkCommand:
         assert header == ["Z1", "Z2"]
         assert matrix[1, 0] == pytest.approx(6e-4, abs=1e-12)
         assert matrix[0, 1] == pytest.approx(4e-4, abs=1e-12)
+
+
+    @pytest.mark.parametrize("responses", [False, True], ids=["synthetic", "responses"])
+    def test_written_matrix_loads_back(self, tmp_path, responses):
+        # The command writes N labels over N bare rows, which the loader
+        # reads as well as the shipped sample's labelled rows.
+        argv = ["crosstalk-fit", "--seed", "1234", "--outdir", str(tmp_path / "out")]
+        if responses:
+            path = tmp_path / "responses.csv"
+            path.write_text("source,target,source_zpa,target_zpa\nZ1,Z2,-1,6e-4\nZ1,Z2,1,-6e-4\n")
+            argv += ["--responses", str(path)]
+        assert main(argv) == 0
+        header, matrix = read_csv_columns(tmp_path / "out" / "crosstalk_matrix.csv")
+        loaded = load_crosstalk_csv(tmp_path / "out" / "crosstalk_matrix.csv")
+        assert loaded.labels == tuple(header) and len(header) == (2 if responses else 7)
+        assert np.array_equal(loaded.matrix, matrix)
 
 
 class TestVerifyCommand:
@@ -727,13 +744,15 @@ def test_fallback_ground_populations_warn_and_keep_the_files(tmp_path):
     # At l = 2, flux pi an excitation on A,1 is caged away from the target
     # ground state (overlap 3.9e-18), so the ground populations fall back to
     # the lowest eigenvector.  The run says so, and writes the files it wrote
-    # before it did (digests recorded then).
+    # before it did (digests recorded then; ramp_fidelity.csv re-recorded
+    # once its closed weights were clipped to [0, 1], which turned four
+    # round-off negatives near Jt = 30 into 0.0).
     argv = ["adiabatic", "--l", "2", "--flux", "pi", "--duration", "30", "--j-mhz", "4.2", "--dephasing-us", "1"]
     with pytest.warns(UserWarning, match="overlap 3.903e-18 .* fall back to the lowest eigenvector"):
         assert main([*argv, "--outdir", str(tmp_path)]) == 0
     digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in ("ramp_fidelity.csv", "adiabatic.json")}
     assert digests == {
-        "ramp_fidelity.csv": "f4cb56d6506d5aec6c365b3a584c58047dc44c68cc59b198ff97f55ea129d45a",
+        "ramp_fidelity.csv": "d261e6eca0f35aa6ff8c3583b316c08a2422c5d022c44560fa1b94720c6e2c4b",
         "adiabatic.json": "3537ff26d1da6a4a94e8dac37317db1d7c75aca77bf003dc1bd73c3b1198f8ef",
     }
 

@@ -50,10 +50,27 @@ class TestEffectiveCoupling:
         omega0 = coupler_off_frequency(DISPERSIVE, (4.8, 7.0))
         assert omega0 == pytest.approx(4.2 + 0.01 / 0.012, rel=1e-8)
 
+    def test_off_frequency_is_the_exact_root(self):
+        # The sample coupler: g_ab (4.2 - w)^2 + g_ac g_bc (4.2 - w) = 0 at the
+        # pole 4.2 and at 4.2 + 0.13^2 / 0.0055 = 80/11, within 3 ulps.
+        sample = CouplerSpec(4.2, 4.2, 0.0, 0.13, 0.13, 0.0055)
+        assert coupler_off_frequency(sample, (4.9, 7.6)) == pytest.approx(80 / 11, rel=1e-15)
+
+    def test_off_frequency_stays_in_the_window(self):
+        # A window ending on a float zero of the formula, whose computed root
+        # lies one ulp beyond it.
+        end = 4.2 + 0.1 * 0.1 / 0.003
+        assert coupler_off_frequency(CouplerSpec(4.2, 4.2, 5.8, 0.1, 0.1, 0.003), (4.8, end)) == end
+
     def test_off_frequency_requires_sign_change(self):
         no_zero = CouplerSpec(4.2, 4.2, 5.8, 0.1, 0.1, 0.0)
         with pytest.raises(ConfigError, match="sign change"):
             coupler_off_frequency(no_zero, (4.8, 7.0))
+
+    def test_coupling_zero_everywhere_has_no_off_point(self):
+        # Zero at both ends of the window, and no quadratic to solve.
+        with pytest.raises(ConfigError, match="sign change"):
+            coupler_off_frequency(CouplerSpec(4.2, 4.2, 5.8, 0.0, 0.1, 0.0), (4.8, 7.0))
 
     def test_window_must_avoid_poles(self):
         with pytest.raises(ConfigError, match="window"):
