@@ -601,12 +601,6 @@ def _ramp(lat, sched, grid, max_rate=None):
     return open_system._Ramp(hamiltonians, offsets, grid, norm_bound, max_rate), psi0
 
 
-def _roundoff(grid, step, ulps):
-    """Round-off a walk of ``grid`` at ``step`` may gather: 1e-12, or ``ulps`` of 1 per step where that is more."""
-    steps = int(open_system._substep_grid(grid, step)[1].sum())
-    return max(1e-12, ulps * np.finfo(float).eps * steps)
-
-
 def _checkpoint_grid(sched, n_checkpoints):
     """The walks' grid: ``n_checkpoints`` checkpoints plus the segment boundaries inside the ramp."""
     offsets = np.cumsum([0.0] + [seg.duration for seg in sched.segments])
@@ -614,7 +608,11 @@ def _checkpoint_grid(sched, n_checkpoints):
 
 
 def _reference_closed_walk(ramp, psi):
-    """``open_system._closed_walk`` step by step on its plan: Yoshida's three midpoint sub-steps, each exact."""
+    """``open_system._closed_walk`` step by step on its plan: Yoshida's three midpoint sub-steps, each exact.
+
+    Each checkpoint's state is scaled back to norm 1, as the walk's is: the
+    exact steps are unitary, and their ``eigh`` factors only to round-off.
+    """
     hamiltonians, states = ramp.hamiltonians, []
     for start, count, dt in zip(*open_system._plan(ramp.grid, ramp.offsets, ramp.closed_step)[:3]):
         midpoints, lengths = [], []
@@ -626,14 +624,19 @@ def _reference_closed_walk(ramp, psi):
                 t += c * dt
         # One eigh per sub-step, stacked over the gap.
         energies, vectors = np.linalg.eigh(hamiltonians(np.array(midpoints)))
-        for phase, v in zip(np.exp(-1j * energies * np.array(lengths)[:, None]), vectors):
-            psi = v @ (phase * (v.conj().T @ psi))
-        states.append(psi)
+        phases = np.exp(-1j * energies * np.array(lengths)[:, None])
+        for u in (vectors * phases[:, None]) @ vectors.conj().swapaxes(1, 2):
+            psi = u @ psi
+        states.append(psi / np.linalg.norm(psi))
     return np.array(states)
 
 
 def _reference_split_walk(ramp, decay, stack):
-    """``open_system._split_walk``'s batched branch step by step: each interpolated step map applied on its own."""
+    """``open_system._split_walk``'s batched branch step by step: each interpolated step map applied on its own.
+
+    Each checkpoint's density matrices are scaled back to trace 1, as the
+    walk's are.
+    """
     sets, n = decay.shape[:2]
     vec, node_sets, states, offsets = stack.reshape(sets, n * n, 1), {}, [], ramp.offsets
     for start, count, dt, segment in zip(*open_system._plan(ramp.grid, offsets, ramp.split_step)[:4]):
@@ -644,7 +647,8 @@ def _reference_split_walk(ramp, decay, stack):
         nodes, maps = node_sets[segment, dt]
         for weights in open_system._lagrange_weights(nodes, start + np.arange(count) * dt):
             vec = (weights @ maps.reshape(sets, nodes.size, -1)).reshape(sets, n * n, n * n) @ vec
-        states.append(vec.reshape(stack.shape))
+        rhos = vec.reshape(stack.shape)
+        states.append(rhos / rhos.trace(axis1=-2, axis2=-1).real[:, None, None])
     return np.array(states)
 
 
@@ -756,14 +760,13 @@ class TestClosedWalk:
         st.floats(0.1, 300.0),
         st.integers(2, 101),
     )
-    @settings(max_examples=15, deadline=None)
+    @settings(max_examples=25, deadline=None)
     def test_matches_the_reference_walk(self, l, flux, three, duration, n_checkpoints):
         # Interpolated unitaries multiplied chunk by chunk against exact ones
         # taken one at a time, on the ramp's grid: the checkpoints plus the
-        # segment boundaries, which mostly fall inside checkpoint gaps.  The
-        # two drift apart by round-off of up to about 1.6 ulps a step (3.5e-12
-        # after the 13,350 steps of duration 300), so past 1,126 steps the
-        # bound grows with the walk at 4 ulps a step.
+        # segment boundaries, which mostly fall inside checkpoint gaps.  Both
+        # walks restore the norm at each checkpoint; unrestored, each moved
+        # it by up to 8e-12 over the 13,500 steps of duration 300.
         lat = build_lattice(l, [flux] * l)
         sched = _three_segment_ramp(lat, duration) if three else two_stage_ramp(lat, "A,1", duration)
         grid = _checkpoint_grid(sched, n_checkpoints)
@@ -771,7 +774,8 @@ class TestClosedWalk:
         walked = open_system._closed_walk(ramp, psi0)
         assert walked.shape == (grid.size, lat.num_sites)
         reference = _reference_closed_walk(ramp, psi0)
-        assert np.abs(walked - reference).max() < _roundoff(grid, ramp.closed_step, 4)
+        assert np.abs(walked - reference).max() < 1e-12
+        assert np.abs(np.linalg.norm(walked, axis=1) - 1.0).max() < 1e-12
 
     @given(
         st.integers(1, 2),
@@ -789,11 +793,10 @@ class TestClosedWalk:
         # applied one at a time, on the ramp's grid.  H's norm is 4.45 to 4.5
         # on these ramps: a rate above 0.89 shortens the step below the
         # closed walk's, and rates above the norm, drawn only up to duration
-        # 30 to keep the steps few, make it up to 11 times shorter.  Past
-        # 1e-12, round-off grows with the walk: the loop's exact steps part
-        # from the interpolated ones as the closed walk's do (4 ulps a step),
-        # and every map moves the trace by up to about 7 ulps (16 a step);
-        # the batched walk stays within 2e-14 of the reference.
+        # 30 to keep the steps few, make it up to 11 times shorter.  Both
+        # walks restore the trace at each checkpoint; unrestored, the walk's
+        # moved by up to 2.4e-11 at duration 300, and by 1.8e-12 already at
+        # duration 6 with a rate of 4.
         lat = build_lattice(l, [flux] * l)
         n = lat.num_sites
         sched = _three_segment_ramp(lat, duration) if three else two_stage_ramp(lat, "A,1", duration)
@@ -809,8 +812,8 @@ class TestClosedWalk:
             walked = open_system._split_walk(ramp, decay, stack)
         assert walked.shape == (grid.size, len(gammas), n, n)
         reference = _reference_split_walk(ramp, decay, stack)
-        assert np.abs(walked - reference).max() < _roundoff(grid, ramp.split_step, 4)
-        assert np.abs(np.trace(walked, axis1=2, axis2=3) - 1.0).max() < _roundoff(grid, ramp.split_step, 16)
+        assert np.abs(walked - reference).max() < 1e-12
+        assert np.abs(np.trace(walked, axis1=2, axis2=3) - 1.0).max() < 1e-12
         assert np.abs(walked - walked.conj().swapaxes(2, 3)).max() < 1e-12
 
     @pytest.mark.parametrize("flux", [0.0, PI])
